@@ -13,8 +13,10 @@ within subject; covariates must be constant within subject.
 from __future__ import annotations
 
 import csv
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,9 @@ class Subject:
         self.covariates = np.asarray(self.covariates, dtype=float).reshape(-1)
         if self.times.ndim != 1 or self.times.size == 0:
             raise ValidationError(f"subject {self.id!r}: needs at least one observation time")
+        # plain-float isfinite: numpy calls cost more on arrays this small
+        if not all(map(math.isfinite, self.times.tolist() + self.covariates.tolist())):
+            raise ValidationError(f"subject {self.id!r}: times and covariates must be finite")
         if np.any(self.times <= 0):
             raise ValidationError(f"subject {self.id!r}: observation times must be strictly positive")
         if np.any(np.diff(self.times) <= 0):
@@ -71,9 +76,33 @@ class Subject:
         return self.covariates.size
 
 
+@dataclass(frozen=True)
+class PanelArrays:
+    """Read-only flat arrays of a dataset, shared by every cause and layer.
+
+    An epoch is one (subject, observation) pair, in dataset order: `t` is
+    its time, `subj` its subject and `inverse` its index in the distinct
+    `times`.  Rows of `counts` (k x P), `count_sum` (k x n, per-subject
+    totals) and `mean_count` (k x r, per-time means) are indexed by cause - 1.
+    """
+
+    t: np.ndarray
+    subj: np.ndarray
+    times: np.ndarray
+    inverse: np.ndarray
+    n_obs: np.ndarray
+    counts: np.ndarray
+    Z: np.ndarray
+    count_sum: np.ndarray
+    mean_count: np.ndarray
+
+
 @dataclass
 class PanelDataset:
-    """A collection of subjects sharing the same causes and covariates."""
+    """A collection of subjects sharing the same causes and covariates.
+
+    Datasets are immutable once built, because `arrays` is cached.
+    """
 
     subjects: list[Subject]
     k: int
@@ -98,6 +127,22 @@ class PanelDataset:
     def total_obs(self) -> int:
         return sum(s.n_obs for s in self.subjects)
 
+    @cached_property
+    def arrays(self) -> PanelArrays:
+        """Flat epoch arrays, built on first use."""
+        t = np.concatenate([s.times for s in self.subjects])
+        subj = np.repeat(np.arange(self.n), [s.n_obs for s in self.subjects])
+        counts = np.concatenate([s.counts for s in self.subjects], axis=1).astype(float)
+        times, inverse = np.unique(t, return_inverse=True)
+        n_obs = np.bincount(inverse)
+        Z = np.array([s.covariates for s in self.subjects], dtype=float).reshape(self.n, self.d)
+        count_sum = np.array([np.bincount(subj, weights=c, minlength=self.n) for c in counts])
+        mean_count = np.array([np.bincount(inverse, weights=c) / n_obs for c in counts])
+        arrays = PanelArrays(t, subj, times, inverse, n_obs, counts, Z, count_sum, mean_count)
+        for a in vars(arrays).values():
+            a.flags.writeable = False
+        return arrays
+
     def select_cause(self, cause: int) -> "PanelDataset":
         """Single-cause view of the dataset (counts restricted to `cause`)."""
         _check_cause(self, cause)
@@ -112,17 +157,15 @@ class PanelDataset:
 class GroupedStats:
     """Per-cause statistics on the pooled grid of distinct observation times.
 
-    For each distinct time, `n_obs` counts the observations made there,
-    `mean_count` averages the cumulative cause counts over those
-    observations, and `members` lists the contributing (subject index,
-    observation index) pairs.
+    For each distinct time, `n_obs` counts the observations made there
+    and `mean_count` averages the cumulative cause counts over those
+    observations.  The epochs behind each time are in `PanelArrays`.
     """
 
     cause: int
     times: np.ndarray
     n_obs: np.ndarray
     mean_count: np.ndarray
-    members: list[list[tuple[int, int]]] = field(repr=False)
 
     @property
     def r(self) -> int:
@@ -149,6 +192,14 @@ class CsvSchema:
 def _check_cause(data: PanelDataset, cause: int) -> None:
     if not 1 <= cause <= data.k:
         raise ValueError(f"cause must be in 1..{data.k}, got {cause}")
+
+
+def _finite_float(cell: str) -> float:
+    """float(cell), raising ValueError for nan and inf as for non-numbers."""
+    x = float(cell)
+    if not math.isfinite(x):
+        raise ValueError(cell)
+    return x
 
 
 def _infer_columns(header: list[str], schema: CsvSchema) -> tuple[list[str], list[str]]:
@@ -205,7 +256,7 @@ def parse_panel_csv(path: str | Path, schema: CsvSchema | None = None) -> PanelD
             if not sid:
                 raise ParseError("empty subject id", line=lineno)
             try:
-                t = float(raw[idx[schema.time_col]])
+                t = _finite_float(raw[idx[schema.time_col]])
             except ValueError:
                 raise ParseError(
                     f"bad time value {raw[idx[schema.time_col]]!r}", line=lineno
@@ -225,7 +276,7 @@ def parse_panel_csv(path: str | Path, schema: CsvSchema | None = None) -> PanelD
             for col in cov_cols:
                 cell = raw[idx[col]].strip()
                 try:
-                    covs.append(float(cell))
+                    covs.append(_finite_float(cell))
                 except ValueError:
                     raise ParseError(
                         f"bad covariate value {cell!r} in {col}", line=lineno
@@ -279,27 +330,9 @@ def aggregate(data: PanelDataset, cause: int) -> GroupedStats:
     """Group all observation epochs by distinct time for one cause.
 
     Every epoch records counts for all causes at once, so the distinct
-    times, per-time observation counts and member sets are shared across
-    causes; only the count means are cause-specific.
+    times and per-time observation counts are shared across causes; only
+    the count means are cause-specific.
     """
     _check_cause(data, cause)
-    all_times = np.concatenate([s.times for s in data.subjects])
-    all_counts = np.concatenate([s.counts[cause - 1] for s in data.subjects])
-    pairs = [(i, p) for i, s in enumerate(data.subjects) for p in range(s.n_obs)]
-
-    times, inverse = np.unique(all_times, return_inverse=True)
-    n_obs = np.bincount(inverse, minlength=times.size)
-    sums = np.bincount(inverse, weights=all_counts.astype(float), minlength=times.size)
-    mean_count = sums / n_obs
-
-    members: list[list[tuple[int, int]]] = [[] for _ in range(times.size)]
-    for pair, q in zip(pairs, inverse):
-        members[q].append(pair)
-
-    return GroupedStats(
-        cause=cause,
-        times=times,
-        n_obs=n_obs.astype(np.int64),
-        mean_count=mean_count,
-        members=members,
-    )
+    a = data.arrays
+    return GroupedStats(cause, a.times, a.n_obs, a.mean_count[cause - 1])

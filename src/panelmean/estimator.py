@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PanelDataset, _check_cause, aggregate
+from .data import PanelDataset, _check_cause
 from .errors import ConvergenceError, NumericError
-from .isotonic import StepFunction, solve_baseline, weighted_isotonic
+from .isotonic import StepFunction, _isotonic_baseline
 
 _MAX_HALVINGS = 30
 
@@ -63,39 +63,36 @@ class CauseFit:
 
 
 class _CauseWorkspace:
-    """Flattened per-cause arrays reused across iterations.
+    """Per-cause view of the dataset's flat arrays, reused across iterations.
 
     Epochs are the pooled (subject, observation) pairs; `inverse` maps
     each epoch to its distinct-time index and `subj` to its subject.
     """
 
     def __init__(self, data: PanelDataset, cause: int):
+        _check_cause(data, cause)
+        a = data.arrays
         self.n = data.n
         self.d = data.d
-        self.t_all = np.concatenate([s.times for s in data.subjects])
-        self.n_all = np.concatenate([s.counts[cause - 1] for s in data.subjects]).astype(float)
-        self.subj = np.repeat(np.arange(data.n), [s.n_obs for s in data.subjects])
-        self.Z = np.array([s.covariates for s in data.subjects], dtype=float).reshape(data.n, data.d)
-        self.times, self.inverse = np.unique(self.t_all, return_inverse=True)
-        self.n_obs = np.bincount(self.inverse).astype(float)
-        qsum = np.bincount(self.inverse, weights=self.n_all)
-        self.mean_count = qsum / self.n_obs
+        self.subj = a.subj
+        self.Z = a.Z
+        self.times = a.times
+        self.inverse = a.inverse
+        self.n_obs = a.n_obs
+        self.n_all = a.counts[cause - 1]
+        self.mean_count = a.mean_count[cause - 1]
         # per-subject total count, for the collapsed gradient/Hessian
-        self.count_sum = np.bincount(self.subj, weights=self.n_all, minlength=data.n)
+        self.count_sum = a.count_sum[cause - 1]
 
     def exp_lp(self, beta: np.ndarray) -> np.ndarray:
         """Per-subject exp(beta'z)."""
-        if self.d == 0:
-            return np.ones(self.n)
         return np.exp(self.Z @ beta)
 
     def baseline_values(self, beta: np.ndarray) -> np.ndarray:
         """Isotonic baseline values at the distinct times for fixed beta."""
         ez = self.exp_lp(beta)
-        vq = np.bincount(self.inverse, weights=ez[self.subj]) / self.n_obs
-        y = self.mean_count / vq
-        w = self.n_obs * vq
-        return np.maximum(weighted_isotonic(y, w), 0.0)
+        exposure = np.bincount(self.inverse, weights=ez[self.subj]) / self.n_obs
+        return _isotonic_baseline(self.mean_count, self.n_obs, exposure)
 
     def loglik(self, beta: np.ndarray, values: np.ndarray) -> float:
         """Full objective at (beta, baseline values); -inf if a positive
@@ -107,8 +104,7 @@ class _CauseWorkspace:
         ez = self.exp_lp(beta)
         lam_sub = np.bincount(self.subj, weights=lam_e, minlength=self.n)
         ll = float(np.sum(self.n_all[pos] * np.log(lam_e[pos])))
-        if self.d > 0:
-            ll += float(self.count_sum @ (self.Z @ beta))
+        ll += float(self.count_sum @ (self.Z @ beta))
         ll -= float(ez @ lam_sub)
         return ll
 
@@ -131,10 +127,9 @@ def _newton_beta(ws: _CauseWorkspace, values: np.ndarray, beta_start: np.ndarray
     not decrease.
     """
     lam_sub = np.bincount(ws.subj, weights=values[ws.inverse], minlength=ws.n)
-    zb = ws.count_sum  # per-subject total counts
 
     def objective(beta):
-        return float(zb @ (ws.Z @ beta) - np.exp(ws.Z @ beta) @ lam_sub)
+        return float(ws.count_sum @ (ws.Z @ beta) - np.exp(ws.Z @ beta) @ lam_sub)
 
     beta = np.asarray(beta_start, dtype=float).copy()
     obj = objective(beta)
@@ -191,7 +186,6 @@ def log_pseudo_likelihood(data: PanelDataset, cause: int, beta,
     count falls where the baseline is zero.  The baseline knots must span
     all observation times of the dataset.
     """
-    _check_cause(data, cause)
     ws = _CauseWorkspace(data, cause)
     if ws.times[0] < baseline.knots[0] or ws.times[-1] > baseline.knots[-1]:
         raise ValueError("baseline knots do not cover the observation times")
@@ -202,19 +196,13 @@ def log_pseudo_likelihood(data: PanelDataset, cause: int, beta,
 
 def baseline_step(data: PanelDataset, cause: int, beta) -> StepFunction:
     """Exact baseline maximizer at fixed beta (profile step)."""
-    _check_cause(data, cause)
     ws = _CauseWorkspace(data, cause)
-    beta = _as_beta(beta, ws.d)
-    stats = aggregate(data, cause)
-    ez = ws.exp_lp(beta)
-    exposure = np.bincount(ws.inverse, weights=ez[ws.subj]) / ws.n_obs
-    return solve_baseline(stats, exposure)
+    return StepFunction(ws.times.copy(), ws.baseline_values(_as_beta(beta, ws.d)))
 
 
 def beta_step(data: PanelDataset, cause: int, baseline: StepFunction, beta_start,
               cfg: FitConfig | None = None) -> np.ndarray:
     """Exact coefficient maximizer at fixed baseline (profile step)."""
-    _check_cause(data, cause)
     if data.d == 0:
         raise ValueError("beta step needs at least one covariate")
     cfg = cfg or FitConfig()
@@ -237,43 +225,30 @@ def _as_beta(beta, d: int) -> np.ndarray:
 def _fit_cause(data: PanelDataset, cause: int, cfg: FitConfig) -> CauseFit:
     ws = _CauseWorkspace(data, cause)
     beta = _as_beta(cfg.beta_init, ws.d)
+    values = ws.baseline_values(beta)
     trace: list[float] = []
-
-    if ws.d == 0:
-        values = ws.baseline_values(beta)
-        trace.append(ws.loglik(beta, values))
-        return CauseFit(
-            cause=cause,
-            beta=beta,
-            baseline=StepFunction(ws.times.copy(), values),
-            loglik_trace=trace,
-            iterations=1,
-            converged=True,
-        )
-
     converged = False
     iterations = 0
-    values = ws.baseline_values(beta)
     try:
-        prev_ll = None
         for _ in range(cfg.max_iter):
             iterations += 1
-            values = ws.baseline_values(beta)
             beta = _newton_beta(ws, values, beta, cfg)
             ll = ws.loglik(beta, values)
             trace.append(ll)
-            if prev_ll is not None:
-                change = abs(ll - prev_ll)
-                denom = abs(prev_ll)
+            # the baseline at the new beta serves the next sweep and, on exit,
+            # makes the returned pair a fixed point of the baseline step; the
+            # trace's last two entries are the pair the stopping rule saw
+            values = ws.baseline_values(beta)
+            if ws.d == 0:  # no coefficients: one baseline step is exact
+                converged = True
+                break
+            if len(trace) > 1:
+                change = abs(ll - trace[-2])
+                denom = abs(trace[-2])
                 rel = change / denom if denom > 0 else change
                 if rel <= cfg.epsilon:
                     converged = True
                     break
-            prev_ll = ll
-        # refresh the baseline at the final beta so the returned pair is a
-        # fixed point of the baseline step; the trace keeps one entry per
-        # full sweep (its last two entries are the pair the stopping rule saw)
-        values = ws.baseline_values(beta)
         error = None
     except (ConvergenceError, NumericError) as exc:
         if isinstance(exc, ConvergenceError) and exc.last_beta is not None:
@@ -295,7 +270,8 @@ def _fit_cause(data: PanelDataset, cause: int, cfg: FitConfig) -> CauseFit:
 
 def _assert_ascending(trace: list[float]) -> None:
     for a, b in zip(trace, trace[1:]):
-        assert b >= a - 1e-9 * max(1.0, abs(a)), "log-likelihood trace decreased"
+        if b < a - 1e-9 * max(1.0, abs(a)):
+            raise NumericError("log-likelihood trace decreased")
 
 
 def fit(data: PanelDataset, cfg: FitConfig | None = None) -> list[CauseFit]:

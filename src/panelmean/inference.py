@@ -72,7 +72,7 @@ def bootstrap_se(data: PanelDataset, cfg: FitConfig | None = None,
         resampled = PanelDataset([data.subjects[i] for i in idx], k=data.k, d=data.d)
         try:
             fits = fit(resampled, cfg)
-        except (ConvergenceError, NumericError, ValueError):
+        except (ConvergenceError, NumericError):
             failures += 1
             continue
         if any(cf.error is not None or not cf.converged for cf in fits):
@@ -151,7 +151,7 @@ def sandwich_se(data: PanelDataset, cause_fit: CauseFit) -> InferenceResult:
     lam_e = values[ws.inverse]
 
     # weighted covariate mean over the epoch's time bin
-    bins = _time_bins(ws.inverse, ws.n_obs.astype(np.int64))
+    bins = _time_bins(ws.inverse, ws.n_obs)
     denom = np.bincount(bins, weights=ez_e)
     ratio = np.empty((denom.size, ws.d))
     for l in range(ws.d):

@@ -7,8 +7,8 @@ non-decreasing values at the distinct observation times,
 
 — reduces to a weighted least-squares isotonic regression of
 mean_count/exposure with weights n_obs*exposure.  Pooled block means
-solve both problems, so a single pool-adjacent-violators pass gives the
-exact maximizer.
+solve both problems, so SciPy's pool-adjacent-violators solver
+(scipy.optimize.isotonic_regression) gives the exact maximizer.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from .data import GroupedStats
 from .errors import NumericError
@@ -57,7 +58,7 @@ def weighted_isotonic(y, w) -> np.ndarray:
     """Weighted least-squares projection onto non-decreasing sequences.
 
     Returns the unique minimizer of sum_q w_q (y_q - x_q)^2 subject to
-    x_1 <= ... <= x_r, via a single O(r) pool-adjacent-violators pass.
+    x_1 <= ... <= x_r, by the pool-adjacent-violators algorithm.
     Weights must be strictly positive.
     """
     y = np.asarray(y, dtype=float)
@@ -68,34 +69,27 @@ def weighted_isotonic(y, w) -> np.ndarray:
         raise ValueError(f"length mismatch: y has {y.size}, w has {w.size}")
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
-
-    r = y.size
-    # block stack: weighted sum, total weight, length, current mean
-    bsum = np.empty(r)
-    bw = np.empty(r)
-    blen = np.empty(r, dtype=np.int64)
-    bmean = np.empty(r)
-    nb = 0
-    for i in range(r):
-        cs = w[i] * y[i]
-        cw = w[i]
-        cl = 1
-        cm = y[i]
-        while nb > 0 and bmean[nb - 1] > cm:
-            nb -= 1
-            cs += bsum[nb]
-            cw += bw[nb]
-            cl += blen[nb]
-            cm = cs / cw
-        bsum[nb] = cs
-        bw[nb] = cw
-        blen[nb] = cl
-        bmean[nb] = cm
-        nb += 1
-
-    x = np.repeat(bmean[:nb], blen[:nb])
-    assert np.all(np.diff(x) >= 0), "isotonic output must be non-decreasing"
+    # SciPy may move already-monotone input by an ulp; a fixed point must
+    # come back exactly
+    if np.all(np.diff(y) >= 0):
+        return y.copy()
+    x = isotonic_regression(y, weights=w).x
+    _check_non_decreasing(x)
     return x
+
+
+def _check_non_decreasing(x: np.ndarray) -> None:
+    if np.any(np.diff(x) < 0):
+        raise NumericError("isotonic output must be non-decreasing")
+
+
+def _isotonic_baseline(mean_count: np.ndarray, n_obs: np.ndarray,
+                       exposure: np.ndarray) -> np.ndarray:
+    """Baseline values at the distinct times maximizing the profile
+    objective for the given per-time exposure."""
+    if np.any(exposure <= 0) or not np.all(np.isfinite(exposure)):
+        raise NumericError("exposure must be finite and strictly positive")
+    return np.maximum(weighted_isotonic(mean_count / exposure, n_obs * exposure), 0.0)
 
 
 def solve_baseline(stats: GroupedStats, exposure) -> StepFunction:
@@ -110,10 +104,5 @@ def solve_baseline(stats: GroupedStats, exposure) -> StepFunction:
         raise ValueError(
             f"exposure length {exposure.size} does not match {stats.r} distinct times"
         )
-    if np.any(exposure <= 0) or not np.all(np.isfinite(exposure)):
-        raise NumericError("exposure must be finite and strictly positive")
-
-    y = stats.mean_count / exposure
-    w = stats.n_obs * exposure
-    values = np.maximum(weighted_isotonic(y, w), 0.0)
+    values = _isotonic_baseline(stats.mean_count, stats.n_obs, exposure)
     return StepFunction(stats.times.copy(), values)

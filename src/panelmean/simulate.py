@@ -177,7 +177,7 @@ def run_study(cfg: SimConfig, fit_cfg: FitConfig | None = None) -> StudyResult:
         dataset = gen_dataset(cfg, rng, report)
         try:
             fits = fit(dataset, fit_cfg)
-        except (ConvergenceError, NumericError, ValueError):
+        except (ConvergenceError, NumericError):
             failures += 1
             continue
         if any(cf.error is not None or not cf.converged for cf in fits):

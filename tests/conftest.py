@@ -23,6 +23,14 @@ def random_small_dataset(rng, n=None, k=1, d=2, max_counts=6):
     return PanelDataset(subjects, k=k, d=d)
 
 
+def epoch_members(data, q):
+    """(subject index, observation index) pairs of the epochs at distinct
+    time q, read from the dataset's flat arrays."""
+    a = data.arrays
+    first = np.searchsorted(a.subj, a.subj)  # first epoch of each epoch's subject
+    return [(int(a.subj[e]), int(e - first[e])) for e in np.flatnonzero(a.inverse == q)]
+
+
 @pytest.fixture(scope="session")
 def table1_dataset_n200():
     cfg = table1_config(n=200)

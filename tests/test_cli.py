@@ -90,6 +90,19 @@ class TestCmdFit:
         assert lines == ["cause,covariate,coefficient,se,p_value"]
         assert (out / "baseline_cause1.csv").exists()
 
+    @pytest.mark.parametrize("row,bad", [
+        ("b,nan,1,0", "time value 'nan'"),
+        ("b,2,1,inf", "covariate value 'inf'"),
+        ("b,2,1,nan", "covariate value 'nan'"),
+    ])
+    def test_non_finite_input_exits_2_naming_value(self, tmp_path, capsys, row, bad):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(f"id,time,n1,z1\na,1,0,1\na,3,2,1\n{row}\nb,4,2,0\n")
+        code = main(["fit", "--input", str(csv_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and bad in err
+
     def test_divergent_cause_exits_3_with_partial_report(self, tmp_path, capsys):
         lines = ["id,time,n1,z1"]
         for i in range(6):

@@ -13,7 +13,7 @@ from panelmean import (
 )
 
 from _oracles import tally_grouped
-from conftest import random_small_dataset
+from conftest import epoch_members, random_small_dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -83,6 +83,17 @@ class TestParse:
         with pytest.raises(ValidationError, match="covariates vary"):
             parse_panel_csv(path)
 
+    @pytest.mark.parametrize("row,bad", [
+        ("a,nan,2,1", "time value 'nan'"),
+        ("a,inf,2,1", "time value 'inf'"),
+        ("a,5,2,nan", "covariate value 'nan'"),
+        ("a,5,2,-inf", "covariate value '-inf'"),
+    ])
+    def test_non_finite_time_or_covariate_reports_line(self, tmp_path, row, bad):
+        path = write(tmp_path, f"id,time,n1,z1\na,2,1,1\n{row}\n")
+        with pytest.raises(ParseError, match=f"line 3: bad {bad}"):
+            parse_panel_csv(path)
+
     def test_empty_file_names_header(self, tmp_path):
         path = write(tmp_path, "")
         with pytest.raises(ParseError, match="header"):
@@ -116,6 +127,12 @@ class TestSubjectInvariants:
         with pytest.raises(ValidationError, match="positive"):
             Subject("a", [0.0, 1.0], [[0, 1]], [1.0])
 
+    @pytest.mark.parametrize("times,z", [([1.0, np.nan], [1.0]), ([1.0, np.inf], [1.0]),
+                                         ([1.0, 2.0], [np.nan]), ([1.0, 2.0], [-np.inf])])
+    def test_non_finite_times_or_covariates_rejected(self, times, z):
+        with pytest.raises(ValidationError, match="finite"):
+            Subject("a", times, [[0, 1]], z)
+
     def test_count_length_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="count entries"):
             Subject("a", [1.0, 2.0], [[0, 1, 2]], [1.0])
@@ -146,11 +163,12 @@ class TestAggregate:
     def test_duplicate_times_counted(self):
         a = Subject("a", [1.0, 3.0], [[0, 2]], [0.0])
         b = Subject("b", [3.0], [[4]], [0.0])
-        stats = aggregate(PanelDataset([a, b], k=1, d=1), 1)
+        data = PanelDataset([a, b], k=1, d=1)
+        stats = aggregate(data, 1)
         np.testing.assert_array_equal(stats.times, [1.0, 3.0])
         np.testing.assert_array_equal(stats.n_obs, [1, 2])
         np.testing.assert_allclose(stats.mean_count, [0.0, 3.0])
-        assert stats.members[1] == [(0, 1), (1, 0)]
+        assert epoch_members(data, 1) == [(0, 1), (1, 0)]
 
     def test_single_member_mean(self):
         data = PanelDataset([Subject("a", [2.0], [[5]], [])], k=1, d=0)
@@ -189,11 +207,20 @@ class TestAggregate:
         data = random_small_dataset(rng, n=6, k=1)
         stats = aggregate(data, 1)
         for q in range(stats.r):
-            assert len(stats.members[q]) == stats.n_obs[q] > 0
+            members = epoch_members(data, q)
+            assert len(members) == stats.n_obs[q] > 0
             recomputed = np.mean(
-                [data.subjects[i].counts[0][p] for i, p in stats.members[q]]
+                [data.subjects[i].counts[0][p] for i, p in members]
             )
             assert recomputed == pytest.approx(stats.mean_count[q])
+
+    def test_arrays_built_once_and_read_only(self):
+        rng = np.random.default_rng(15)
+        data = random_small_dataset(rng, n=5, k=2)
+        assert data.arrays is data.arrays
+        assert aggregate(data, 1).times is aggregate(data, 2).times
+        with pytest.raises(ValueError, match="read-only"):
+            data.arrays.counts[0, 0] = 1.0
 
     def test_bad_cause_rejected(self):
         data = PanelDataset([Subject("a", [2.0], [[5]], [])], k=1, d=0)

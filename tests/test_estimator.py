@@ -17,7 +17,7 @@ from panelmean import (
     solve_baseline,
     aggregate,
 )
-from panelmean.estimator import _CauseWorkspace, _profile_grad_hess
+from panelmean.estimator import _assert_ascending, _CauseWorkspace, _profile_grad_hess
 
 from _oracles import (
     baseline_profile_objective,
@@ -25,7 +25,7 @@ from _oracles import (
     grouped_loglik,
     naive_loglik,
 )
-from conftest import random_small_dataset, table1_config
+from conftest import epoch_members, random_small_dataset, table1_config
 
 
 def flat_baseline(data, value=1.0):
@@ -199,7 +199,7 @@ class TestBaselineStep:
                 [np.exp(float(beta @ s.covariates)) for s in data.subjects]
             )
             exposure = np.array(
-                [np.mean([ez[i] for i, _ in stats.members[q]]) for q in range(stats.r)]
+                [np.mean([ez[i] for i, _ in epoch_members(data, q)]) for q in range(stats.r)]
             )
             ours = baseline_profile_objective(
                 stats.n_obs, stats.mean_count, exposure, step.values
@@ -299,6 +299,11 @@ class TestFit:
         assert cf.converged and cf.error is None
         np.testing.assert_array_equal(cf.baseline.values, 0.0)
         assert cf.loglik_trace[-1] == 0.0
+
+    def test_decreasing_trace_raises_numeric_error(self):
+        _assert_ascending([1.0, 2.0, 2.0])
+        with pytest.raises(NumericError, match="decreased"):
+            _assert_ascending([2.0, 1.0])
 
     def test_max_iter_reached_flags_not_converged(self):
         cfg_sim = table1_config(n=40, seed=53)

@@ -10,6 +10,7 @@ from panelmean import (
     bootstrap_se,
     fit,
     gen_dataset,
+    inference,
     sandwich_se,
 )
 from conftest import table1_config
@@ -83,6 +84,21 @@ class TestBootstrap:
         assert res.failures > 0
         assert res.replicates == 30 - res.failures
         assert res.replicates >= 2
+
+    def test_replicate_value_error_propagates(self, table1_dataset_n100, monkeypatch):
+        # a ValueError is a programming error, not a failed replicate
+        calls = []
+
+        def fit_then_fail(data, cfg):
+            calls.append(data)
+            if len(calls) > 1:
+                raise ValueError("bug in replicate")
+            return fit(data, cfg)
+
+        monkeypatch.setattr(inference, "fit", fit_then_fail)
+        with pytest.raises(ValueError, match="bug in replicate"):
+            bootstrap_se(table1_dataset_n100, B=5, seed=0)
+        assert len(calls) == 2
 
     def test_se_shrinks_like_root_n(self):
         cfg100 = table1_config(n=100)

@@ -10,6 +10,7 @@ from panelmean import (
     solve_baseline,
     weighted_isotonic,
 )
+from panelmean.isotonic import _check_non_decreasing
 
 from _oracles import (
     baseline_profile_objective,
@@ -87,6 +88,10 @@ class TestWeightedIsotonic:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             weighted_isotonic([1.0, 2.0], [1.0])
+
+    def test_decreasing_output_raises_numeric_error(self):
+        with pytest.raises(NumericError, match="non-decreasing"):
+            _check_non_decreasing(np.array([2.0, 1.0]))
 
 
 class TestStepFunction:

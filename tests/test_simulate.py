@@ -11,6 +11,7 @@ from panelmean import (
     gen_schedule,
     resolve_baseline,
     run_study,
+    simulate,
 )
 from conftest import table1_config
 
@@ -183,6 +184,14 @@ class TestRunStudy:
         cfg = table1_config(n=2, replications=20, seed=8)
         with pytest.raises(StudyError, match="failed"):
             run_study(cfg)
+
+    def test_replicate_value_error_propagates(self, monkeypatch):
+        def fail(data, cfg):
+            raise ValueError("bug in replicate")
+
+        monkeypatch.setattr(simulate, "fit", fail)
+        with pytest.raises(ValueError, match="bug in replicate"):
+            run_study(table1_config(n=20, replications=3, seed=10))
 
     def test_table_row_order(self):
         cfg = table1_config(n=50, replications=3, seed=9)
