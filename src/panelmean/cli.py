@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -301,6 +302,24 @@ def cmd_baseline(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _option(kind, ok, what: str):
+    """argparse type: kind(text) if `ok` accepts it; otherwise a usage
+    error naming `what` (exit 2)."""
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return convert
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="panelmean",
@@ -311,17 +330,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--epsilon", type=float, default=1e-5,
+        p.add_argument("--epsilon", default=1e-5,
+                       type=_option(float, lambda x: 0 < x < math.inf, "a positive number"),
                        help="relative log-likelihood convergence tolerance")
-        p.add_argument("--max-iter", type=int, default=200,
+        p.add_argument("--max-iter", default=200,
+                       type=_option(int, lambda n: n >= 1, "an integer >= 1"),
                        help="maximum alternating iterations")
-        p.add_argument("--seed", type=int, default=42, help="seed for all randomness")
+        p.add_argument("--seed", default=42,
+                       type=_option(int, lambda n: n >= 0, "a non-negative integer"),
+                       help="seed for all randomness")
 
     p_fit = sub.add_parser("fit", help="fit a panel count CSV dataset")
     p_fit.add_argument("--input", type=Path, required=True, help="long-format CSV")
     p_fit.add_argument("--inference", choices=("bootstrap", "sandwich"),
                        default="bootstrap", help="standard error method")
-    p_fit.add_argument("--boot-reps", type=int, default=300,
+    p_fit.add_argument("--boot-reps", default=300,
+                       type=_option(int, lambda n: n >= 2, "an integer >= 2"),
                        help="bootstrap replicates")
     add_common(p_fit)
 
@@ -335,7 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="directory holding a previous fit's baseline files")
     p_base.add_argument("--input", type=Path, default=None,
                         help="CSV to fit if no --fit-dir is given")
-    p_base.add_argument("--grid", type=str, default=None,
+    p_base.add_argument("--grid", default=None,
+                        type=_option(_floats, lambda g: all(map(math.isfinite, g)),
+                                     "a comma-separated list of numbers"),
                         help="comma-separated evaluation times (default: knots)")
     add_common(p_base)
     return parser
@@ -343,9 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    grid = None
-    if getattr(args, "grid", None):
-        grid = [float(v) for v in args.grid.split(",") if v.strip()]
     cfg = RunConfig(
         command=args.command,
         input=getattr(args, "input", None),
@@ -357,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         config=getattr(args, "config", None),
         fit_dir=getattr(args, "fit_dir", None),
-        grid=grid,
+        grid=getattr(args, "grid", None),
     )
     dispatch = {"fit": cmd_fit, "simulate": cmd_simulate, "baseline": cmd_baseline}
     return dispatch[cfg.command](cfg)

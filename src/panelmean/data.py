@@ -13,15 +13,18 @@ within subject; covariates must be constant within subject.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
+
+_CHUNK_ROWS = 4096  # rows converted per chunk while parsing
 
 
 @dataclass
@@ -82,8 +85,9 @@ class PanelArrays:
 
     An epoch is one (subject, observation) pair, in dataset order: `t` is
     its time, `subj` its subject and `inverse` its index in the distinct
-    `times`.  Rows of `counts` (k x P), `count_sum` (k x n, per-subject
-    totals) and `mean_count` (k x r, per-time means) are indexed by cause - 1.
+    `times`.  Epochs are grouped by subject and sorted by time within it.
+    Rows of `counts` (k x P), `count_sum` (k x n, per-subject totals) and
+    `mean_count` (k x r, per-time means) are indexed by cause - 1.
     """
 
     t: np.ndarray
@@ -96,61 +100,118 @@ class PanelArrays:
     count_sum: np.ndarray
     mean_count: np.ndarray
 
+    @classmethod
+    def build(cls, t, subj, counts, Z, times=None, inverse=None) -> "PanelArrays":
+        """Derive the grouped arrays from the epoch arrays and freeze them all.
 
-@dataclass
-class PanelDataset:
-    """A collection of subjects sharing the same causes and covariates.
-
-    Datasets are immutable once built, because `arrays` is cached.
-    """
-
-    subjects: list[Subject]
-    k: int
-    d: int
-
-    def __post_init__(self):
-        if not self.subjects:
-            raise ValidationError("dataset needs at least one subject")
-        for s in self.subjects:
-            if s.k != self.k:
-                raise ValidationError(f"subject {s.id!r}: has {s.k} causes, dataset declares {self.k}")
-            if s.d != self.d:
-                raise ValidationError(
-                    f"subject {s.id!r}: has {s.d} covariates, dataset declares {self.d}"
-                )
-
-    @property
-    def n(self) -> int:
-        return len(self.subjects)
-
-    @property
-    def total_obs(self) -> int:
-        return sum(s.n_obs for s in self.subjects)
-
-    @cached_property
-    def arrays(self) -> PanelArrays:
-        """Flat epoch arrays, built on first use."""
-        t = np.concatenate([s.times for s in self.subjects])
-        subj = np.repeat(np.arange(self.n), [s.n_obs for s in self.subjects])
-        counts = np.concatenate([s.counts for s in self.subjects], axis=1).astype(float)
-        times, inverse = np.unique(t, return_inverse=True)
+        `times` and `inverse` come from np.unique(t) unless given.
+        """
+        if times is None:
+            times, inverse = np.unique(t, return_inverse=True)
         n_obs = np.bincount(inverse)
-        Z = np.array([s.covariates for s in self.subjects], dtype=float).reshape(self.n, self.d)
-        count_sum = np.array([np.bincount(subj, weights=c, minlength=self.n) for c in counts])
+        count_sum = np.array([np.bincount(subj, weights=c, minlength=len(Z)) for c in counts])
         mean_count = np.array([np.bincount(inverse, weights=c) / n_obs for c in counts])
-        arrays = PanelArrays(t, subj, times, inverse, n_obs, counts, Z, count_sum, mean_count)
+        arrays = cls(t, subj, times, inverse, n_obs, counts, Z, count_sum, mean_count)
         for a in vars(arrays).values():
             a.flags.writeable = False
         return arrays
 
+
+class PanelDataset:
+    """A collection of subjects sharing the same causes and covariates.
+
+    The stored state is the subject ids and the flat `arrays`; `subjects`
+    is rebuilt from them on first use.  Datasets are immutable once built.
+    """
+
+    def __init__(self, subjects: list[Subject], k: int, d: int):
+        if not subjects:
+            raise ValidationError("dataset needs at least one subject")
+        for s in subjects:
+            if s.k != k:
+                raise ValidationError(f"subject {s.id!r}: has {s.k} causes, dataset declares {k}")
+            if s.d != d:
+                raise ValidationError(
+                    f"subject {s.id!r}: has {s.d} covariates, dataset declares {d}"
+                )
+        n = len(subjects)
+        self.ids = tuple(s.id for s in subjects)
+        self.arrays = PanelArrays.build(
+            np.concatenate([s.times for s in subjects]),
+            np.repeat(np.arange(n), [s.n_obs for s in subjects]),
+            np.concatenate([s.counts for s in subjects], axis=1).astype(float),
+            np.array([s.covariates for s in subjects], dtype=float).reshape(n, d),
+        )
+
+    @classmethod
+    def _from_arrays(cls, ids: tuple[str, ...], arrays: PanelArrays) -> "PanelDataset":
+        """Dataset over already validated flat arrays, one id per subject."""
+        data = cls.__new__(cls)
+        data.ids = ids
+        data.arrays = arrays
+        return data
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+    @property
+    def k(self) -> int:
+        return self.arrays.counts.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.arrays.Z.shape[1]
+
+    @property
+    def total_obs(self) -> int:
+        return self.arrays.t.size
+
+    @cached_property
+    def _bounds(self) -> np.ndarray:
+        """Subject i owns epochs _bounds[i]:_bounds[i + 1]."""
+        return np.searchsorted(self.arrays.subj, np.arange(self.n + 1))
+
+    @cached_property
+    def subjects(self) -> list[Subject]:
+        """Per-subject view of the arrays, built on first use."""
+        a = self.arrays
+        counts = a.counts.astype(np.int64)
+        counts.flags.writeable = False
+        spans = zip(self._bounds[:-1], self._bounds[1:])
+        return [
+            Subject(sid, a.t[lo:hi], counts[:, lo:hi], a.Z[i])
+            for i, (sid, (lo, hi)) in enumerate(zip(self.ids, spans))
+        ]
+
+    def _take(self, idx: np.ndarray) -> "PanelDataset":
+        """The subjects `idx` (repeats allowed) in that order, gathered
+        epoch by epoch from the arrays; no distinct time is regrouped."""
+        a = self.arrays
+        lo = self._bounds[idx]
+        sizes = self._bounds[idx + 1] - lo
+        epochs = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+        parent = a.inverse[epochs]
+        used = np.zeros(a.times.size, dtype=bool)
+        used[parent] = True
+        arrays = PanelArrays.build(
+            a.t[epochs],
+            np.repeat(np.arange(idx.size), sizes),
+            a.counts[:, epochs],
+            a.Z[idx],
+            times=a.times[used],
+            inverse=(np.cumsum(used) - 1)[parent],
+        )
+        return PanelDataset._from_arrays(tuple(self.ids[i] for i in idx), arrays)
+
     def select_cause(self, cause: int) -> "PanelDataset":
         """Single-cause view of the dataset (counts restricted to `cause`)."""
         _check_cause(self, cause)
-        subs = [
-            Subject(s.id, s.times.copy(), s.counts[cause - 1 : cause].copy(), s.covariates.copy())
-            for s in self.subjects
-        ]
-        return PanelDataset(subs, k=1, d=self.d)
+        a = self.arrays
+        row = slice(cause - 1, cause)
+        return PanelDataset._from_arrays(self.ids, replace(
+            a, counts=a.counts[row], count_sum=a.count_sum[row], mean_count=a.mean_count[row]
+        ))
 
 
 @dataclass
@@ -194,14 +255,6 @@ def _check_cause(data: PanelDataset, cause: int) -> None:
         raise ValueError(f"cause must be in 1..{data.k}, got {cause}")
 
 
-def _finite_float(cell: str) -> float:
-    """float(cell), raising ValueError for nan and inf as for non-numbers."""
-    x = float(cell)
-    if not math.isfinite(x):
-        raise ValueError(cell)
-    return x
-
-
 def _infer_columns(header: list[str], schema: CsvSchema) -> tuple[list[str], list[str]]:
     count_cols = schema.count_cols
     cov_cols = schema.covariate_cols
@@ -219,92 +272,174 @@ def _infer_columns(header: list[str], schema: CsvSchema) -> tuple[list[str], lis
 def parse_panel_csv(path: str | Path, schema: CsvSchema | None = None) -> PanelDataset:
     """Read a long-format panel count CSV into a validated PanelDataset.
 
-    Rows are grouped by subject id and sorted by time within subject.
-    Raises ParseError (with line number) for malformed rows and
-    ValidationError for invariant violations.
+    Rows are read in chunks of _CHUNK_ROWS and converted column by column
+    into the flat arrays; subjects keep the order of their first row and
+    their rows are sorted by time.  Raises ParseError (with line number)
+    for malformed rows and ValidationError for invariant violations; of
+    several defects, the first in file order is reported.
     """
     schema = schema or CsvSchema()
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, missing header row") from None
-        header = [c.strip() for c in header]
-        for col in (schema.id_col, schema.time_col):
-            if col not in header:
-                raise ParseError(f"{path}: missing required column {col!r} in header")
-        count_cols, cov_cols = _infer_columns(header, schema)
-        if not count_cols:
-            raise ParseError(f"{path}: no count columns found (expected n1,...,nk)")
-        for col in count_cols + cov_cols:
-            if col not in header:
-                raise ParseError(f"{path}: column {col!r} not in header")
-        idx = {c: header.index(c) for c in header}
+            return _parse_rows(csv.reader(fh), path, schema)
+        except UnicodeDecodeError:
+            raise ParseError("not valid UTF-8 text", line=_first_non_utf8_line(path)) from None
 
-        rows: dict[str, list[tuple[float, list[int], list[float], int]]] = {}
-        order: list[str] = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            if len(raw) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(raw)}", line=lineno
-                )
-            sid = raw[idx[schema.id_col]].strip()
-            if not sid:
-                raise ParseError("empty subject id", line=lineno)
+
+def _first_non_utf8_line(path: Path) -> int | None:
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
             try:
-                t = _finite_float(raw[idx[schema.time_col]])
-            except ValueError:
-                raise ParseError(
-                    f"bad time value {raw[idx[schema.time_col]]!r}", line=lineno
-                ) from None
-            if schema.time_decimals is not None:
-                t = round(t, schema.time_decimals)
-            counts = []
-            for col in count_cols:
-                cell = raw[idx[col]].strip()
-                try:
-                    counts.append(int(cell))
-                except ValueError:
-                    raise ParseError(f"bad count value {cell!r} in {col}", line=lineno) from None
-                if counts[-1] < 0:
-                    raise ParseError(f"negative count {cell!r} in {col}", line=lineno)
-            covs = []
-            for col in cov_cols:
-                cell = raw[idx[col]].strip()
-                try:
-                    covs.append(_finite_float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"bad covariate value {cell!r} in {col}", line=lineno
-                    ) from None
-            if sid not in rows:
-                rows[sid] = []
-                order.append(sid)
-            rows[sid].append((t, counts, covs, lineno))
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None
 
-    if not rows:
+
+def _parse_rows(reader, path: Path, schema: CsvSchema) -> PanelDataset:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file, missing header row") from None
+    header = [c.strip() for c in header]
+    for col in (schema.id_col, schema.time_col):
+        if col not in header:
+            raise ParseError(f"{path}: missing required column {col!r} in header")
+    count_cols, cov_cols = _infer_columns(header, schema)
+    if not count_cols:
+        raise ParseError(f"{path}: no count columns found (expected n1,...,nk)")
+    for col in count_cols + cov_cols:
+        if col not in header:
+            raise ParseError(f"{path}: column {col!r} not in header")
+
+    code: dict[str, int] = {}  # subject id -> index, in order of first appearance
+    subjs, lines, ts, counts, covs = [], [], [], [], []
+    first_line = 2
+    while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+        keep = [i for i, raw in enumerate(chunk) if any(map(str.strip, raw))]
+        chunk_lines = first_line + np.array(keep, dtype=np.int64)
+        first_line += len(chunk)
+        chunk_ids, t, c, z = _parse_chunk([chunk[i] for i in keep], chunk_lines, header, schema,
+                                             count_cols, cov_cols)
+        for sid in dict.fromkeys(chunk_ids):
+            code.setdefault(sid, len(code))
+        subjs.append(np.fromiter(map(code.__getitem__, chunk_ids), np.intp, len(chunk_ids)))
+        lines.append(chunk_lines)
+        ts.append(t)
+        counts.append(c)
+        covs.append(z)
+    if not code:
         raise ParseError(f"{path}: no data rows")
 
-    subjects = []
-    for sid in order:
-        recs = sorted(rows[sid], key=lambda r: r[0])
-        times = [r[0] for r in recs]
-        if len(set(times)) != len(times):
-            raise ValidationError(f"subject {sid!r}: duplicate observation times")
-        first_cov = recs[0][2]
-        for t, _, cov, lineno in recs:
-            if cov != first_cov:
-                raise ValidationError(
-                    f"subject {sid!r}: covariates vary within subject (line {lineno})"
-                )
-        counts = np.array([r[1] for r in recs], dtype=np.int64).T
-        subjects.append(Subject(sid, np.array(times), counts, np.array(first_cov)))
+    t = np.concatenate(ts)
+    if schema.time_decimals is not None:
+        # Python's round, not np.round: they differ on near-half values
+        t = np.fromiter(map(round, t.tolist(), itertools.repeat(schema.time_decimals)),
+                        float, t.size)
+    subj = np.concatenate(subjs)
+    order = np.lexsort((t, subj))  # by subject, then by time
+    t, subj = t[order], subj[order]
+    counts = np.concatenate(counts, axis=1)[:, order]
+    Z = np.concatenate(covs)[order]
+    ids = tuple(code)
+    first = np.flatnonzero(np.diff(subj, prepend=-1))  # each subject's earliest epoch
+    _check_subjects(ids, subj, t, counts, Z != Z[first][subj], np.concatenate(lines)[order])
+    return PanelDataset._from_arrays(ids, PanelArrays.build(t, subj, counts.astype(float), Z[first]))
 
-    return PanelDataset(subjects, k=len(count_cols), d=len(cov_cols))
+
+def _converts(cell: str, conv, dtype) -> bool:
+    try:
+        np.array(conv(cell), dtype=dtype)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def _convert(cells: tuple[str, ...], conv, dtype) -> tuple[np.ndarray, int]:
+    """`cells` converted by `conv` up to the first one it rejects, and that
+    cell's index (len(cells) if none)."""
+    try:
+        return np.fromiter(map(conv, cells), dtype, len(cells)), len(cells)
+    except (ValueError, OverflowError):
+        bad = next(i for i, cell in enumerate(cells) if not _converts(cell, conv, dtype))
+        return np.fromiter(map(conv, cells[:bad]), dtype, bad), bad
+
+
+def _parse_chunk(rows: list[list[str]], lines: np.ndarray, header: list[str],
+                 schema: CsvSchema, count_cols: list[str], cov_cols: list[str]):
+    """ids, times, counts (k x m) and covariates (m x d) of one chunk of
+    non-blank rows; raises the ParseError of its first defect in file
+    order (and within a row, in column order)."""
+    defects = []  # (row, position in row, message)
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    wrong = np.flatnonzero(lengths != len(header))
+    if wrong.size:
+        defects.append((wrong[0], -1, f"expected {len(header)} fields, got {lengths[wrong[0]]}"))
+        rows = rows[: wrong[0]]
+    cols = list(zip(*rows)) or [()] * len(header)
+
+    def column(name):
+        return cols[header.index(name)]
+
+    def floats(cells, position, message):
+        x, bad = _convert(cells, float, float)
+        nonfinite = np.flatnonzero(~np.isfinite(x))  # x holds only cells[:bad]
+        if nonfinite.size:
+            bad = nonfinite[0]
+        if bad < len(cells):
+            defects.append((bad, position, message(cells[bad])))
+        return x
+
+    sids = [c.strip() for c in column(schema.id_col)]
+    if "" in sids:
+        defects.append((sids.index(""), 0, "empty subject id"))
+    t = floats(column(schema.time_col), 1, lambda cell: f"bad time value {cell!r}")
+    counts = []
+    for j, col in enumerate(count_cols):
+        cells = column(col)
+        c, bad = _convert(cells, int, np.int64)
+        if bad < len(cells):
+            defects.append((bad, 2 + j, f"bad count value {cells[bad].strip()!r} in {col}"))
+        negative = np.flatnonzero(c < 0)
+        if negative.size:
+            row = negative[0]
+            defects.append((row, 2 + j, f"negative count {cells[row].strip()!r} in {col}"))
+        counts.append(c)
+    covs = [
+        floats(column(col), 2 + len(count_cols) + l,
+               lambda cell, col=col: f"bad covariate value {cell.strip()!r} in {col}")
+        for l, col in enumerate(cov_cols)
+    ]
+
+    if defects:
+        row, _, message = min(defects)
+        raise ParseError(message, line=int(lines[row]))
+    Z = np.column_stack(covs) if covs else np.empty((len(rows), 0))
+    return sids, t, np.array(counts), Z
+
+
+def _check_subjects(ids, subj, t, counts, cov_differs, lines) -> None:
+    """Raise the ValidationError of the first defective subject, in order
+    of first appearance.  Epochs are grouped by subject and sorted by time;
+    `cov_differs` flags covariates unlike the subject's earliest row.
+    Within a subject, duplicate times come first, then varying covariates,
+    non-positive times and decreasing counts, cause by cause."""
+    same = np.r_[False, subj[1:] == subj[:-1]]  # epoch follows one of the same subject
+    checks = [
+        ("duplicate observation times", same & (t == np.r_[np.nan, t[:-1]])),
+        ("covariates vary within subject (line {line})", cov_differs.any(axis=1)),
+        ("observation times must be strictly positive", t <= 0),
+    ]
+    for j, c in enumerate(counts):
+        checks.append((f"cumulative counts for cause {j + 1} decrease",
+                       same & (c < np.r_[0, c[:-1]])))
+    found = [(subj[e], pos, e) for pos, (_, mask) in enumerate(checks)
+             for e in np.flatnonzero(mask)[:1]]
+    if found:
+        s, pos, e = min(found)
+        message = checks[pos][0].format(line=lines[e])
+        raise ValidationError(f"subject {ids[s]!r}: {message}")
 
 
 def write_panel_csv(data: PanelDataset, path: str | Path, schema: CsvSchema | None = None) -> None:

@@ -69,7 +69,7 @@ def bootstrap_se(data: PanelDataset, cfg: FitConfig | None = None,
     for b in range(B):
         rng = np.random.default_rng([seed, b])
         idx = rng.integers(0, n, size=n)
-        resampled = PanelDataset([data.subjects[i] for i in idx], k=data.k, d=data.d)
+        resampled = data._take(idx)
         try:
             fits = fit(resampled, cfg)
         except (ConvergenceError, NumericError):

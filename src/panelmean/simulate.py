@@ -69,6 +69,8 @@ class SimConfig:
             raise ValueError("n, replications and max_visits must be positive")
         if not 0 < self.gap_range[0] <= self.gap_range[1]:
             raise ValueError("gap_range must satisfy 0 < low <= high")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

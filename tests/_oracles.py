@@ -5,10 +5,14 @@ double loops, exhaustive enumeration, no reuse of the library's
 vectorized paths.
 """
 
+import csv
+import io
 import itertools
 import math
 
 import numpy as np
+
+from panelmean import PanelDataset, ParseError, Subject, ValidationError
 
 
 def isotonic_maxmin(y, w):
@@ -148,3 +152,70 @@ def tally_grouped(data, cause):
         b.append(len(hits))
         nbar.append(sum(hits) / len(hits))
     return np.array(times), np.array(b), np.array(nbar)
+
+
+def _finite_or_none(cell):
+    try:
+        x = float(cell)
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def row_by_row_parse(text, k, d, time_decimals=None):
+    """Read `id,time,n1..nk,z1..zd` CSV text one cell at a time.
+
+    Returns the dataset, or the error of the first defect: row defects in
+    file order (cells left to right) before subject defects (subjects in
+    order of first appearance; duplicate times, then varying covariates,
+    then the Subject invariants).
+    """
+    header, *body = csv.reader(io.StringIO(text))
+    records = {}
+    for lineno, raw in enumerate(body, start=2):
+        if not any(cell.strip() for cell in raw):
+            continue
+        if len(raw) != len(header):
+            return ParseError(f"expected {len(header)} fields, got {len(raw)}", line=lineno)
+        sid = raw[0].strip()
+        if not sid:
+            return ParseError("empty subject id", line=lineno)
+        t = _finite_or_none(raw[1])
+        if t is None:
+            return ParseError(f"bad time value {raw[1]!r}", line=lineno)
+        if time_decimals is not None:
+            t = round(t, time_decimals)
+        counts = []
+        for j in range(k):
+            cell = raw[2 + j].strip()
+            try:
+                counts.append(int(cell))
+            except ValueError:
+                return ParseError(f"bad count value {cell!r} in n{j + 1}", line=lineno)
+            if counts[-1] < 0:
+                return ParseError(f"negative count {cell!r} in n{j + 1}", line=lineno)
+        covs = []
+        for l in range(d):
+            cell = raw[2 + k + l].strip()
+            covs.append(_finite_or_none(cell))
+            if covs[-1] is None:
+                return ParseError(f"bad covariate value {cell!r} in z{l + 1}", line=lineno)
+        records.setdefault(sid, []).append((t, counts, covs, lineno))
+    if not records:
+        return ParseError("no data rows")
+    subjects = []
+    for sid, recs in records.items():
+        recs.sort(key=lambda rec: rec[0])
+        times = [rec[0] for rec in recs]
+        if len(set(times)) != len(times):
+            return ValidationError(f"subject {sid!r}: duplicate observation times")
+        for _, _, covs, lineno in recs:
+            if covs != recs[0][2]:
+                return ValidationError(
+                    f"subject {sid!r}: covariates vary within subject (line {lineno})")
+        counts = [[rec[1][j] for rec in recs] for j in range(k)]
+        try:
+            subjects.append(Subject(sid, times, counts, recs[0][2]))
+        except ValidationError as exc:
+            return exc
+    return PanelDataset(subjects, k=k, d=d)

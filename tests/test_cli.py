@@ -103,6 +103,28 @@ class TestCmdFit:
         err = capsys.readouterr().err
         assert "line 4" in err and bad in err
 
+    def test_non_utf8_input_exits_2_naming_line(self, tmp_path, capsys):
+        csv_path = tmp_path / "latin1.csv"
+        csv_path.write_bytes(b"id,time,n1,z1\na,1,0,1\n\xe9,2,1,1\n")
+        code = main(["fit", "--input", str(csv_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 3: not valid UTF-8" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--input", "x.csv", "--boot-reps", "1"],
+        ["fit", "--input", "x.csv", "--epsilon", "0"],
+        ["fit", "--input", "x.csv", "--max-iter", "0"],
+        ["fit", "--input", "x.csv", "--seed", "-1"],
+        ["baseline", "--fit-dir", "d", "--grid", "1,two"],
+    ], ids=["boot-reps", "epsilon", "max-iter", "seed", "grid"])
+    def test_bad_option_exits_2_naming_it(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as caught:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert caught.value.code == 2
+        assert f"argument {argv[-2]}: {argv[-1]!r} is not" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_divergent_cause_exits_3_with_partial_report(self, tmp_path, capsys):
         lines = ["id,time,n1,z1"]
         for i in range(6):
@@ -188,6 +210,11 @@ class TestCmdSimulate:
         cfg = self.write_config(tmp_path, "n = 40\nbeta1 = 1\nbeta2 = 1\nbogus = 7\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, "n = 40\nbeta1 = 1,1\nbeta2 = 1,1\nseed = -3\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_study_failure_exits_4(self, tmp_path):
         cfg = self.write_config(

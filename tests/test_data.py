@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import panelmean.data
 from panelmean import (
     CsvSchema,
     PanelDataset,
@@ -12,7 +16,7 @@ from panelmean import (
     write_panel_csv,
 )
 
-from _oracles import tally_grouped
+from _oracles import row_by_row_parse, tally_grouped
 from conftest import epoch_members, random_small_dataset
 
 
@@ -114,6 +118,33 @@ class TestParse:
         data = parse_panel_csv(path)
         assert (data.k, data.d) == (1, 0)
 
+    def test_time_rounding_uses_python_round(self, tmp_path):
+        # np.round gives 1.654 here
+        text = "id,time,n1\na,1.6535,1\n"
+        data = parse_panel_csv(write(tmp_path, text), CsvSchema(time_decimals=3))
+        assert data.arrays.t[0] == 1.653
+
+    @pytest.mark.parametrize("text,error,message", [
+        # a later row's defect in an earlier column loses to an earlier row's
+        ("a,2,1,x\nb,zz,1,1\n", ParseError, "line 2: bad covariate value 'x' in z1"),
+        ("a,2,1,1\nb,zz,1,1\nc,2\n", ParseError, "line 3: bad time value 'zz'"),
+        ("a,2\nb,zz,1,1\n", ParseError, "line 2: expected 4 fields, got 2"),
+        ("a,2,-1,x\n", ParseError, "line 2: negative count '-1' in n1"),
+        # any row defect before any subject defect
+        ("a,2,1,1\na,2,1,1\nb,5,1,\n", ParseError, "line 4: bad covariate value '' in z1"),
+        # subjects in order of first appearance, each checked in full
+        ("b,2,3,1\na,2,1,1\na,2,1,1\nb,3,1,1\n", ValidationError,
+         "subject 'b': cumulative counts for cause 1 decrease"),
+        ("a,3,1,2\na,3,1,1\na,1,1,1\n", ValidationError, "subject 'a': duplicate"),
+        ("a,3,0,2\na,2,1,1\na,1,1,1\n", ValidationError, r"vary within subject \(line 2\)"),
+    ])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+    def test_first_defect_in_file_order_wins(self, tmp_path, text, error, message, chunk_rows):
+        path = write(tmp_path, "id,time,n1,z1\n" + text)
+        with mock.patch.object(panelmean.data, "_CHUNK_ROWS", chunk_rows):
+            with pytest.raises(error, match=message):
+                parse_panel_csv(path)
+
     def test_time_rounding_merges_noisy_grid(self, tmp_path):
         text = "id,time,n1,z1\na,2.0001,1,1\nb,1.9999,2,0\n"
         data = parse_panel_csv(write(tmp_path, text), CsvSchema(time_decimals=2))
@@ -157,6 +188,79 @@ class TestRoundTrip:
             np.testing.assert_array_equal(orig.times, copy.times)
             np.testing.assert_array_equal(orig.counts, copy.counts)
             np.testing.assert_array_equal(orig.covariates, copy.covariates)
+
+
+def assert_same_arrays(a, b):
+    for name, value in vars(a.arrays).items():
+        assert np.array_equal(value, getattr(b.arrays, name)), name
+    assert a.ids == b.ids
+
+
+@st.composite
+def small_datasets(draw):
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 3))
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    subjects = []
+    for i in range(draw(st.integers(1, 6))):
+        times = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4, unique=True))
+        steps = draw(st.lists(st.lists(st.integers(0, 5), min_size=len(times),
+                                       max_size=len(times)), min_size=k, max_size=k))
+        z = draw(st.lists(finite, min_size=d, max_size=d))
+        subjects.append(Subject(f"s{i}", sorted(times), np.cumsum(steps, axis=1), z))
+    return PanelDataset(subjects, k=k, d=d)
+
+
+def cells(good, bad):
+    """Cell texts, bad ones drawn a twentieth as often as each good one."""
+    return st.sampled_from(good * 20 + bad)
+
+
+ROW = st.tuples(
+    cells(["a", "b", "c", " c "], [""]),
+    cells(["1", "2", "3", " 2.5 ", "4", "5", "6", "7"], ["0", "-1", "x", "nan"]),
+    cells(["0", "1", "2", " 3 "], ["-1", "y"]),
+    cells(["0", "1", "2", " 3 "], ["-1", "y"]),
+    cells(["1", "0", "-0.0"], ["z", "inf"]),
+).map(",".join)
+MALFORMED = st.sampled_from(["", " , ", "a,1", "b,1,1,1,1,1"])
+# Lines of an id,time,n1,n2,z1 file: one in twenty blank or of the wrong width.
+CSV_LINES = st.integers(0, 19).flatmap(lambda i: MALFORMED if i == 0 else ROW)
+
+
+class TestParseEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(data=small_datasets(), rnd=st.randoms(use_true_random=False),
+           chunk_rows=st.sampled_from([1, 3, 4096]))
+    def test_round_trip_with_interleaved_rows(self, tmp_path_factory, data, rnd, chunk_rows):
+        path = tmp_path_factory.mktemp("rt") / "data.csv"
+        write_panel_csv(data, path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        rnd.shuffle(rows)
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        with mock.patch.object(panelmean.data, "_CHUNK_ROWS", chunk_rows):
+            back = parse_panel_csv(path)
+        # subjects come back in order of their first row in the file
+        first_seen = list(dict.fromkeys(row.split(",")[0] for row in rows))
+        by_id = {s.id: s for s in data.subjects}
+        expected = PanelDataset([by_id[i] for i in first_seen], k=data.k, d=data.d)
+        assert_same_arrays(back, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(CSV_LINES, min_size=1, max_size=8),
+           chunk_rows=st.sampled_from([1, 2, 5, 4096]))
+    def test_matches_row_by_row_reading(self, tmp_path_factory, lines, chunk_rows):
+        text = "id,time,n1,n2,z1\n" + "".join(line + "\n" for line in lines)
+        path = tmp_path_factory.mktemp("rows") / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = row_by_row_parse(text, k=2, d=1)
+        with mock.patch.object(panelmean.data, "_CHUNK_ROWS", chunk_rows):
+            if isinstance(expected, PanelDataset):
+                assert_same_arrays(parse_panel_csv(path), expected)
+            else:
+                with pytest.raises(type(expected)) as caught:
+                    parse_panel_csv(path)
+                assert str(caught.value).endswith(str(expected))
 
 
 class TestAggregate:

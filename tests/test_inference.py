@@ -11,9 +11,11 @@ from panelmean import (
     fit,
     gen_dataset,
     inference,
+    parse_panel_csv,
     sandwich_se,
+    write_panel_csv,
 )
-from conftest import table1_config
+from conftest import random_small_dataset, table1_config
 
 
 def check_cov(result):
@@ -45,6 +47,44 @@ class TestBootstrap:
             np.testing.assert_array_equal(ra.se, rb.se)
             np.testing.assert_array_equal(ra.cov, rb.cov)
             assert not np.array_equal(ra.se, rc.se)
+
+    @pytest.mark.parametrize("seed,b", [(0, 0), (42, 7), (5, 299)])
+    @pytest.mark.parametrize("gridded", [False, True])
+    def test_gathered_replicate_equals_explicit_resample(self, table1_dataset_n100, seed, b,
+                                                         gridded):
+        data = table1_dataset_n100
+        if gridded:
+            data = random_small_dataset(np.random.default_rng(seed), n=12, k=2)
+        idx = np.random.default_rng([seed, b]).integers(0, data.n, size=data.n)
+        gathered = data._take(idx)
+        explicit = PanelDataset([data.subjects[i] for i in idx], k=data.k, d=data.d)
+        assert gathered.ids == explicit.ids
+        for name, value in vars(explicit.arrays).items():
+            assert np.array_equal(getattr(gathered.arrays, name), value), name
+        if not gridded:  # continuous times: a resample leaves distinct times unused
+            assert gathered.arrays.times.size < data.arrays.times.size
+
+    def test_fit_path_builds_no_subject(self, table1_dataset_n100, tmp_path, monkeypatch):
+        path = tmp_path / "panel.csv"
+        write_panel_csv(table1_dataset_n100, path)
+
+        def no_subjects(self):
+            raise AssertionError("a Subject was built")
+
+        monkeypatch.setattr(Subject, "__post_init__", no_subjects)
+        data = parse_panel_csv(path)
+        fits = fit(data)
+        bootstrap_se(data, B=5, seed=0)
+        sandwich_se(data, fits[0])
+        assert "subjects" not in vars(data)
+
+    def test_matches_explicit_resampling(self, table1_dataset_n100, monkeypatch):
+        gathered = bootstrap_se(table1_dataset_n100, B=20, seed=3)
+        monkeypatch.setattr(PanelDataset, "_take", lambda data, idx: PanelDataset(
+            [data.subjects[i] for i in idx], k=data.k, d=data.d))
+        explicit = bootstrap_se(table1_dataset_n100, B=20, seed=3)
+        for g, e in zip(gathered, explicit):
+            assert np.array_equal(g.se, e.se) and np.array_equal(g.cov, e.cov)
 
     def test_too_few_replicates_rejected(self, table1_dataset_n100):
         with pytest.raises(ValueError, match="at least 2"):
