@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .estimator import CauseFit, FitConfig, fit
-from .inference import bootstrap_se, sandwich_se
+from .inference import _DEFAULT_BOOT_REPS, bootstrap_se, sandwich_se
 from .isotonic import StepFunction
 from .simulate import SimConfig, StudyResult, run_study
 
@@ -36,22 +37,13 @@ EXIT_INPUT = 2
 EXIT_CONVERGENCE = 3
 EXIT_STUDY = 4
 
-
-@dataclass
-class RunConfig:
-    """Resolved command-line options for one invocation."""
-
-    command: str
-    input: Path | None = None
-    out: Path = Path(".")
-    epsilon: float = 1e-5
-    max_iter: int = 200
-    inference: str = "bootstrap"
-    boot_reps: int = 300
-    seed: int = 42
-    config: Path | None = None
-    fit_dir: Path | None = None
-    grid: list[float] | None = None
+# Simulation config keys, in echo order.  Each sets the SimConfig field of
+# the same name, except gap_min and gap_max: the two ends of gap_range.  A
+# key the config leaves out takes SimConfig's default (seed: --seed).
+_SIM_KEYS = ("n", "beta1", "beta2", "baseline1", "baseline2", "rho", "max_visits",
+             "gap_min", "gap_max", "bernoulli_p", "normal_sd", "replications", "seed")
+_LIST_KEYS = ("n", "beta1", "beta2")  # n: one study per listed sample size
+_TEXT_KEYS = ("baseline1", "baseline2")
 
 
 def _fmt(x: float) -> str:
@@ -63,7 +55,7 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write_fit_report(cfg: RunConfig, data_shape: tuple[int, int, int],
+def _write_fit_report(cfg: argparse.Namespace, data_shape: tuple[int, int, int],
                       fits: list[CauseFit]) -> None:
     n, k, d = data_shape
     report: dict = {
@@ -92,7 +84,7 @@ def _write_baseline_csv(path: Path, header: tuple[str, str], knots, values) -> N
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cmd_fit(cfg: RunConfig) -> int:
+def cmd_fit(cfg: argparse.Namespace) -> int:
     try:
         data = parse_panel_csv(cfg.input)
     except (ParseError, ValidationError) as exc:
@@ -142,76 +134,69 @@ def cmd_fit(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _number(text: str) -> int | float:
+    """int for integral text (exact, even for large seeds), else float."""
+    try:
+        return int(text)
+    except ValueError:
+        x = float(text)
+        return int(x) if x.is_integer() else x
+
+
 def _parse_sim_config(path: Path, default_seed: int) -> list[SimConfig]:
     """Flat key=value simulation config; returns one SimConfig per n."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ParseError(f"expected 'key = value', got {stripped!r}", line=lineno)
         key, _, value = stripped.partition("=")
         raw[key.strip().lower()] = value.strip()
 
-    def floats(key: str, default: str | None = None) -> list[float]:
-        text = raw.get(key, default)
-        if text is None:
-            raise ParseError(f"{path}: missing required key {key!r}")
-        return [float(v) for v in text.split(",") if v.strip()]
-
-    known = {
-        "n", "beta1", "beta2", "baseline1", "baseline2", "rho", "max_visits",
-        "gap_min", "gap_max", "bernoulli_p", "normal_sd", "replications", "seed",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_SIM_KEYS)
     if unknown:
         raise ParseError(f"{path}: unknown config keys {sorted(unknown)}")
 
-    n_values = [int(v) for v in floats("n")]
-    beta1 = floats("beta1")
-    beta2 = floats("beta2")
-    configs = []
-    for n in n_values:
-        configs.append(
-            SimConfig(
-                n=n,
-                beta1=np.array(beta1),
-                beta2=np.array(beta2),
-                baseline1=raw.get("baseline1", "t"),
-                baseline2=raw.get("baseline2", "2t"),
-                rho=float(raw.get("rho", "0.5")),
-                max_visits=int(raw.get("max_visits", "5")),
-                gap_range=(float(raw.get("gap_min", "1")), float(raw.get("gap_max", "5"))),
-                bernoulli_p=float(raw.get("bernoulli_p", "0.5")),
-                normal_sd=float(raw.get("normal_sd", "0.5")),
-                replications=int(raw.get("replications", "500")),
-                seed=int(raw.get("seed", str(default_seed))),
-            )
-        )
-    return configs
+    kwargs: dict = {"seed": default_seed}
+    for key, text in raw.items():
+        if key in _TEXT_KEYS:
+            kwargs[key] = text
+            continue
+        try:
+            values = [_number(v) for v in text.split(",") if v.strip()]
+        except ValueError:
+            values = []  # reported with the other malformed values
+        if not values or (len(values) > 1 and key not in _LIST_KEYS):
+            raise ParseError(f"{path}: bad {key} value {text!r}")
+        kwargs[key] = values if key in _LIST_KEYS else values[0]
+
+    defaults = {f.name: f.default for f in fields(SimConfig)}
+    if "gap_min" in kwargs or "gap_max" in kwargs:
+        low, high = defaults["gap_range"]
+        kwargs["gap_range"] = (kwargs.pop("gap_min", low), kwargs.pop("gap_max", high))
+    for name, default in defaults.items():
+        if default is MISSING and name not in kwargs:
+            raise ParseError(f"{path}: missing required key {name!r}")
+    return [SimConfig(**{**kwargs, "n": n}) for n in kwargs["n"]]
+
+
+def _echo_value(value) -> str:
+    if isinstance(value, (str, numbers.Integral)):
+        return str(value)
+    if isinstance(value, float):
+        return _fmt(value)
+    return ",".join(map(_echo_value, value))
 
 
 def _echo_config(cfg: SimConfig, n_values: list[int]) -> str:
-    lines = [
-        f"n = {','.join(str(n) for n in n_values)}",
-        f"beta1 = {','.join(_fmt(b) for b in cfg.beta1)}",
-        f"beta2 = {','.join(_fmt(b) for b in cfg.beta2)}",
-        f"baseline1 = {cfg.baseline1}",
-        f"baseline2 = {cfg.baseline2}",
-        f"rho = {_fmt(cfg.rho)}",
-        f"max_visits = {cfg.max_visits}",
-        f"gap_min = {_fmt(cfg.gap_range[0])}",
-        f"gap_max = {_fmt(cfg.gap_range[1])}",
-        f"bernoulli_p = {_fmt(cfg.bernoulli_p)}",
-        f"normal_sd = {_fmt(cfg.normal_sd)}",
-        f"replications = {cfg.replications}",
-        f"seed = {cfg.seed}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Every config key with the value the study used, readable as a config."""
+    values = dict(vars(cfg), n=n_values, gap_min=cfg.gap_range[0], gap_max=cfg.gap_range[1])
+    return "".join(f"{key} = {_echo_value(values[key])}\n" for key in _SIM_KEYS)
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: argparse.Namespace) -> int:
     try:
         sim_configs = _parse_sim_config(cfg.config, cfg.seed)
     except (ParseError, ValueError) as exc:
@@ -243,19 +228,25 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _load_fitted_baselines(fit_dir: Path) -> list[tuple[int, StepFunction]]:
-    paths = sorted(
-        fit_dir.glob("baseline_cause*.csv"),
-        key=lambda p: int(p.stem.removeprefix("baseline_cause")),
-    )
+    """The baseline_cause<j>.csv files of a fit, by cause.  A malformed
+    file raises ParseError naming it (and the line, where there is one)."""
     out = []
-    for path in paths:
-        cause = int(path.stem.removeprefix("baseline_cause"))
+    for path in fit_dir.glob("baseline_cause*.csv"):
+        cause = path.stem.removeprefix("baseline_cause")
+        if not cause.isdecimal():
+            raise ParseError(f"{path}: expected a file name baseline_cause<j>.csv")
         knots, values = [], []
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if lineno == 1:
-                continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines[1:], start=2):
             t_text, _, v_text = line.partition(",")
-            t, v = float(t_text), float(v_text)
+            try:
+                t, v = float(t_text), float(v_text)
+            except ValueError:
+                t = v = math.nan  # reported as not a finite number
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise ParseError(f"{path}: line {lineno}: expected 'knot,value', got {line!r}")
+            if knots and t < knots[-1]:
+                raise ParseError(f"{path}: line {lineno}: knot {t_text} is below the one before")
             if knots and t == knots[-1]:
                 # two knots rounded to the same printed value; keep the
                 # later one (right-continuous step)
@@ -263,16 +254,22 @@ def _load_fitted_baselines(fit_dir: Path) -> list[tuple[int, StepFunction]]:
                 continue
             knots.append(t)
             values.append(v)
-        out.append((cause, StepFunction(np.array(knots), np.array(values))))
-    return out
+        try:
+            out.append((int(cause), StepFunction(np.array(knots), np.array(values))))
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    return sorted(out, key=lambda pair: pair[0])
 
 
-def cmd_baseline(cfg: RunConfig) -> int:
+def cmd_baseline(cfg: argparse.Namespace) -> int:
     baselines: list[tuple[int, StepFunction]]
     if cfg.fit_dir is not None:
         if not cfg.fit_dir.is_dir():
             return _fail(f"fit directory {cfg.fit_dir} does not exist", EXIT_INPUT)
-        baselines = _load_fitted_baselines(cfg.fit_dir)
+        try:
+            baselines = _load_fitted_baselines(cfg.fit_dir)
+        except (ParseError, UnicodeDecodeError, OSError) as exc:
+            return _fail(str(exc), EXIT_INPUT)
         if not baselines:
             return _fail(f"no baseline_cause*.csv files in {cfg.fit_dir}", EXIT_INPUT)
     elif cfg.input is not None:
@@ -330,13 +327,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--epsilon", default=1e-5,
+        p.add_argument("--epsilon", default=FitConfig.epsilon,
                        type=_option(float, lambda x: 0 < x < math.inf, "a positive number"),
                        help="relative log-likelihood convergence tolerance")
-        p.add_argument("--max-iter", default=200,
+        p.add_argument("--max-iter", default=FitConfig.max_iter,
                        type=_option(int, lambda n: n >= 1, "an integer >= 1"),
                        help="maximum alternating iterations")
-        p.add_argument("--seed", default=42,
+        # the simulator's default seed serves every command
+        p.add_argument("--seed", default=SimConfig.seed,
                        type=_option(int, lambda n: n >= 0, "a non-negative integer"),
                        help="seed for all randomness")
 
@@ -344,15 +342,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--input", type=Path, required=True, help="long-format CSV")
     p_fit.add_argument("--inference", choices=("bootstrap", "sandwich"),
                        default="bootstrap", help="standard error method")
-    p_fit.add_argument("--boot-reps", default=300,
+    p_fit.add_argument("--boot-reps", default=_DEFAULT_BOOT_REPS,
                        type=_option(int, lambda n: n >= 2, "an integer >= 2"),
                        help="bootstrap replicates")
     add_common(p_fit)
+    p_fit.set_defaults(run=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     p_sim.add_argument("--config", type=Path, required=True,
                        help="flat key=value study configuration file")
     add_common(p_sim)
+    p_sim.set_defaults(run=cmd_simulate)
 
     p_base = sub.add_parser("baseline", help="export baseline curves on a grid")
     p_base.add_argument("--fit-dir", type=Path, default=None,
@@ -364,26 +364,17 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "a comma-separated list of numbers"),
                         help="comma-separated evaluation times (default: knots)")
     add_common(p_base)
+    p_base.set_defaults(run=cmd_baseline)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        out=args.out,
-        epsilon=args.epsilon,
-        max_iter=args.max_iter,
-        inference=getattr(args, "inference", "bootstrap"),
-        boot_reps=getattr(args, "boot_reps", 300),
-        seed=args.seed,
-        config=getattr(args, "config", None),
-        fit_dir=getattr(args, "fit_dir", None),
-        grid=getattr(args, "grid", None),
-    )
-    dispatch = {"fit": cmd_fit, "simulate": cmd_simulate, "baseline": cmd_baseline}
-    return dispatch[cfg.command](cfg)
+    try:
+        return args.run(args)
+    except (FileExistsError, NotADirectoryError, IsADirectoryError) as exc:
+        # something other than a directory stands where --out writes
+        return _fail(f"cannot write to --out {args.out}: {exc.strerror}", EXIT_INPUT)
 
 
 if __name__ == "__main__":

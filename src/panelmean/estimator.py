@@ -23,30 +23,29 @@ from .errors import ConvergenceError, NumericError
 from .isotonic import StepFunction, _isotonic_baseline
 
 _MAX_HALVINGS = 30
+_NEWTON_MAX_ITER = 50
+_NEWTON_TOL = 1e-8  # gradient norm at which a beta step stops
 
 
 @dataclass
 class FitConfig:
     """Tuning knobs for the alternating maximization.
 
-    beta_init defaults to the zero vector, which makes the first baseline
-    step the plain no-covariate isotonic estimator.  beta_bound flags
-    divergence: a coefficient walking past it means the profile maximum
-    is at infinity (e.g. a covariate level with no events at all).
+    Every fit starts at beta = 0, which makes the first baseline step the
+    plain no-covariate isotonic estimator.  beta_bound flags divergence:
+    a coefficient walking past it means the profile maximum is at
+    infinity (e.g. a covariate level with no events at all).
     """
 
-    beta_init: np.ndarray | None = None
     epsilon: float = 1e-5
     max_iter: int = 200
-    newton_max_iter: int = 50
-    newton_tol: float = 1e-8
     beta_bound: float = 15.0
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.max_iter < 1 or self.newton_max_iter < 1:
-            raise ValueError("iteration limits must be at least 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -136,9 +135,9 @@ def _newton_beta(ws: _CauseWorkspace, values: np.ndarray, beta_start: np.ndarray
     if not np.isfinite(obj):
         raise NumericError("beta objective not finite at the starting point")
 
-    for _ in range(cfg.newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         grad, hess = _profile_grad_hess(ws, lam_sub, beta)
-        if np.linalg.norm(grad) <= cfg.newton_tol:
+        if np.linalg.norm(grad) <= _NEWTON_TOL:
             _check_divergence(beta, cfg)
             return beta
         try:
@@ -163,7 +162,7 @@ def _newton_beta(ws: _CauseWorkspace, values: np.ndarray, beta_start: np.ndarray
         _check_divergence(beta, cfg)
 
     raise ConvergenceError(
-        f"beta step did not converge in {cfg.newton_max_iter} Newton iterations",
+        f"beta step did not converge in {_NEWTON_MAX_ITER} Newton iterations",
         last_beta=beta,
     )
 
@@ -224,7 +223,7 @@ def _as_beta(beta, d: int) -> np.ndarray:
 
 def _fit_cause(data: PanelDataset, cause: int, cfg: FitConfig) -> CauseFit:
     ws = _CauseWorkspace(data, cause)
-    beta = _as_beta(cfg.beta_init, ws.d)
+    beta = np.zeros(ws.d)
     values = ws.baseline_values(beta)
     trace: list[float] = []
     converged = False

@@ -9,6 +9,7 @@ generate + fit and reports absolute bias and MSE per coefficient.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -43,7 +44,8 @@ def resolve_baseline(name_or_fn: str | BaselineFn) -> BaselineFn:
 
 @dataclass
 class SimConfig:
-    """Generator and study parameters (two recurrence modes)."""
+    """Generator and study parameters (two recurrence modes).  A baseline
+    is a name resolve_baseline accepts (checked, stored as given) or a callable."""
 
     n: int
     beta1: np.ndarray
@@ -59,18 +61,29 @@ class SimConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("n", "max_visits", "replications", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         self.beta1 = np.asarray(self.beta1, dtype=float)
         self.beta2 = np.asarray(self.beta2, dtype=float)
+        for name in ("rho", "bernoulli_p", "normal_sd"):
+            setattr(self, name, float(getattr(self, name)))
+        self.gap_range = tuple(map(float, self.gap_range))
         if self.beta1.shape != (2,) or self.beta2.shape != (2,):
             raise ValueError("beta1 and beta2 must have length 2 (one per covariate)")
-        if self.rho < 0:
-            raise ValueError("rho must be non-negative")
+        for name in ("beta1", "beta2", "rho", "gap_range", "bernoulli_p", "normal_sd"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        if self.rho < 0 or self.normal_sd < 0:
+            raise ValueError("rho and normal_sd must be non-negative")
         if self.n < 1 or self.replications < 1 or self.max_visits < 1:
             raise ValueError("n, replications and max_visits must be positive")
         if not 0 < self.gap_range[0] <= self.gap_range[1]:
             raise ValueError("gap_range must satisfy 0 < low <= high")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        resolve_baseline(self.baseline1)
+        resolve_baseline(self.baseline2)
 
 
 @dataclass
@@ -107,8 +120,8 @@ class StudyResult:
         ]
 
 
-def gen_schedule(rng: np.random.Generator, max_visits: int = 5,
-                 gap_range: tuple[float, float] = (1.0, 5.0)) -> tuple[int, np.ndarray]:
+def gen_schedule(rng: np.random.Generator, max_visits: int = SimConfig.max_visits,
+                 gap_range: tuple[float, float] = SimConfig.gap_range) -> tuple[int, np.ndarray]:
     """Number of visits (discrete uniform) and their times (cumulative
     continuous-uniform gaps, first gap measured from time zero)."""
     m = int(rng.integers(1, max_visits + 1))

@@ -1,10 +1,13 @@
+import inspect
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from panelmean import fit, gen_dataset, write_panel_csv
-from panelmean.cli import main
+from panelmean import FitConfig, SimConfig, bootstrap_se, fit, gen_dataset, write_panel_csv
+from panelmean.cli import _SIM_KEYS, _build_parser, _echo_config, _parse_sim_config, main
 from conftest import table1_config
 
 TRUTH1 = np.array([0.5, 1.0])
@@ -223,6 +226,106 @@ class TestCmdSimulate:
         )
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
 
+    @pytest.mark.parametrize("line,message", [
+        ("baseline1 = exp(t)", "unknown baseline 'exp(t)'"),
+        ("rho = nan", "rho must be finite"),
+        ("beta2 = -1,inf", "beta2 must be finite"),
+        ("gap_max = inf", "gap_range must be finite"),
+        ("normal_sd = nan", "normal_sd must be finite"),
+        ("n = 20.7", "n must be an integer, got 20.7"),
+        ("max_visits = 2.5", "max_visits must be an integer"),
+        ("replications = 3.5", "replications must be an integer"),
+        ("n =", "bad n value ''"),
+        ("rho = 0.1,0.2", "bad rho value '0.1,0.2'"),
+        ("rho = x", "bad rho value 'x'"),
+    ])
+    def test_unusable_config_value_exits_2(self, tmp_path, capsys, line, message):
+        cfg = self.write_config(
+            tmp_path, f"n = 20\nbeta1 = 0.5,1\nbeta2 = -1,0.5\nreplications = 2\n{line}\n"
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        # every key, each value with at most 6 significant digits
+        "n = 25,35\nbeta1 = 0.25,-0.75\nbeta2 = 1.5,0.125\nbaseline1 = 0.5t\n"
+        "baseline2 = 3*t\nrho = 0.2\nmax_visits = 4\ngap_min = 0.5\ngap_max = 2.5\n"
+        "bernoulli_p = 0.3\nnormal_sd = 0.8\nreplications = 3\nseed = 17\n",
+        # only the required keys
+        "n = 30\nbeta1 = 0.5,1\nbeta2 = -1,0.5\n",
+    ], ids=["every-key", "required-keys-only"])
+    def test_echo_fed_back_reproduces_the_study(self, tmp_path, text):
+        first, second = tmp_path / "first", tmp_path / "second"
+        fast = ["--epsilon", "0.01"]  # the default 500 replications, at half the cost
+        cfg = self.write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(first),
+                     "--seed", "9", *fast]) == 0
+        # the echo carries the seed: the second run leaves --seed at its default
+        echo = first / "config_echo.txt"
+        assert main(["simulate", "--config", str(echo), "--out", str(second), *fast]) == 0
+        for name in ("study.csv", "config_echo.txt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        keys = [line.split(" = ")[0] for line in echo.read_text().splitlines()]
+        assert keys == list(_SIM_KEYS)
+
+    def test_readme_config_example_lists_the_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Simulation config format", 1)[1]
+        example = section.split("```\n", 2)[1]
+        documented = _parse_sim_config(self.write_config(tmp_path, example), default_seed=42)
+        required = "\n".join(example.splitlines()[:3])  # n, beta1, beta2
+        defaults = _parse_sim_config(self.write_config(tmp_path, required), default_seed=42)
+        assert [c.n for c in documented] == [50, 100, 200]
+        assert _echo_config(documented[0], [50]) == _echo_config(defaults[0], [50])
+
+    @pytest.mark.parametrize("line,gap_range", [
+        ("gap_min = 0.5", (0.5, SimConfig.gap_range[1])),
+        ("gap_max = 3.5", (SimConfig.gap_range[0], 3.5)),
+    ])
+    def test_one_gap_end_keeps_the_other_default(self, tmp_path, line, gap_range):
+        cfg = self.write_config(tmp_path, f"n = 20\nbeta1 = 1,1\nbeta2 = 1,1\n{line}\n")
+        [sim_cfg] = _parse_sim_config(cfg, default_seed=42)
+        assert sim_cfg.gap_range == gap_range
+
+    def test_large_seed_keeps_every_digit(self, tmp_path):
+        seed = 2**64 + 1  # beyond a float's 53-bit mantissa
+        cfg = self.write_config(tmp_path, f"n = 20\nbeta1 = 1,1\nbeta2 = 1,1\nseed = {seed}\n")
+        [sim_cfg] = _parse_sim_config(cfg, default_seed=42)
+        assert sim_cfg.seed == seed
+        assert f"seed = {seed}\n" in _echo_config(sim_cfg, [20])
+
+    def test_every_sim_config_field_has_a_key(self):
+        named = {"gap_range" if key.startswith("gap_") else key for key in _SIM_KEYS}
+        assert named == {f.name for f in fields(SimConfig)}
+
+
+class TestOptions:
+    def test_defaults_come_from_their_owners(self):
+        args = _build_parser().parse_args(["fit", "--input", "x.csv"])
+        assert args.epsilon == FitConfig().epsilon
+        assert args.max_iter == FitConfig().max_iter
+        assert args.boot_reps == inspect.signature(bootstrap_se).parameters["B"].default
+        assert args.seed == SimConfig.seed
+
+    @pytest.mark.parametrize("command", ["fit", "simulate", "baseline"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
+        (tmp_path / "tiny.csv").write_text("id,time,n1\na,1,0\na,3,2\nb,2,1\n")
+        (tmp_path / "sim.cfg").write_text(
+            "n = 20\nbeta1 = 0.5,1\nbeta2 = -1,0.5\nreplications = 2\n"
+        )
+        source = {
+            "fit": ["--input", str(tmp_path / "tiny.csv")],
+            "simulate": ["--config", str(tmp_path / "sim.cfg")],
+            "baseline": ["--input", str(tmp_path / "tiny.csv")],
+        }[command]
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        assert main([command, *source, "--out", str(taken)]) == 2
+        assert f"cannot write to --out {taken}" in capsys.readouterr().err
+        assert taken.read_text() == "keep me\n"
+
 
 @pytest.fixture(scope="module")
 def fit_dir(fixture_csv, tmp_path_factory):
@@ -300,6 +403,25 @@ class TestCmdBaseline:
 
     def test_no_source_exits_2(self, tmp_path):
         assert main(["baseline", "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("name,text,where", [
+        ("baseline_cause1.csv", "knot,value\n", "need at least one knot"),
+        ("baseline_cause1.csv", "knot,value\n1,0.5\n2,abc\n", "line 3: expected 'knot,value'"),
+        ("baseline_cause1.csv", "knot,value\n1,nan\n", "line 2: expected 'knot,value'"),
+        ("baseline_cause1.csv", "knot,value\n3,0.5\n2,0.7\n", "line 3: knot 2 is below"),
+        ("baseline_cause1.csv", "knot,value\n1,0.5\n2,0.3\n", "values must be non-decreasing"),
+        ("baseline_causeX.csv", "knot,value\n1,0.5\n", "expected a file name"),
+    ], ids=["header-only", "non-numeric", "nan", "decreasing-knots",
+            "decreasing-values", "bad-name"])
+    def test_malformed_fitted_baseline_exits_2_naming_file(self, tmp_path, capsys,
+                                                           name, text, where):
+        src = tmp_path / "fitted"
+        src.mkdir()
+        (src / name).write_text(text)
+        out = tmp_path / "curves"
+        assert main(["baseline", "--fit-dir", str(src), "--out", str(out)]) == 2
+        assert f"{src / name}: {where}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fit_from_input_directly(self, fixture_csv, tmp_path):
         out = tmp_path / "direct"

@@ -17,7 +17,7 @@ from panelmean import (
     solve_baseline,
     aggregate,
 )
-from panelmean.estimator import _assert_ascending, _CauseWorkspace, _profile_grad_hess
+from panelmean.estimator import _NEWTON_TOL, _assert_ascending, _CauseWorkspace, _profile_grad_hess
 
 from _oracles import (
     baseline_profile_objective,
@@ -124,7 +124,7 @@ class TestBetaStep:
                 ws.subj, weights=baseline(ws.times)[ws.inverse], minlength=ws.n
             )
             grad, _ = _profile_grad_hess(ws, lam_sub, beta)
-            assert np.linalg.norm(grad) <= cfg.newton_tol
+            assert np.linalg.norm(grad) <= _NEWTON_TOL
 
     def test_analytic_gradient_matches_central_differences(self):
         rng = np.random.default_rng(24)

@@ -33,6 +33,49 @@ class TestResolveBaseline:
             resolve_baseline("exp(t)")
 
 
+class TestSimConfig:
+    REQUIRED = dict(n=20, beta1=(0.5, 1.0), beta2=(-1.0, 0.5))
+
+    def test_baseline_name_checked_and_kept(self):
+        cfg = SimConfig(**self.REQUIRED, baseline1="2*t", baseline2=" 0.5 t")
+        assert (cfg.baseline1, cfg.baseline2) == ("2*t", " 0.5 t")
+        with pytest.raises(ValueError, match="unknown baseline 'exp\\(t\\)'"):
+            SimConfig(**self.REQUIRED, baseline1="exp(t)")
+
+    def test_callable_baseline_passes_through(self):
+        fn = lambda t: np.sqrt(t)
+        assert SimConfig(**self.REQUIRED, baseline2=fn).baseline2 is fn
+
+    @pytest.mark.parametrize("change,name", [
+        (dict(rho=np.nan), "rho"),
+        (dict(beta1=(0.5, np.inf)), "beta1"),
+        (dict(beta2=(np.nan, 0.5)), "beta2"),
+        (dict(gap_range=(1.0, np.inf)), "gap_range"),
+        (dict(bernoulli_p=np.nan), "bernoulli_p"),
+        (dict(normal_sd=np.nan), "normal_sd"),
+    ])
+    def test_non_finite_number_rejected(self, change, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SimConfig(**{**self.REQUIRED, **change})
+
+    @pytest.mark.parametrize("name,value", [
+        ("n", 20.7), ("n", 20.0), ("max_visits", 2.5), ("replications", 3.5), ("seed", 1.5),
+    ])
+    def test_non_integer_count_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SimConfig(**{**self.REQUIRED, name: value})
+
+    def test_negative_normal_sd_rejected(self):
+        with pytest.raises(ValueError, match="rho and normal_sd must be non-negative"):
+            SimConfig(**self.REQUIRED, normal_sd=-0.5)
+
+    def test_numbers_normalized(self):
+        cfg = SimConfig(**{**self.REQUIRED, "n": np.int64(20)}, rho=1, gap_range=(1, 3))
+        assert cfg.n == 20
+        assert isinstance(cfg.rho, float)
+        assert cfg.gap_range == (1.0, 3.0) and all(isinstance(g, float) for g in cfg.gap_range)
+
+
 class TestGenSchedule:
     def test_visit_count_frequencies(self):
         rng = np.random.default_rng(61)
