@@ -7,7 +7,6 @@ standard errors, a two-cause simulation engine, and a CSV/CLI surface.
 """
 
 from .data import (
-    CsvSchema,
     GroupedStats,
     PanelDataset,
     Subject,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CauseFit",
     "ConvergenceError",
-    "CsvSchema",
     "FitConfig",
     "GenReport",
     "GroupedStats",

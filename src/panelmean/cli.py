@@ -84,12 +84,16 @@ def _write_baseline_csv(path: Path, header: tuple[str, str], knots, values) -> N
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _unconverged(fits: list[CauseFit]) -> str:
+    """'cause <j>: <reason>' for each fit that failed or did not converge."""
+    return "; ".join(f"cause {cf.cause}: {cf.error or 'not converged'}"
+                     for cf in fits if not cf.converged)
+
+
 def cmd_fit(cfg: argparse.Namespace) -> int:
     try:
         data = parse_panel_csv(cfg.input)
-    except (ParseError, ValidationError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except OSError as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -105,11 +109,8 @@ def cmd_fit(cfg: argparse.Namespace) -> int:
                 cf.baseline.values,
             )
 
-    bad = [cf for cf in fits if cf.error is not None or not cf.converged]
-    if bad:
-        reasons = "; ".join(
-            f"cause {cf.cause}: {cf.error or 'not converged'}" for cf in bad
-        )
+    reasons = _unconverged(fits)
+    if reasons:
         return _fail(f"fit did not converge ({reasons}); partial report written",
                      EXIT_CONVERGENCE)
 
@@ -199,9 +200,7 @@ def _echo_config(cfg: SimConfig, n_values: list[int]) -> str:
 def cmd_simulate(cfg: argparse.Namespace) -> int:
     try:
         sim_configs = _parse_sim_config(cfg.config, cfg.seed)
-    except (ParseError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except OSError as exc:
+    except (ParseError, ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -278,11 +277,9 @@ def cmd_baseline(cfg: argparse.Namespace) -> int:
         except (ParseError, ValidationError, OSError) as exc:
             return _fail(str(exc), EXIT_INPUT)
         fits = fit(data, FitConfig(epsilon=cfg.epsilon, max_iter=cfg.max_iter))
-        bad = [cf for cf in fits if cf.error is not None]
-        if bad:
-            return _fail(
-                f"fit failed for cause(s) {[cf.cause for cf in bad]}", EXIT_CONVERGENCE
-            )
+        reasons = _unconverged(fits)
+        if reasons:
+            return _fail(f"fit did not converge ({reasons})", EXIT_CONVERGENCE)
         baselines = [(cf.cause, cf.baseline) for cf in fits]
     else:
         return _fail("baseline needs --fit-dir or --input", EXIT_INPUT)

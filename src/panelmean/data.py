@@ -233,56 +233,32 @@ class GroupedStats:
         return self.times.size
 
 
-@dataclass
-class CsvSchema:
-    """Column configuration for the long CSV format.
-
-    When count_cols / covariate_cols are None they are inferred from the
-    header: count columns match ``n<digits>``, covariate columns match
-    ``z<digits>``.  time_decimals optionally rounds parsed times so that
-    noisy real-world grids collapse to shared distinct values.
-    """
-
-    id_col: str = "id"
-    time_col: str = "time"
-    count_cols: list[str] | None = None
-    covariate_cols: list[str] | None = None
-    time_decimals: int | None = None
-
-
 def _check_cause(data: PanelDataset, cause: int) -> None:
     if not 1 <= cause <= data.k:
         raise ValueError(f"cause must be in 1..{data.k}, got {cause}")
 
 
-def _infer_columns(header: list[str], schema: CsvSchema) -> tuple[list[str], list[str]]:
-    count_cols = schema.count_cols
-    cov_cols = schema.covariate_cols
-    if count_cols is None:
-        count_cols = sorted(
-            (c for c in header if re.fullmatch(r"n\d+", c)), key=lambda c: int(c[1:])
-        )
-    if cov_cols is None:
-        cov_cols = sorted(
-            (c for c in header if re.fullmatch(r"z\d+", c)), key=lambda c: int(c[1:])
-        )
-    return count_cols, cov_cols
+def _numbered(header: list[str], letter: str) -> list[str]:
+    """Header columns named `letter` followed by digits, in numeric order."""
+    return sorted((c for c in header if re.fullmatch(letter + r"\d+", c)),
+                  key=lambda c: int(c[1:]))
 
 
-def parse_panel_csv(path: str | Path, schema: CsvSchema | None = None) -> PanelDataset:
+def parse_panel_csv(path: str | Path) -> PanelDataset:
     """Read a long-format panel count CSV into a validated PanelDataset.
 
-    Rows are read in chunks of _CHUNK_ROWS and converted column by column
-    into the flat arrays; subjects keep the order of their first row and
+    Columns are found by name, in any order: `id`, `time`, the counts
+    `n<j>` and the covariates `z<l>`; other columns are ignored.  Rows are
+    read in chunks of _CHUNK_ROWS and converted column by column into the
+    flat arrays; subjects keep the order of their first row and
     their rows are sorted by time.  Raises ParseError (with line number)
     for malformed rows and ValidationError for invariant violations; of
     several defects, the first in file order is reported.
     """
-    schema = schema or CsvSchema()
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         try:
-            return _parse_rows(csv.reader(fh), path, schema)
+            return _parse_rows(csv.reader(fh), path)
         except UnicodeDecodeError:
             raise ParseError("not valid UTF-8 text", line=_first_non_utf8_line(path)) from None
 
@@ -297,21 +273,18 @@ def _first_non_utf8_line(path: Path) -> int | None:
     return None
 
 
-def _parse_rows(reader, path: Path, schema: CsvSchema) -> PanelDataset:
+def _parse_rows(reader, path: Path) -> PanelDataset:
     try:
         header = next(reader)
     except StopIteration:
         raise ParseError(f"{path}: empty file, missing header row") from None
     header = [c.strip() for c in header]
-    for col in (schema.id_col, schema.time_col):
+    for col in ("id", "time"):
         if col not in header:
             raise ParseError(f"{path}: missing required column {col!r} in header")
-    count_cols, cov_cols = _infer_columns(header, schema)
+    count_cols, cov_cols = _numbered(header, "n"), _numbered(header, "z")
     if not count_cols:
         raise ParseError(f"{path}: no count columns found (expected n1,...,nk)")
-    for col in count_cols + cov_cols:
-        if col not in header:
-            raise ParseError(f"{path}: column {col!r} not in header")
 
     code: dict[str, int] = {}  # subject id -> index, in order of first appearance
     subjs, lines, ts, counts, covs = [], [], [], [], []
@@ -320,7 +293,7 @@ def _parse_rows(reader, path: Path, schema: CsvSchema) -> PanelDataset:
         keep = [i for i, raw in enumerate(chunk) if any(map(str.strip, raw))]
         chunk_lines = first_line + np.array(keep, dtype=np.int64)
         first_line += len(chunk)
-        chunk_ids, t, c, z = _parse_chunk([chunk[i] for i in keep], chunk_lines, header, schema,
+        chunk_ids, t, c, z = _parse_chunk([chunk[i] for i in keep], chunk_lines, header,
                                              count_cols, cov_cols)
         for sid in dict.fromkeys(chunk_ids):
             code.setdefault(sid, len(code))
@@ -333,10 +306,6 @@ def _parse_rows(reader, path: Path, schema: CsvSchema) -> PanelDataset:
         raise ParseError(f"{path}: no data rows")
 
     t = np.concatenate(ts)
-    if schema.time_decimals is not None:
-        # Python's round, not np.round: they differ on near-half values
-        t = np.fromiter(map(round, t.tolist(), itertools.repeat(schema.time_decimals)),
-                        float, t.size)
     subj = np.concatenate(subjs)
     order = np.lexsort((t, subj))  # by subject, then by time
     t, subj = t[order], subj[order]
@@ -367,7 +336,7 @@ def _convert(cells: tuple[str, ...], conv, dtype) -> tuple[np.ndarray, int]:
 
 
 def _parse_chunk(rows: list[list[str]], lines: np.ndarray, header: list[str],
-                 schema: CsvSchema, count_cols: list[str], cov_cols: list[str]):
+                 count_cols: list[str], cov_cols: list[str]):
     """ids, times, counts (k x m) and covariates (m x d) of one chunk of
     non-blank rows; raises the ParseError of its first defect in file
     order (and within a row, in column order)."""
@@ -391,10 +360,10 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray, header: list[str],
             defects.append((bad, position, message(cells[bad])))
         return x
 
-    sids = [c.strip() for c in column(schema.id_col)]
+    sids = [c.strip() for c in column("id")]
     if "" in sids:
         defects.append((sids.index(""), 0, "empty subject id"))
-    t = floats(column(schema.time_col), 1, lambda cell: f"bad time value {cell!r}")
+    t = floats(column("time"), 1, lambda cell: f"bad time value {cell!r}")
     counts = []
     for j, col in enumerate(count_cols):
         cells = column(col)
@@ -442,17 +411,15 @@ def _check_subjects(ids, subj, t, counts, cov_differs, lines) -> None:
         raise ValidationError(f"subject {ids[s]!r}: {message}")
 
 
-def write_panel_csv(data: PanelDataset, path: str | Path, schema: CsvSchema | None = None) -> None:
+def write_panel_csv(data: PanelDataset, path: str | Path) -> None:
     """Write a dataset in the long CSV format; inverse of parse_panel_csv.
 
     Times and covariates are written with repr so the round trip is exact.
     """
-    schema = schema or CsvSchema()
-    count_cols = schema.count_cols or [f"n{j}" for j in range(1, data.k + 1)]
-    cov_cols = schema.covariate_cols or [f"z{l}" for l in range(1, data.d + 1)]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([schema.id_col, schema.time_col] + count_cols + cov_cols)
+        writer.writerow(["id", "time"] + [f"n{j}" for j in range(1, data.k + 1)]
+                        + [f"z{l}" for l in range(1, data.d + 1)])
         for s in data.subjects:
             for p in range(s.n_obs):
                 row = [s.id, repr(float(s.times[p]))]

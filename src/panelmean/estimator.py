@@ -23,6 +23,7 @@ from .errors import ConvergenceError, NumericError
 from .isotonic import StepFunction, _isotonic_baseline
 
 _MAX_HALVINGS = 30
+_BETA_BOUND = 15.0  # on |beta_l| * scale_l, see _check_divergence
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-8  # gradient norm at which a beta step stops
 
@@ -32,14 +33,11 @@ class FitConfig:
     """Tuning knobs for the alternating maximization.
 
     Every fit starts at beta = 0, which makes the first baseline step the
-    plain no-covariate isotonic estimator.  beta_bound flags divergence:
-    a coefficient walking past it means the profile maximum is at
-    infinity (e.g. a covariate level with no events at all).
+    plain no-covariate isotonic estimator.
     """
 
     epsilon: float = 1e-5
     max_iter: int = 200
-    beta_bound: float = 15.0
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -82,6 +80,9 @@ class _CauseWorkspace:
         self.mean_count = a.mean_count[cause - 1]
         # per-subject total count, for the collapsed gradient/Hessian
         self.count_sum = a.count_sum[cause - 1]
+        # each covariate's range over subjects (|z_l| if all share it)
+        spread = np.ptp(self.Z, axis=0)
+        self.scale = np.where(spread > 0, spread, np.abs(self.Z[0]))
 
     def exp_lp(self, beta: np.ndarray) -> np.ndarray:
         """Per-subject exp(beta'z)."""
@@ -118,8 +119,7 @@ def _profile_grad_hess(ws: _CauseWorkspace, lam_sub: np.ndarray,
     return grad, hess
 
 
-def _newton_beta(ws: _CauseWorkspace, values: np.ndarray, beta_start: np.ndarray,
-                 cfg: FitConfig) -> np.ndarray:
+def _newton_beta(ws: _CauseWorkspace, values: np.ndarray, beta_start: np.ndarray) -> np.ndarray:
     """Maximize the fixed-baseline beta profile by damped Newton steps.
 
     The profile is concave; each step halves until the objective does
@@ -138,7 +138,7 @@ def _newton_beta(ws: _CauseWorkspace, values: np.ndarray, beta_start: np.ndarray
     for _ in range(_NEWTON_MAX_ITER):
         grad, hess = _profile_grad_hess(ws, lam_sub, beta)
         if np.linalg.norm(grad) <= _NEWTON_TOL:
-            _check_divergence(beta, cfg)
+            _check_divergence(beta, ws.scale)
             return beta
         try:
             step = np.linalg.solve(-hess, grad)
@@ -159,7 +159,7 @@ def _newton_beta(ws: _CauseWorkspace, values: np.ndarray, beta_start: np.ndarray
                 "beta step could not improve the objective", last_beta=beta
             )
         beta, obj = cand, cand_obj
-        _check_divergence(beta, cfg)
+        _check_divergence(beta, ws.scale)
 
     raise ConvergenceError(
         f"beta step did not converge in {_NEWTON_MAX_ITER} Newton iterations",
@@ -167,11 +167,15 @@ def _newton_beta(ws: _CauseWorkspace, values: np.ndarray, beta_start: np.ndarray
     )
 
 
-def _check_divergence(beta: np.ndarray, cfg: FitConfig) -> None:
-    if np.any(np.abs(beta) > cfg.beta_bound):
+def _check_divergence(beta: np.ndarray, scale: np.ndarray) -> None:
+    """A coefficient that moves exp(beta'z) by more than e^15 across its
+    covariate's range means the profile maximum is at infinity.  On a
+    covariate level with no events each Newton step moves |beta_l| * scale_l
+    by about 1, so the check fires after the same steps in any unit."""
+    if np.any(np.abs(beta) * scale > _BETA_BOUND):
         raise ConvergenceError(
-            "beta diverged (coefficient beyond "
-            f"{cfg.beta_bound:g}); the profile maximum is at infinity, e.g. a "
+            "beta diverged (coefficient times covariate range beyond "
+            f"{_BETA_BOUND:g}); the profile maximum is at infinity, e.g. a "
             "covariate level with no observed events",
             last_beta=beta,
         )
@@ -199,17 +203,15 @@ def baseline_step(data: PanelDataset, cause: int, beta) -> StepFunction:
     return StepFunction(ws.times.copy(), ws.baseline_values(_as_beta(beta, ws.d)))
 
 
-def beta_step(data: PanelDataset, cause: int, baseline: StepFunction, beta_start,
-              cfg: FitConfig | None = None) -> np.ndarray:
+def beta_step(data: PanelDataset, cause: int, baseline: StepFunction, beta_start) -> np.ndarray:
     """Exact coefficient maximizer at fixed baseline (profile step)."""
     if data.d == 0:
         raise ValueError("beta step needs at least one covariate")
-    cfg = cfg or FitConfig()
     ws = _CauseWorkspace(data, cause)
     if ws.times[0] < baseline.knots[0] or ws.times[-1] > baseline.knots[-1]:
         raise ValueError("baseline knots do not cover the observation times")
     values = baseline(ws.times)
-    return _newton_beta(ws, values, _as_beta(beta_start, ws.d), cfg)
+    return _newton_beta(ws, values, _as_beta(beta_start, ws.d))
 
 
 def _as_beta(beta, d: int) -> np.ndarray:
@@ -231,7 +233,7 @@ def _fit_cause(data: PanelDataset, cause: int, cfg: FitConfig) -> CauseFit:
     try:
         for _ in range(cfg.max_iter):
             iterations += 1
-            beta = _newton_beta(ws, values, beta, cfg)
+            beta = _newton_beta(ws, values, beta)
             ll = ws.loglik(beta, values)
             trace.append(ll)
             # the baseline at the new beta serves the next sweep and, on exit,

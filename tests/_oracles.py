@@ -162,7 +162,7 @@ def _finite_or_none(cell):
     return x if math.isfinite(x) else None
 
 
-def row_by_row_parse(text, k, d, time_decimals=None):
+def row_by_row_parse(text, k, d):
     """Read `id,time,n1..nk,z1..zd` CSV text one cell at a time.
 
     Returns the dataset, or the error of the first defect: row defects in
@@ -183,8 +183,6 @@ def row_by_row_parse(text, k, d, time_decimals=None):
         t = _finite_or_none(raw[1])
         if t is None:
             return ParseError(f"bad time value {raw[1]!r}", line=lineno)
-        if time_decimals is not None:
-            t = round(t, time_decimals)
         counts = []
         for j in range(k):
             cell = raw[2 + j].strip()

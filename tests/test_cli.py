@@ -427,3 +427,13 @@ class TestCmdBaseline:
         out = tmp_path / "direct"
         assert main(["baseline", "--input", str(fixture_csv), "--out", str(out)]) == 0
         assert (out / "baseline_curve_cause1.csv").exists()
+
+    def test_unconverged_fit_from_input_exits_3_without_curves(self, fixture_csv, tmp_path,
+                                                               capsys):
+        # as `fit` does: one sweep cannot meet the stopping rule
+        out = tmp_path / "direct"
+        assert main(["baseline", "--input", str(fixture_csv), "--out", str(out),
+                     "--max-iter", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "cause 1: not converged" in err and "cause 2: not converged" in err
+        assert not list(out.glob("baseline_curve_cause*.csv"))

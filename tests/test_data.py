@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import panelmean.data
 from panelmean import (
-    CsvSchema,
     PanelDataset,
     ParseError,
     Subject,
@@ -118,12 +117,6 @@ class TestParse:
         data = parse_panel_csv(path)
         assert (data.k, data.d) == (1, 0)
 
-    def test_time_rounding_uses_python_round(self, tmp_path):
-        # np.round gives 1.654 here
-        text = "id,time,n1\na,1.6535,1\n"
-        data = parse_panel_csv(write(tmp_path, text), CsvSchema(time_decimals=3))
-        assert data.arrays.t[0] == 1.653
-
     @pytest.mark.parametrize("text,error,message", [
         # a later row's defect in an earlier column loses to an earlier row's
         ("a,2,1,x\nb,zz,1,1\n", ParseError, "line 2: bad covariate value 'x' in z1"),
@@ -144,13 +137,6 @@ class TestParse:
         with mock.patch.object(panelmean.data, "_CHUNK_ROWS", chunk_rows):
             with pytest.raises(error, match=message):
                 parse_panel_csv(path)
-
-    def test_time_rounding_merges_noisy_grid(self, tmp_path):
-        text = "id,time,n1,z1\na,2.0001,1,1\nb,1.9999,2,0\n"
-        data = parse_panel_csv(write(tmp_path, text), CsvSchema(time_decimals=2))
-        stats = aggregate(data, 1)
-        assert stats.r == 1
-        assert stats.n_obs[0] == 2
 
 
 class TestSubjectInvariants:

@@ -6,6 +6,7 @@ from panelmean import (
     FitConfig,
     NumericError,
     PanelDataset,
+    SimConfig,
     StepFunction,
     Subject,
     baseline_step,
@@ -110,13 +111,12 @@ class TestBetaStep:
 
     def test_gradient_vanishes_at_solution(self):
         rng = np.random.default_rng(23)
-        cfg = FitConfig()
         for _ in range(10):
             data = random_small_dataset(rng, k=1, d=2, max_counts=5)
             times = np.unique(np.concatenate([s.times for s in data.subjects]))
             baseline = StepFunction(times, np.sort(rng.uniform(0.5, 2.0, size=times.size)))
             try:
-                beta = beta_step(data, 1, baseline, np.zeros(2), cfg)
+                beta = beta_step(data, 1, baseline, np.zeros(2))
             except ConvergenceError:
                 continue
             ws = _CauseWorkspace(data, 1)
@@ -287,6 +287,30 @@ class TestFit:
         assert "diverged" in fits[0].error
         assert fits[1].error is None and fits[1].converged
 
+    @pytest.mark.parametrize("scale", [1 / 50, 1 / 7, 3, 50])
+    def test_rescaled_covariates_rescale_beta(self, table1_seed0_fit, scale):
+        # beta enters only through exp(beta'z): z * scale gives beta / scale
+        data, reference = table1_seed0_fit
+        scaled = PanelDataset(
+            [Subject(s.id, s.times, s.counts, s.covariates * scale) for s in data.subjects],
+            k=data.k, d=data.d,
+        )
+        for cf, ref in zip(fit(scaled), reference):
+            assert cf.converged and cf.error is None
+            np.testing.assert_allclose(cf.beta * scale, ref.beta, rtol=1e-8)
+            assert cf.iterations == ref.iterations
+
+    @pytest.mark.parametrize("scale", [1 / 50, 1, 50, 1000])
+    def test_divergence_caught_in_any_covariate_unit(self, scale):
+        # no events where z = scale, so beta -> -inf whatever z's unit
+        subjects = [
+            Subject(f"s{i}", [1.0 + 0.01 * i, 2.0 + 0.01 * i], [[0, 3 * (1 - i % 2)]],
+                    [scale * (i % 2)])
+            for i in range(6)
+        ]
+        cf = fit(PanelDataset(subjects, k=1, d=1))[0]
+        assert not cf.converged and "diverged" in cf.error
+
     def test_all_zero_counts_converges_to_boundary(self):
         # log-likelihood is exactly 0 at the zero baseline, exercising the
         # absolute-change fallback of the stopping rule
@@ -310,6 +334,13 @@ class TestFit:
         data = gen_dataset(cfg_sim, np.random.default_rng([53, 0]))
         cf = fit(data, FitConfig(epsilon=1e-16, max_iter=2))[0]
         assert not cf.converged and cf.iterations == 2 and cf.error is None
+
+
+@pytest.fixture(scope="module")
+def table1_seed0_fit():
+    cfg = SimConfig(n=200, beta1=[0.5, -0.5], beta2=[1.0, 0.5], seed=0)
+    data = gen_dataset(cfg, np.random.default_rng([0, 0]))
+    return data, fit(data)
 
 
 @pytest.fixture(scope="module")
