@@ -23,9 +23,9 @@ from .errors import ConvergenceError, NumericError
 from .isotonic import StepFunction, _isotonic_baseline
 
 _MAX_HALVINGS = 30
-_BETA_BOUND = 15.0  # on |beta_l| * scale_l, see _check_divergence
+_BETA_BOUND = 15.0  # on |beta_l| * z_range_l, see _check_divergence
 _NEWTON_MAX_ITER = 50
-_NEWTON_TOL = 1e-8  # gradient norm at which a beta step stops
+_NEWTON_TOL = 1e-8  # norm of gradient / z_range at which a beta step stops
 
 
 @dataclass
@@ -80,9 +80,11 @@ class _CauseWorkspace:
         self.mean_count = a.mean_count[cause - 1]
         # per-subject total count, for the collapsed gradient/Hessian
         self.count_sum = a.count_sum[cause - 1]
-        # each covariate's range over subjects (|z_l| if all share it)
+        # each covariate's range over subjects (|z_l| if all share it, 1 if
+        # that is 0): the unit in which beta_l * z_l is judged
         spread = np.ptp(self.Z, axis=0)
-        self.scale = np.where(spread > 0, spread, np.abs(self.Z[0]))
+        shared = np.where(spread > 0, spread, np.abs(self.Z[0]))
+        self.z_range = np.where(shared > 0, shared, 1.0)
 
     def exp_lp(self, beta: np.ndarray) -> np.ndarray:
         """Per-subject exp(beta'z)."""
@@ -123,7 +125,8 @@ def _newton_beta(ws: _CauseWorkspace, values: np.ndarray, beta_start: np.ndarray
     """Maximize the fixed-baseline beta profile by damped Newton steps.
 
     The profile is concave; each step halves until the objective does
-    not decrease.
+    not decrease.  The stop tests the gradient in beta * z_range units,
+    so it does not depend on the covariates' units.
     """
     lam_sub = np.bincount(ws.subj, weights=values[ws.inverse], minlength=ws.n)
 
@@ -137,8 +140,8 @@ def _newton_beta(ws: _CauseWorkspace, values: np.ndarray, beta_start: np.ndarray
 
     for _ in range(_NEWTON_MAX_ITER):
         grad, hess = _profile_grad_hess(ws, lam_sub, beta)
-        if np.linalg.norm(grad) <= _NEWTON_TOL:
-            _check_divergence(beta, ws.scale)
+        if np.linalg.norm(grad / ws.z_range) <= _NEWTON_TOL:
+            _check_divergence(beta, ws.z_range)
             return beta
         try:
             step = np.linalg.solve(-hess, grad)
@@ -147,19 +150,19 @@ def _newton_beta(ws: _CauseWorkspace, values: np.ndarray, beta_start: np.ndarray
                 "singular Hessian in beta step: covariates are collinear or "
                 "carry no events"
             ) from None
-        scale = 1.0
+        step_frac = 1.0
         for _ in range(_MAX_HALVINGS):
-            cand = beta + scale * step
+            cand = beta + step_frac * step
             cand_obj = objective(cand)
             if np.isfinite(cand_obj) and cand_obj >= obj - 1e-12 * max(1.0, abs(obj)):
                 break
-            scale *= 0.5
+            step_frac *= 0.5
         else:
             raise ConvergenceError(
                 "beta step could not improve the objective", last_beta=beta
             )
         beta, obj = cand, cand_obj
-        _check_divergence(beta, ws.scale)
+        _check_divergence(beta, ws.z_range)
 
     raise ConvergenceError(
         f"beta step did not converge in {_NEWTON_MAX_ITER} Newton iterations",
@@ -167,12 +170,12 @@ def _newton_beta(ws: _CauseWorkspace, values: np.ndarray, beta_start: np.ndarray
     )
 
 
-def _check_divergence(beta: np.ndarray, scale: np.ndarray) -> None:
+def _check_divergence(beta: np.ndarray, z_range: np.ndarray) -> None:
     """A coefficient that moves exp(beta'z) by more than e^15 across its
     covariate's range means the profile maximum is at infinity.  On a
-    covariate level with no events each Newton step moves |beta_l| * scale_l
+    covariate level with no events each Newton step moves |beta_l| * z_range_l
     by about 1, so the check fires after the same steps in any unit."""
-    if np.any(np.abs(beta) * scale > _BETA_BOUND):
+    if np.any(np.abs(beta) * z_range > _BETA_BOUND):
         raise ConvergenceError(
             "beta diverged (coefficient times covariate range beyond "
             f"{_BETA_BOUND:g}); the profile maximum is at infinity, e.g. a "

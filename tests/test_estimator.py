@@ -300,7 +300,7 @@ class TestFit:
             np.testing.assert_allclose(cf.beta * scale, ref.beta, rtol=1e-8)
             assert cf.iterations == ref.iterations
 
-    @pytest.mark.parametrize("scale", [1 / 50, 1, 50, 1000])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1 / 50, 1, 50, 1000])
     def test_divergence_caught_in_any_covariate_unit(self, scale):
         # no events where z = scale, so beta -> -inf whatever z's unit
         subjects = [
@@ -310,6 +310,20 @@ class TestFit:
         ]
         cf = fit(PanelDataset(subjects, k=1, d=1))[0]
         assert not cf.converged and "diverged" in cf.error
+
+    @pytest.mark.parametrize("beta, converged", [(0.5, True), (1.0, False)])
+    def test_bound_applies_to_beta_times_covariate_range(self, beta, converged):
+        # z spans a range of 20: a finite maximizer with |beta| * 20 > 15 is
+        # reported as diverged, one below it converges
+        rng = np.random.default_rng(7)
+        subjects = [
+            Subject(str(i), [1.0, 2.0, 3.0],
+                    [np.cumsum(rng.poisson(0.1 * np.exp(beta * z), size=3))], [z])
+            for i, z in enumerate(np.linspace(-10, 10, 41))
+        ]
+        cf = fit(PanelDataset(subjects, k=1, d=1))[0]
+        assert cf.converged is converged
+        assert (cf.error is None) if converged else ("diverged" in cf.error)
 
     def test_all_zero_counts_converges_to_boundary(self):
         # log-likelihood is exactly 0 at the zero baseline, exercising the
