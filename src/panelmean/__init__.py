@@ -40,7 +40,6 @@ from .simulate import (
     StudyResult,
     gen_bivpois,
     gen_dataset,
-    gen_schedule,
     resolve_baseline,
     run_study,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "fit",
     "gen_bivpois",
     "gen_dataset",
-    "gen_schedule",
     "log_pseudo_likelihood",
     "parse_panel_csv",
     "predict_mean",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as spstats
+from scipy import special
 
 from .data import PanelDataset
 from .errors import ConvergenceError, InferenceError, NumericError
@@ -35,13 +35,11 @@ class InferenceResult:
 
 
 def _wald_p(beta: np.ndarray, se: np.ndarray) -> np.ndarray:
-    p = np.empty_like(se)
-    for l in range(se.size):
-        if se[l] > 0:
-            p[l] = 2.0 * spstats.norm.sf(abs(beta[l]) / se[l])
-        else:
-            p[l] = 0.0 if beta[l] != 0 else 1.0
-    return p
+    """Two-sided normal p-values; a zero (or nan) se gives 0 for a nonzero
+    coefficient and 1 for a zero one."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = 2.0 * special.ndtr(-np.abs(beta) / se)
+    return np.where(se > 0, p, np.where(beta != 0, 0.0, 1.0))
 
 
 def bootstrap_se(data: PanelDataset, cfg: FitConfig | None = None,

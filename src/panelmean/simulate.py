@@ -2,8 +2,13 @@
 
 Subjects get a Bernoulli and a centered normal covariate, a random
 number of visits with continuous uniform gaps, and per-gap correlated
-count increments from a common-shock bivariate Poisson whose rates scale
-the baseline increment by exp(beta'z).  The study runner repeats
+count increments from a common-shock bivariate Poisson.  The rate of
+cause j over the gap (t_{p-1}, t_p] is the baseline increment
+Lambda_j(t_p) - Lambda_j(t_{p-1}) scaled by exp(beta_j'z), so
+E[N_j(t)] = Lambda_j(t) exp(beta_j'z) for any baseline, linear or not.
+A dataset is drawn as whole arrays, a few numpy calls per quantity.
+This draw order replaced a per-subject one, so datasets and `study.csv`
+values for a fixed seed changed once with it.  The study runner repeats
 generate + fit and reports absolute bias and MSE per coefficient.
 """
 
@@ -16,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import PanelDataset, Subject
+from .data import PanelArrays, PanelDataset
 from .errors import ConvergenceError, NumericError, StudyError
 from .estimator import FitConfig, fit
 
@@ -76,6 +81,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite")
         if self.rho < 0 or self.normal_sd < 0:
             raise ValueError("rho and normal_sd must be non-negative")
+        if not 0 <= self.bernoulli_p <= 1:
+            raise ValueError("bernoulli_p must be in [0, 1]")
         if self.n < 1 or self.replications < 1 or self.max_visits < 1:
             raise ValueError("n, replications and max_visits must be positive")
         if not 0 < self.gap_range[0] <= self.gap_range[1]:
@@ -120,15 +127,6 @@ class StudyResult:
         ]
 
 
-def gen_schedule(rng: np.random.Generator, max_visits: int = SimConfig.max_visits,
-                 gap_range: tuple[float, float] = SimConfig.gap_range) -> tuple[int, np.ndarray]:
-    """Number of visits (discrete uniform) and their times (cumulative
-    continuous-uniform gaps, first gap measured from time zero)."""
-    m = int(rng.integers(1, max_visits + 1))
-    gaps = rng.uniform(gap_range[0], gap_range[1], size=m)
-    return m, np.cumsum(gaps)
-
-
 def gen_bivpois(lambda1: float, lambda2: float, rho: float,
                 rng: np.random.Generator) -> tuple[int, int]:
     """Correlated Poisson pair via a shared common-shock component.
@@ -150,28 +148,44 @@ def gen_bivpois(lambda1: float, lambda2: float, rho: float,
 
 def gen_dataset(cfg: SimConfig, rng: np.random.Generator,
                 report: GenReport | None = None) -> PanelDataset:
-    """One synthetic dataset of n subjects with two recurrence modes."""
-    base1 = resolve_baseline(cfg.baseline1)
-    base2 = resolve_baseline(cfg.baseline2)
-    subjects = []
-    for i in range(cfg.n):
-        z = np.array([float(rng.random() < cfg.bernoulli_p),
-                      rng.normal(0.0, cfg.normal_sd)])
-        m, times = gen_schedule(rng, cfg.max_visits, cfg.gap_range)
-        gaps = np.diff(times, prepend=0.0)
-        scale1 = float(np.exp(cfg.beta1 @ z))
-        scale2 = float(np.exp(cfg.beta2 @ z))
-        inc1 = np.empty(m, dtype=np.int64)
-        inc2 = np.empty(m, dtype=np.int64)
-        for p in range(m):
-            l1 = float(base1(gaps[p])) * scale1
-            l2 = float(base2(gaps[p])) * scale2
-            if report is not None and cfg.rho > min(l1, l2):
-                report.rho_clamps += 1
-            inc1[p], inc2[p] = gen_bivpois(l1, l2, cfg.rho, rng)
-        counts = np.vstack([np.cumsum(inc1), np.cumsum(inc2)])
-        subjects.append(Subject(str(i + 1), times, counts, z))
-    return PanelDataset(subjects, k=2, d=2)
+    """One synthetic dataset of n subjects with two recurrence modes.
+
+    The whole dataset is drawn as arrays, in this order: the covariates,
+    the visit counts, every gap, then the common shocks and the two
+    residual increments of every epoch.
+    """
+    n = cfg.n
+    Z = np.column_stack([rng.random(n) < cfg.bernoulli_p,
+                         rng.normal(0.0, cfg.normal_sd, size=n)])
+    m = rng.integers(1, cfg.max_visits + 1, size=n)
+    visit = np.arange(cfg.max_visits) < m[:, None]  # (n, max_visits): visit p of subject i
+    gaps = rng.uniform(cfg.gap_range[0], cfg.gap_range[1], size=visit.sum())
+    t = _cumsum_within(gaps, visit)
+    t_prev = np.r_[0.0, t[:-1]]
+    t_prev[np.cumsum(m) - m] = 0.0  # each subject's first gap runs from time zero
+    subj = np.repeat(np.arange(n), m)
+
+    rates = []
+    for baseline, beta in ((cfg.baseline1, cfg.beta1), (cfg.baseline2, cfg.beta2)):
+        base = resolve_baseline(baseline)
+        rates.append((base(t) - base(t_prev)) * np.exp(Z @ beta)[subj])
+    lowest = np.minimum(*rates)
+    if report is not None:
+        report.rho_clamps += int(np.count_nonzero(cfg.rho > lowest))
+    shock_rate = np.minimum(cfg.rho, lowest)
+    shock = rng.poisson(shock_rate)
+    counts = np.array([_cumsum_within(rng.poisson(rate - shock_rate) + shock, visit)
+                       for rate in rates], dtype=float)
+    ids = tuple(map(str, range(1, n + 1)))
+    return PanelDataset._from_arrays(ids, PanelArrays.build(t, subj, counts, Z))
+
+
+def _cumsum_within(x: np.ndarray, visit: np.ndarray) -> np.ndarray:
+    """Cumulative sums of the epoch values `x` restarting at each subject;
+    `visit` marks each subject's epochs in its row, in order."""
+    rows = np.zeros(visit.shape, dtype=x.dtype)
+    rows[visit] = x
+    return np.cumsum(rows, axis=1)[visit]
 
 
 def run_study(cfg: SimConfig, fit_cfg: FitConfig | None = None) -> StudyResult:

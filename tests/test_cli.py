@@ -232,6 +232,7 @@ class TestCmdSimulate:
         ("beta2 = -1,inf", "beta2 must be finite"),
         ("gap_max = inf", "gap_range must be finite"),
         ("normal_sd = nan", "normal_sd must be finite"),
+        ("bernoulli_p = 1.5", "bernoulli_p must be in [0, 1]"),
         ("n = 20.7", "n must be an integer, got 20.7"),
         ("max_visits = 2.5", "max_visits must be an integer"),
         ("replications = 3.5", "replications must be an integer"),

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panelmean import (
     GenReport,
+    PanelDataset,
     SimConfig,
     StudyError,
     fit,
     gen_bivpois,
     gen_dataset,
-    gen_schedule,
     resolve_baseline,
     run_study,
     simulate,
@@ -69,6 +70,15 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="rho and normal_sd must be non-negative"):
             SimConfig(**self.REQUIRED, normal_sd=-0.5)
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    def test_bernoulli_p_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match=r"bernoulli_p must be in \[0, 1\]"):
+            SimConfig(**self.REQUIRED, bernoulli_p=p)
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_bernoulli_p_ends_accepted(self, p):
+        assert SimConfig(**self.REQUIRED, bernoulli_p=p).bernoulli_p == p
+
     def test_numbers_normalized(self):
         cfg = SimConfig(**{**self.REQUIRED, "n": np.int64(20)}, rho=1, gap_range=(1, 3))
         assert cfg.n == 20
@@ -76,21 +86,26 @@ class TestSimConfig:
         assert cfg.gap_range == (1.0, 3.0) and all(isinstance(g, float) for g in cfg.gap_range)
 
 
-class TestGenSchedule:
+class TestSchedule:
+    """Visit counts and gaps of gen_dataset: a subject's schedule is
+    `arrays.t` over its epochs (grouped by `arrays.subj`)."""
+
     def test_visit_count_frequencies(self):
-        rng = np.random.default_rng(61)
-        draws = np.array([gen_schedule(rng)[0] for _ in range(100_000)])
+        data = gen_dataset(table1_config(n=100_000), np.random.default_rng(61))
+        visits = np.bincount(data.arrays.subj)
         for m in range(1, 6):
-            assert abs(np.mean(draws == m) - 0.2) <= 0.01
+            assert abs(np.mean(visits == m) - 0.2) <= 0.01
 
     def test_support_and_monotonicity(self):
-        rng = np.random.default_rng(62)
-        for _ in range(2000):
-            m, times = gen_schedule(rng)
-            assert 1 <= m <= 5 and times.size == m
-            assert times[0] >= 1.0
-            assert times[-1] <= 25.0
-            assert np.all(np.diff(times) > 0)
+        data = gen_dataset(table1_config(n=2000), np.random.default_rng(62))
+        a = data.arrays
+        visits = np.bincount(a.subj)
+        assert visits.min() >= 1 and visits.max() <= 5
+        first = np.r_[True, a.subj[1:] != a.subj[:-1]]
+        gaps = np.diff(a.t, prepend=0.0)
+        gaps[first] = a.t[first]  # the first gap runs from time zero
+        assert gaps.min() >= 1.0 and gaps.max() <= 5.0
+        assert a.t.max() <= 25.0
 
 
 class TestGenBivpois:
@@ -134,6 +149,19 @@ class TestGenDataset:
         counts = np.concatenate([s.counts[0] for s in data.subjects])
         times = np.concatenate([s.times for s in data.subjects])
         assert abs(np.mean(counts / times) - 1.0) <= 0.05
+
+    def test_nonlinear_baseline_mean_ratio(self):
+        # increments use differences of the cumulative baseline, so
+        # E[N(t)] = Lambda(t) also when Lambda is not linear
+        cfg = SimConfig(
+            n=10_000, beta1=(0.0, 0.0), beta2=(0.0, 0.0),
+            baseline1=lambda t: 0.5 * t**2, replications=1, seed=0,
+        )
+        data = gen_dataset(cfg, np.random.default_rng(71))
+        a = data.arrays
+        last = np.r_[a.subj[1:] != a.subj[:-1], True]  # each subject's last visit
+        ratio = a.counts[0, last] / (0.5 * a.t[last] ** 2)
+        assert abs(np.mean(ratio) - 1.0) <= 0.05
 
     def test_increment_means_scale_with_covariates(self):
         # degenerate covariates (z fixed at (1, 0)) isolate the rate scaling
@@ -193,6 +221,52 @@ class TestGenDataset:
         report = GenReport()
         gen_dataset(cfg, np.random.default_rng(70), report)
         assert report.rho_clamps > 0
+
+
+def independent_rho_clamps(data, cfg):
+    """Increments whose common-shock rate exceeds a cause's rate, counted
+    subject by subject from the dataset's times and covariates."""
+    a = data.arrays
+    clamps = 0
+    for i in range(data.n):
+        times = a.t[a.subj == i]
+        prev = np.r_[0.0, times[:-1]]
+        rates = [(base(times) - base(prev)) * np.exp(beta @ a.Z[i])
+                 for base, beta in ((resolve_baseline(cfg.baseline1), cfg.beta1),
+                                    (resolve_baseline(cfg.baseline2), cfg.beta2))]
+        clamps += sum(cfg.rho > min(l1, l2) for l1, l2 in zip(*rates))
+    return clamps
+
+
+class TestGenDatasetProperties:
+    @given(
+        n=st.integers(1, 40),
+        max_visits=st.integers(1, 8),
+        gap_low=st.floats(0.01, 5.0),
+        gap_width=st.floats(0.0, 5.0),
+        rho=st.floats(0.0, 3.0),
+        bernoulli_p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_arrays_are_a_valid_dataset_with_counted_clamps(
+        self, n, max_visits, gap_low, gap_width, rho, bernoulli_p, seed
+    ):
+        cfg = SimConfig(
+            n=n, beta1=(0.5, -1.0), beta2=(-0.3, 0.8), baseline1="0.3t", baseline2="t",
+            rho=rho, max_visits=max_visits, gap_range=(gap_low, gap_low + gap_width),
+            bernoulli_p=bernoulli_p, replications=1, seed=0,
+        )
+        report = GenReport()
+        data = gen_dataset(cfg, np.random.default_rng(seed), report)
+        # rebuilding from subjects runs every Subject check on the arrays
+        rebuilt = PanelDataset(data.subjects, 2, 2)
+        assert rebuilt.ids == data.ids == tuple(str(i) for i in range(1, n + 1))
+        for field, value in vars(data.arrays).items():
+            expected = getattr(rebuilt.arrays, field)
+            assert value.dtype == expected.dtype, field
+            np.testing.assert_array_equal(value, expected, err_msg=field)
+        assert report.rho_clamps == independent_rho_clamps(data, cfg)
 
 
 class TestRunStudy:
