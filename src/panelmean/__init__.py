@@ -33,7 +33,7 @@ from .estimator import (
     predict_mean,
 )
 from .inference import InferenceResult, bootstrap_se, sandwich_se
-from .isotonic import StepFunction, solve_baseline, weighted_isotonic
+from .isotonic import StepFunction, weighted_isotonic
 from .simulate import (
     GenReport,
     SimConfig,
@@ -77,7 +77,6 @@ __all__ = [
     "resolve_baseline",
     "run_study",
     "sandwich_se",
-    "solve_baseline",
     "weighted_isotonic",
     "write_panel_csv",
 ]

@@ -80,7 +80,7 @@ def _write_fit_report(cfg: argparse.Namespace, data_shape: tuple[int, int, int],
 
 def _write_baseline_csv(path: Path, header: tuple[str, str], knots, values) -> None:
     lines = [",".join(header)]
-    lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(knots, values)]
+    lines += ["%.6g,%.6g" % pair for pair in zip(knots.tolist(), values.tolist())]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

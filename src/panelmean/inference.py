@@ -103,40 +103,15 @@ def bootstrap_se(data: PanelDataset, cfg: FitConfig | None = None,
     return results
 
 
-_MIN_BIN_MEMBERS = 15
-
-
-def _time_bins(inverse: np.ndarray, n_obs: np.ndarray) -> np.ndarray:
-    """Map each epoch to a time bin holding at least _MIN_BIN_MEMBERS epochs.
-
-    Real panel grids share monitoring times, so most distinct times hold
-    enough members on their own and each becomes its own bin.  With
-    continuous times every distinct time is a singleton and its own
-    weighted covariate mean would equal the member's covariate exactly,
-    cancelling the centered terms; pooling consecutive distinct times
-    restores a usable local estimate.
-    """
-    bin_of_time = np.empty(n_obs.size, dtype=np.int64)
-    current = 0
-    count = 0
-    for q in range(n_obs.size):
-        bin_of_time[q] = current
-        count += n_obs[q]
-        if count >= _MIN_BIN_MEMBERS:
-            current += 1
-            count = 0
-    if count and current > 0:  # fold a short trailing bin into its neighbour
-        bin_of_time[bin_of_time == current] = current - 1
-    return bin_of_time[inverse]
-
-
 def sandwich_se(data: PanelDataset, cause_fit: CauseFit) -> InferenceResult:
     """Plug-in sandwich covariance for one fitted cause.
 
-    The bread is the empirical information of the beta profile with the
-    covariates centered, within time bins, by their exp(beta'z)-weighted
-    mean; the meat replaces the within-subject count covariances by
-    products of observed residuals.
+    Covariates are centered by their exp(beta'z)-weighted mean within
+    each run of equal fitted baseline values; for a fit returned by `fit`
+    these runs are the PAVA blocks of its baseline, and the bread is the
+    information of the profile likelihood in beta, a Cox-type partial
+    likelihood with the blocks as strata.  The meat replaces the
+    within-subject count covariances by products of observed residuals.
     """
     if data.d < 1:
         raise ValueError("sandwich covariance needs at least one covariate")
@@ -148,29 +123,25 @@ def sandwich_se(data: PanelDataset, cause_fit: CauseFit) -> InferenceResult:
     ez_e = ez[ws.subj]  # per epoch
     lam_e = values[ws.inverse]
 
-    # weighted covariate mean over the epoch's time bin
-    bins = _time_bins(ws.inverse, ws.n_obs)
-    denom = np.bincount(bins, weights=ez_e)
-    ratio = np.empty((denom.size, ws.d))
-    for l in range(ws.d):
-        ratio[:, l] = np.bincount(bins, weights=ez_e * ws.Z[ws.subj, l]) / denom
-
-    centered = ws.Z[ws.subj] - ratio[bins]  # per epoch, (P, d)
+    # weighted covariate mean over the epoch's block of equal baseline values
+    blocks = np.cumsum(np.r_[False, np.diff(values) > 0])[ws.inverse]
+    denom = np.bincount(blocks, weights=ez_e)
+    ratio = np.stack([np.bincount(blocks, weights=ez_e * z[ws.subj]) for z in ws.Z.T], axis=1)
+    centered = ws.Z[ws.subj] - (ratio / denom[:, None])[blocks]  # per epoch, (P, d)
     n = ws.n
 
     weight = lam_e * ez_e
     bread = (centered * weight[:, None]).T @ centered / n
 
     resid = ws.n_all - weight
-    score = np.zeros((n, ws.d))
-    for l in range(ws.d):
-        score[:, l] = np.bincount(ws.subj, weights=resid * centered[:, l], minlength=n)
+    score = np.stack([np.bincount(ws.subj, weights=resid * c, minlength=n)
+                      for c in centered.T], axis=1)
     meat = score.T @ score / n
 
     if not np.all(np.isfinite(bread)) or np.linalg.cond(bread) > 1e12:
         raise NumericError(
             "singular covariance bread matrix: covariates carry no usable "
-            "variation at the observation times"
+            "variation within the baseline's blocks"
         )
     bread_inv = np.linalg.inv(bread)
     cov = bread_inv @ meat @ bread_inv.T / n

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from .data import GroupedStats
 from .errors import NumericError
 
 
@@ -40,6 +39,8 @@ class StepFunction:
             raise ValueError("need at least one knot")
         if self.knots.shape != self.values.shape:
             raise ValueError("knots and values must have the same length")
+        if not (np.all(np.isfinite(self.knots)) and np.all(np.isfinite(self.values))):
+            raise ValueError("knots and values must be finite")
         if np.any(np.diff(self.knots) <= 0):
             raise ValueError("knots must be strictly increasing")
         if self.values[0] < 0:
@@ -67,6 +68,8 @@ def weighted_isotonic(y, w) -> np.ndarray:
         raise ValueError("y must be a non-empty 1-d vector")
     if y.shape != w.shape:
         raise ValueError(f"length mismatch: y has {y.size}, w has {w.size}")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
+        raise ValueError("y and weights must be finite")
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
     # SciPy may move already-monotone input by an ulp; a fixed point must
@@ -90,19 +93,3 @@ def _isotonic_baseline(mean_count: np.ndarray, n_obs: np.ndarray,
     if np.any(exposure <= 0) or not np.all(np.isfinite(exposure)):
         raise NumericError("exposure must be finite and strictly positive")
     return np.maximum(weighted_isotonic(mean_count / exposure, n_obs * exposure), 0.0)
-
-
-def solve_baseline(stats: GroupedStats, exposure) -> StepFunction:
-    """Monotone baseline values maximizing the grouped profile objective.
-
-    exposure holds the per-time mean multiplicative factor (mean of
-    exp(beta'z) over the observations at each distinct time); it must be
-    strictly positive and of length stats.r.
-    """
-    exposure = np.asarray(exposure, dtype=float)
-    if exposure.shape != stats.times.shape:
-        raise ValueError(
-            f"exposure length {exposure.size} does not match {stats.r} distinct times"
-        )
-    values = _isotonic_baseline(stats.mean_count, stats.n_obs, exposure)
-    return StepFunction(stats.times.copy(), values)

@@ -217,3 +217,56 @@ def row_by_row_parse(text, k, d):
         except ValidationError as exc:
             return exc
     return PanelDataset(subjects, k=k, d=d)
+
+
+def profile_sandwich_cov(data, cause, beta, knots, values):
+    """Sandwich covariance from the profile likelihood's blocks, term by term.
+
+    The blocks are the runs of equal baseline values over the sorted
+    distinct times.  With N_B the block's total count, E_B, S1_B, S2_B
+    the sums of exp(beta'z), exp(beta'z) z and exp(beta'z) z z' over its
+    epochs, the bread is sum_B N_B [S2_B/E_B - S1_B S1_B'/E_B^2] / n (the
+    negative profile Hessian over n), the meat averages the outer
+    products of per-subject scores with covariates centered by block
+    (S1_B/E_B) and residuals N - (N_B/E_B) exp(beta'z), and the
+    covariance is bread^-1 meat bread^-1 / n.
+    """
+    times = sorted({float(t) for s in data.subjects for t in s.times})
+    block_of = {}
+    block = 0
+    for q, sq in enumerate(times):
+        if q > 0 and step_eval(knots, values, sq) != step_eval(knots, values, times[q - 1]):
+            block += 1
+        block_of[sq] = block
+    d = len(beta)
+    N = [0.0] * (block + 1)
+    E = [0.0] * (block + 1)
+    S1 = [np.zeros(d) for _ in range(block + 1)]
+    S2 = [np.zeros((d, d)) for _ in range(block + 1)]
+    for s in data.subjects:
+        z = np.array(s.covariates, dtype=float)
+        w = math.exp(float(np.dot(beta, z)))
+        for p in range(s.n_obs):
+            b = block_of[float(s.times[p])]
+            N[b] += int(s.counts[cause - 1][p])
+            E[b] += w
+            S1[b] = S1[b] + w * z
+            S2[b] = S2[b] + w * np.outer(z, z)
+    n = data.n
+    bread = np.zeros((d, d))
+    for b in range(block + 1):
+        bread += N[b] * (S2[b] / E[b] - np.outer(S1[b], S1[b]) / E[b] ** 2)
+    bread /= n
+    meat = np.zeros((d, d))
+    for s in data.subjects:
+        z = np.array(s.covariates, dtype=float)
+        w = math.exp(float(np.dot(beta, z)))
+        score = np.zeros(d)
+        for p in range(s.n_obs):
+            b = block_of[float(s.times[p])]
+            resid = int(s.counts[cause - 1][p]) - N[b] / E[b] * w
+            score += resid * (z - S1[b] / E[b])
+        meat += np.outer(score, score)
+    meat /= n
+    bread_inv = np.linalg.inv(bread)
+    return bread_inv @ meat @ bread_inv / n

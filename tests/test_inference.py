@@ -15,6 +15,7 @@ from panelmean import (
     sandwich_se,
     write_panel_csv,
 )
+from _oracles import profile_sandwich_cov
 from conftest import random_small_dataset, table1_config
 
 
@@ -164,6 +165,27 @@ class TestSandwich:
             sw = sandwich_se(table1_dataset_n200, cf)
             assert np.all(np.abs(sw.se - br.se) / br.se <= 0.25)
             check_cov(sw)
+
+    @pytest.mark.parametrize("design", ["continuous", "gridded"])
+    def test_matches_profile_information_oracle(self, table1_dataset_n200, design):
+        data = table1_dataset_n200
+        if design == "gridded":  # visit gaps are >= 1, so ceil keeps times distinct
+            data = PanelDataset([Subject(s.id, np.ceil(s.times), s.counts, s.covariates)
+                                 for s in data.subjects], k=data.k, d=data.d)
+            assert data.arrays.times.size < 40
+        for cf in fit(data):
+            oracle = profile_sandwich_cov(data, cf.cause, cf.beta, cf.baseline.knots,
+                                          cf.baseline.values)
+            np.testing.assert_allclose(sandwich_se(data, cf).cov, oracle, rtol=1e-9)
+
+    def test_matches_profile_information_oracle_small_random(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            data = random_small_dataset(rng, n=int(rng.integers(8, 15)), k=2, d=2)
+            for cf in fit(data):
+                oracle = profile_sandwich_cov(data, cf.cause, cf.beta, cf.baseline.knots,
+                                              cf.baseline.values)
+                np.testing.assert_allclose(sandwich_se(data, cf).cov, oracle, rtol=1e-9)
 
     def test_constant_covariate_is_singular(self):
         subjects = [

@@ -7,10 +7,9 @@ from panelmean import (
     StepFunction,
     Subject,
     aggregate,
-    solve_baseline,
     weighted_isotonic,
 )
-from panelmean.isotonic import _check_non_decreasing
+from panelmean.isotonic import _check_non_decreasing, _isotonic_baseline
 
 from _oracles import (
     baseline_profile_objective,
@@ -89,6 +88,15 @@ class TestWeightedIsotonic:
         with pytest.raises(ValueError, match="mismatch"):
             weighted_isotonic([1.0, 2.0], [1.0])
 
+    def test_nan_value_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            weighted_isotonic([1.0, np.nan, 0.5], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            weighted_isotonic([1.0, 2.0], [1.0, bad])
+
     def test_decreasing_output_raises_numeric_error(self):
         with pytest.raises(NumericError, match="non-decreasing"):
             _check_non_decreasing(np.array([2.0, 1.0]))
@@ -112,30 +120,38 @@ class TestStepFunction:
         with pytest.raises(ValueError, match="increasing"):
             StepFunction([2.0, 1.0], [0.5, 1.0])
 
+    def test_infinite_value_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            StepFunction([1.0, 2.0], [0.5, np.inf])
+
+    def test_nan_knot_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            StepFunction([1.0, np.nan], [0.5, 1.0])
+
 
 class TestSolveBaseline:
     def test_unit_exposure_monotone_means_identity(self):
         a = Subject("a", [1.0, 2.0, 3.0], [[1, 2, 4]], [])
         data = PanelDataset([a], k=1, d=0)
         stats = aggregate(data, 1)
-        step = solve_baseline(stats, np.ones(3))
-        np.testing.assert_allclose(step.values, stats.mean_count)
+        values = _isotonic_baseline(stats.mean_count, stats.n_obs, np.ones(3))
+        np.testing.assert_allclose(values, stats.mean_count)
 
     def test_all_zero_counts_gives_zero_baseline(self):
         a = Subject("a", [1.0, 4.0], [[0, 0]], [])
         b = Subject("b", [2.0], [[0]], [])
         stats = aggregate(PanelDataset([a, b], k=1, d=0), 1)
-        step = solve_baseline(stats, np.ones(3))
-        np.testing.assert_array_equal(step.values, [0.0, 0.0, 0.0])
+        values = _isotonic_baseline(stats.mean_count, stats.n_obs, np.ones(3))
+        np.testing.assert_array_equal(values, [0.0, 0.0, 0.0])
 
     def test_beats_monotone_grid_small_instances(self):
         rng = np.random.default_rng(104)
         for _ in range(30):
             r = int(rng.integers(1, 5))
             stats, exposure = random_grouped(rng, r)
-            step = solve_baseline(stats, exposure)
+            values = _isotonic_baseline(stats.mean_count, stats.n_obs, exposure)
             ours = baseline_profile_objective(
-                stats.n_obs, stats.mean_count, exposure, step.values
+                stats.n_obs, stats.mean_count, exposure, values
             )
             best = best_monotone_grid(stats.n_obs, stats.mean_count, exposure)
             assert ours >= best - 1e-6
@@ -146,9 +162,9 @@ class TestSolveBaseline:
         b = Subject("b", [1.0, 2.0, 3.0], [[2, 2, 5]], [])
         stats = aggregate(PanelDataset([a, b], k=1, d=0), 1)
         exposure = np.array([1.0, 2.0, 1.0])
-        step = solve_baseline(stats, exposure)
+        values = _isotonic_baseline(stats.mean_count, stats.n_obs, exposure)
         ours = baseline_profile_objective(
-            stats.n_obs, stats.mean_count, exposure, step.values
+            stats.n_obs, stats.mean_count, exposure, values
         )
         best = best_monotone_grid(stats.n_obs, stats.mean_count, exposure, 60)
         assert np.any(np.diff(stats.mean_count / exposure) < 0)
@@ -158,10 +174,4 @@ class TestSolveBaseline:
         a = Subject("a", [1.0], [[1]], [])
         stats = aggregate(PanelDataset([a], k=1, d=0), 1)
         with pytest.raises(NumericError):
-            solve_baseline(stats, np.array([0.0]))
-
-    def test_exposure_length_mismatch_rejected(self):
-        a = Subject("a", [1.0], [[1]], [])
-        stats = aggregate(PanelDataset([a], k=1, d=0), 1)
-        with pytest.raises(ValueError, match="length"):
-            solve_baseline(stats, np.array([1.0, 2.0]))
+            _isotonic_baseline(stats.mean_count, stats.n_obs, np.array([0.0]))
