@@ -1,9 +1,10 @@
 """Proportional mean model for panel count data with multiple recurrence modes.
 
 Fits per-cause regression coefficients and monotone baseline cumulative
-mean functions by alternating isotonic-regression and Newton steps on a
-Poisson working pseudo-likelihood; includes bootstrap and sandwich
-standard errors, a two-cause simulation engine, and a CSV/CLI surface.
+mean functions by Newton steps on the profile of a Poisson working
+pseudo-likelihood, one isotonic regression per step; includes bootstrap
+and sandwich standard errors, a two-cause simulation engine, and a
+CSV/CLI surface.
 """
 
 from .data import (

@@ -62,7 +62,6 @@ def _write_fit_report(cfg: argparse.Namespace, data_shape: tuple[int, int, int],
         "command": cfg.command,
         "input": str(cfg.input),
         "seed": cfg.seed,
-        "epsilon": cfg.epsilon,
         "max_iter": cfg.max_iter,
         "n": n,
         "k": k,
@@ -97,7 +96,7 @@ def cmd_fit(cfg: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_INPUT)
 
     cfg.out.mkdir(parents=True, exist_ok=True)
-    fit_cfg = FitConfig(epsilon=cfg.epsilon, max_iter=cfg.max_iter)
+    fit_cfg = FitConfig(max_iter=cfg.max_iter)
     fits = fit(data, fit_cfg)
     _write_fit_report(cfg, (data.n, data.k, data.d), fits)
     for cf in fits:
@@ -204,7 +203,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_INPUT)
 
     cfg.out.mkdir(parents=True, exist_ok=True)
-    fit_cfg = FitConfig(epsilon=cfg.epsilon, max_iter=cfg.max_iter)
+    fit_cfg = FitConfig(max_iter=cfg.max_iter)
     header = ["n", *StudyResult.TABLE_COLUMNS, "replications", "failures", "rho_clamps"]
     rows = []
     for sim_cfg in sim_configs:
@@ -276,7 +275,7 @@ def cmd_baseline(cfg: argparse.Namespace) -> int:
             data = parse_panel_csv(cfg.input)
         except (ParseError, ValidationError, OSError) as exc:
             return _fail(str(exc), EXIT_INPUT)
-        fits = fit(data, FitConfig(epsilon=cfg.epsilon, max_iter=cfg.max_iter))
+        fits = fit(data, FitConfig(max_iter=cfg.max_iter))
         reasons = _unconverged(fits)
         if reasons:
             return _fail(f"fit did not converge ({reasons})", EXIT_CONVERGENCE)
@@ -324,12 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--epsilon", default=FitConfig.epsilon,
-                       type=_option(float, lambda x: 0 < x < math.inf, "a positive number"),
-                       help="relative log-likelihood convergence tolerance")
         p.add_argument("--max-iter", default=FitConfig.max_iter,
                        type=_option(int, lambda n: n >= 1, "an integer >= 1"),
-                       help="maximum alternating iterations")
+                       help="maximum Newton iterations")
         # the simulator's default seed serves every command
         p.add_argument("--seed", default=SimConfig.seed,
                        type=_option(int, lambda n: n >= 0, "a non-negative integer"),

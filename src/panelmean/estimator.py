@@ -6,10 +6,11 @@ baseline(t) * exp(beta'z).  Per cause, the pseudo log-likelihood
 
     sum_i sum_p [ N_ip log L(T_ip) + N_ip beta'z_i - L(T_ip) exp(beta'z_i) ]
 
-is maximized by alternating two exact coordinate steps: an isotonic
-regression for the baseline at fixed beta, and a Newton maximization of
-the concave beta profile at fixed baseline.  The outer loop stops when
-the relative change of the full objective drops below a tolerance.
+is maximized by damped Newton steps on its profile l_p in beta, a
+concave Cox-type partial likelihood whose strata are the PAVA blocks of
+the isotonic baseline at beta (Zhang 2002; Wellner & Zhang 2007).  Each
+evaluation runs one PAVA; the fit stops on the gradient, in units of
+beta times covariate range.
 """
 
 from __future__ import annotations
@@ -24,31 +25,33 @@ from .isotonic import StepFunction, _isotonic_baseline
 
 _MAX_HALVINGS = 30
 _BETA_BOUND = 15.0  # on |beta_l| * z_range_l, see _check_divergence
-_NEWTON_MAX_ITER = 50
-_NEWTON_TOL = 1e-8  # norm of gradient / z_range at which a beta step stops
+_NEWTON_MAX_ITER = 50  # Newton steps of beta_step
+_NEWTON_TOL = 1e-8  # norm of gradient / z_range at which Newton stops
+_MAX_CONDITION = 1e12  # of the range-scaled information; beyond it, singular
+_MAX_LP = 600.0  # on |beta'z| at a trial point; e^600 ~ 1e261 leaves sums and ratios room
 
 
 @dataclass
 class FitConfig:
-    """Tuning knobs for the alternating maximization.
+    """Tuning knob for the profile Newton maximization.
 
-    Every fit starts at beta = 0, which makes the first baseline step the
-    plain no-covariate isotonic estimator.
-    """
+    Every fit starts at beta = 0, where the baseline is the plain
+    no-covariate isotonic estimator, and runs to the gradient stop or
+    `max_iter` Newton steps."""
 
-    epsilon: float = 1e-5
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
 class CauseFit:
-    """Fitted coefficients and baseline for one recurrence mode."""
+    """Fitted coefficients and baseline for one recurrence mode.
+
+    `loglik_trace` is l_p at beta = 0 and after each Newton step, which
+    `iterations` counts (1 when none is taken)."""
 
     cause: int
     beta: np.ndarray
@@ -121,53 +124,83 @@ def _profile_grad_hess(ws: _CauseWorkspace, lam_sub: np.ndarray,
     return grad, hess
 
 
-def _newton_beta(ws: _CauseWorkspace, values: np.ndarray, beta_start: np.ndarray) -> np.ndarray:
-    """Maximize the fixed-baseline beta profile by damped Newton steps.
-
-    The profile is concave; each step halves until the objective does
-    not decrease.  The stop tests the gradient in beta * z_range units,
-    so it does not depend on the covariates' units.
-    """
+def _profile_derivs(ws: _CauseWorkspace, beta: np.ndarray,
+                    values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient and Hessian of l_p at beta, and per distinct time the
+    exp(beta'z)-weighted mean m_B of z over its block B, a run of equal
+    `values` (each N_B / E_B for the isotonic baseline at beta).  By the
+    envelope theorem the gradient is the fixed-baseline one; the Hessian
+    is the fixed-baseline one plus sum_B N_B m_B m_B'."""
     lam_sub = np.bincount(ws.subj, weights=values[ws.inverse], minlength=ws.n)
+    grad, hess = _profile_grad_hess(ws, lam_sub, beta)
+    block_t = np.cumsum(np.r_[False, np.diff(values) > 0])
+    block, ez = block_t[ws.inverse], ws.exp_lp(beta)
+    mean = np.array([np.bincount(block, weights=(ez * z)[ws.subj]) for z in ws.Z.T]).T
+    mean /= np.bincount(block, weights=ez[ws.subj])[:, None]
+    count = np.bincount(block, weights=ws.n_all)
+    return grad, hess + (mean * count[:, None]).T @ mean, mean[block_t]
 
-    def objective(beta):
-        return float(ws.count_sum @ (ws.Z @ beta) - np.exp(ws.Z @ beta) @ lam_sub)
 
-    beta = np.asarray(beta_start, dtype=float).copy()
-    obj = objective(beta)
-    if not np.isfinite(obj):
-        raise NumericError("beta objective not finite at the starting point")
+def _inverse_information(hess: np.ndarray, z_range: np.ndarray) -> np.ndarray:
+    """(-hess)^-1, after a condition test in units of beta * z_range."""
+    unit = np.outer(z_range, z_range)
+    scaled = -hess * unit
+    eig, vec = np.linalg.eigh(scaled) if np.all(np.isfinite(scaled)) else (np.zeros(1), None)
+    if eig[0] <= eig[-1] / _MAX_CONDITION:  # or not finite, or all zero
+        raise NumericError("singular information matrix: covariates are collinear, "
+                           "or constant within the baseline's blocks")
+    return (vec / eig) @ vec.T * unit
 
-    for _ in range(_NEWTON_MAX_ITER):
-        grad, hess = _profile_grad_hess(ws, lam_sub, beta)
+
+@dataclass
+class _Path:
+    """Accepted Newton iterates: each objective value; the last beta and state."""
+
+    trace: list[float] = field(default_factory=list)
+    beta: np.ndarray | None = None
+    state: object = None
+
+    def accept(self, beta: np.ndarray, obj: float, state) -> None:
+        self.trace.append(obj)
+        self.beta, self.state = beta, state
+
+
+def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs, max_steps: int,
+            path: _Path) -> bool:
+    """Maximize a concave objective in beta by damped Newton steps.
+
+    `evaluate(beta)` gives (objective, state), `derivs(beta, state)` the
+    gradient and Hessian.  Steps halve until the objective does not drop;
+    a trial point with some |beta'z| > _MAX_LP is skipped unevaluated, so
+    exp(beta'z) stays inside the float range.  Accepted iterates, the start
+    first, go to `path`.  True once the gradient in beta * z_range units
+    (a stop that ignores the covariates' units) is within _NEWTON_TOL;
+    False after `max_steps` steps.
+    """
+    path.accept(beta, *evaluate(beta))
+    if not np.isfinite(path.trace[0]):
+        raise NumericError("objective not finite at the starting point")
+    while path.beta.size:  # no coefficients: the start is the maximizer
+        _check_divergence(path.beta, ws.z_range)
+        grad, hess = derivs(path.beta, path.state)
         if np.linalg.norm(grad / ws.z_range) <= _NEWTON_TOL:
-            _check_divergence(beta, ws.z_range)
-            return beta
-        try:
-            step = np.linalg.solve(-hess, grad)
-        except np.linalg.LinAlgError:
-            raise NumericError(
-                "singular Hessian in beta step: covariates are collinear or "
-                "carry no events"
-            ) from None
-        step_frac = 1.0
-        for _ in range(_MAX_HALVINGS):
-            cand = beta + step_frac * step
-            cand_obj = objective(cand)
-            if np.isfinite(cand_obj) and cand_obj >= obj - 1e-12 * max(1.0, abs(obj)):
-                break
-            step_frac *= 0.5
+            return True
+        if len(path.trace) > max_steps:
+            return False
+        step = _inverse_information(hess, ws.z_range) @ grad
+        floor = path.trace[-1] - 1e-12 * max(1.0, abs(path.trace[-1]))
+        for halving in range(_MAX_HALVINGS):
+            cand = path.beta + 0.5 ** halving * step
+            if np.max(np.abs(ws.Z @ cand)) <= _MAX_LP:
+                obj, state = evaluate(cand)
+                if obj >= floor:
+                    path.accept(cand, obj, state)
+                    break
         else:
-            raise ConvergenceError(
-                "beta step could not improve the objective", last_beta=beta
-            )
-        beta, obj = cand, cand_obj
-        _check_divergence(beta, ws.z_range)
-
-    raise ConvergenceError(
-        f"beta step did not converge in {_NEWTON_MAX_ITER} Newton iterations",
-        last_beta=beta,
-    )
+            raise ConvergenceError("Newton step could not improve the objective (or |beta'z| "
+                                   f"reached {_MAX_LP:g}: center covariates far from 0)",
+                                   last_beta=path.beta)
+    return True
 
 
 def _check_divergence(beta: np.ndarray, z_range: np.ndarray) -> None:
@@ -207,14 +240,20 @@ def baseline_step(data: PanelDataset, cause: int, beta) -> StepFunction:
 
 
 def beta_step(data: PanelDataset, cause: int, baseline: StepFunction, beta_start) -> np.ndarray:
-    """Exact coefficient maximizer at fixed baseline (profile step)."""
+    """Exact coefficient maximizer at fixed baseline (fit's Newton loop)."""
     if data.d == 0:
         raise ValueError("beta step needs at least one covariate")
     ws = _CauseWorkspace(data, cause)
     if ws.times[0] < baseline.knots[0] or ws.times[-1] > baseline.knots[-1]:
         raise ValueError("baseline knots do not cover the observation times")
-    values = baseline(ws.times)
-    return _newton_beta(ws, values, _as_beta(beta_start, ws.d))
+    lam_sub = np.bincount(ws.subj, weights=baseline(ws.times)[ws.inverse], minlength=ws.n)
+    path = _Path()
+    if not _newton(ws, _as_beta(beta_start, ws.d).copy(),
+                   lambda b: (float(ws.count_sum @ (ws.Z @ b) - ws.exp_lp(b) @ lam_sub), None),
+                   lambda b, _: _profile_grad_hess(ws, lam_sub, b), _NEWTON_MAX_ITER, path):
+        raise ConvergenceError(f"beta step did not converge in {_NEWTON_MAX_ITER} Newton "
+                               "iterations", last_beta=path.beta)
+    return path.beta
 
 
 def _as_beta(beta, d: int) -> np.ndarray:
@@ -228,45 +267,26 @@ def _as_beta(beta, d: int) -> np.ndarray:
 
 def _fit_cause(data: PanelDataset, cause: int, cfg: FitConfig) -> CauseFit:
     ws = _CauseWorkspace(data, cause)
-    beta = np.zeros(ws.d)
-    values = ws.baseline_values(beta)
-    trace: list[float] = []
-    converged = False
-    iterations = 0
-    try:
-        for _ in range(cfg.max_iter):
-            iterations += 1
-            beta = _newton_beta(ws, values, beta)
-            ll = ws.loglik(beta, values)
-            trace.append(ll)
-            # the baseline at the new beta serves the next sweep and, on exit,
-            # makes the returned pair a fixed point of the baseline step; the
-            # trace's last two entries are the pair the stopping rule saw
-            values = ws.baseline_values(beta)
-            if ws.d == 0:  # no coefficients: one baseline step is exact
-                converged = True
-                break
-            if len(trace) > 1:
-                change = abs(ll - trace[-2])
-                denom = abs(trace[-2])
-                rel = change / denom if denom > 0 else change
-                if rel <= cfg.epsilon:
-                    converged = True
-                    break
-        error = None
-    except (ConvergenceError, NumericError) as exc:
-        if isinstance(exc, ConvergenceError) and exc.last_beta is not None:
-            beta = np.asarray(exc.last_beta, dtype=float)
-        error = str(exc)
-        converged = False
 
-    _assert_ascending(trace)
+    def profile(beta):
+        values = ws.baseline_values(beta)
+        return ws.loglik(beta, values), values
+
+    path = _Path()
+    try:
+        converged, error = _newton(ws, np.zeros(ws.d), profile,
+                                   lambda beta, values: _profile_derivs(ws, beta, values)[:2],
+                                   cfg.max_iter, path), None
+    except (ConvergenceError, NumericError) as exc:
+        converged, error = False, str(exc)
+
+    _assert_ascending(path.trace)
     return CauseFit(
         cause=cause,
-        beta=beta,
-        baseline=StepFunction(ws.times.copy(), values),
-        loglik_trace=trace,
-        iterations=iterations,
+        beta=path.beta,
+        baseline=StepFunction(ws.times.copy(), path.state),
+        loglik_trace=path.trace,
+        iterations=max(len(path.trace) - 1, 1),
         converged=converged,
         error=error,
     )

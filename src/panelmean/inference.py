@@ -16,7 +16,8 @@ from scipy import special
 
 from .data import PanelDataset
 from .errors import ConvergenceError, InferenceError, NumericError
-from .estimator import CauseFit, FitConfig, _CauseWorkspace, fit
+from .estimator import (CauseFit, FitConfig, _CauseWorkspace, _inverse_information,
+                        _profile_derivs, fit)
 
 _DEFAULT_BOOT_REPS = 300
 
@@ -106,45 +107,26 @@ def bootstrap_se(data: PanelDataset, cfg: FitConfig | None = None,
 def sandwich_se(data: PanelDataset, cause_fit: CauseFit) -> InferenceResult:
     """Plug-in sandwich covariance for one fitted cause.
 
-    Covariates are centered by their exp(beta'z)-weighted mean within
-    each run of equal fitted baseline values; for a fit returned by `fit`
-    these runs are the PAVA blocks of its baseline, and the bread is the
-    information of the profile likelihood in beta, a Cox-type partial
-    likelihood with the blocks as strata.  The meat replaces the
-    within-subject count covariances by products of observed residuals.
+    The bread is the information of the profile likelihood in beta, from
+    the Hessian the fit's Newton steps use: its strata are the runs of
+    equal fitted baseline values, the PAVA blocks for a fit from `fit`.
+    The meat replaces the within-subject count covariances by products of
+    observed residuals, covariates centered by their block's mean.
     """
     if data.d < 1:
         raise ValueError("sandwich covariance needs at least one covariate")
     ws = _CauseWorkspace(data, cause_fit.cause)
     beta = cause_fit.beta
     values = cause_fit.baseline(ws.times)
+    _, hess, block_mean = _profile_derivs(ws, beta, values)
+    info_inv = _inverse_information(hess, ws.z_range)
 
-    ez = ws.exp_lp(beta)  # per subject
-    ez_e = ez[ws.subj]  # per epoch
-    lam_e = values[ws.inverse]
-
-    # weighted covariate mean over the epoch's block of equal baseline values
-    blocks = np.cumsum(np.r_[False, np.diff(values) > 0])[ws.inverse]
-    denom = np.bincount(blocks, weights=ez_e)
-    ratio = np.stack([np.bincount(blocks, weights=ez_e * z[ws.subj]) for z in ws.Z.T], axis=1)
-    centered = ws.Z[ws.subj] - (ratio / denom[:, None])[blocks]  # per epoch, (P, d)
-    n = ws.n
-
-    weight = lam_e * ez_e
-    bread = (centered * weight[:, None]).T @ centered / n
-
-    resid = ws.n_all - weight
-    score = np.stack([np.bincount(ws.subj, weights=resid * c, minlength=n)
+    resid = ws.n_all - values[ws.inverse] * ws.exp_lp(beta)[ws.subj]  # per epoch
+    centered = ws.Z[ws.subj] - block_mean[ws.inverse]  # per epoch, (P, d)
+    score = np.stack([np.bincount(ws.subj, weights=resid * c, minlength=ws.n)
                       for c in centered.T], axis=1)
-    meat = score.T @ score / n
-
-    if not np.all(np.isfinite(bread)) or np.linalg.cond(bread) > 1e12:
-        raise NumericError(
-            "singular covariance bread matrix: covariates carry no usable "
-            "variation within the baseline's blocks"
-        )
-    bread_inv = np.linalg.inv(bread)
-    cov = bread_inv @ meat @ bread_inv.T / n
+    # (I/n)^-1 (S'S/n) (I/n)^-1 / n with I the information, S the scores
+    cov = info_inv @ (score.T @ score) @ info_inv.T
     se = np.sqrt(np.diag(cov))
     return InferenceResult(
         cause=cause_fit.cause,

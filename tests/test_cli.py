@@ -116,11 +116,10 @@ class TestCmdFit:
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--input", "x.csv", "--boot-reps", "1"],
-        ["fit", "--input", "x.csv", "--epsilon", "0"],
         ["fit", "--input", "x.csv", "--max-iter", "0"],
         ["fit", "--input", "x.csv", "--seed", "-1"],
         ["baseline", "--fit-dir", "d", "--grid", "1,two"],
-    ], ids=["boot-reps", "epsilon", "max-iter", "seed", "grid"])
+    ], ids=["boot-reps", "max-iter", "seed", "grid"])
     def test_bad_option_exits_2_naming_it(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as caught:
             main(argv + ["--out", str(tmp_path / "o")])
@@ -259,13 +258,12 @@ class TestCmdSimulate:
     ], ids=["every-key", "required-keys-only"])
     def test_echo_fed_back_reproduces_the_study(self, tmp_path, text):
         first, second = tmp_path / "first", tmp_path / "second"
-        fast = ["--epsilon", "0.01"]  # the default 500 replications, at half the cost
         cfg = self.write_config(tmp_path, text)
         assert main(["simulate", "--config", str(cfg), "--out", str(first),
-                     "--seed", "9", *fast]) == 0
+                     "--seed", "9"]) == 0
         # the echo carries the seed: the second run leaves --seed at its default
         echo = first / "config_echo.txt"
-        assert main(["simulate", "--config", str(echo), "--out", str(second), *fast]) == 0
+        assert main(["simulate", "--config", str(echo), "--out", str(second)]) == 0
         for name in ("study.csv", "config_echo.txt"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
         keys = [line.split(" = ")[0] for line in echo.read_text().splitlines()]
@@ -305,7 +303,6 @@ class TestCmdSimulate:
 class TestOptions:
     def test_defaults_come_from_their_owners(self):
         args = _build_parser().parse_args(["fit", "--input", "x.csv"])
-        assert args.epsilon == FitConfig().epsilon
         assert args.max_iter == FitConfig().max_iter
         assert args.boot_reps == inspect.signature(bootstrap_se).parameters["B"].default
         assert args.seed == SimConfig.seed
@@ -431,7 +428,7 @@ class TestCmdBaseline:
 
     def test_unconverged_fit_from_input_exits_3_without_curves(self, fixture_csv, tmp_path,
                                                                capsys):
-        # as `fit` does: one sweep cannot meet the stopping rule
+        # as `fit` does: one Newton step cannot meet the stopping rule
         out = tmp_path / "direct"
         assert main(["baseline", "--input", str(fixture_csv), "--out", str(out),
                      "--max-iter", "1"]) == 3
