@@ -26,7 +26,6 @@ from .errors import (
 )
 from .estimator import (
     CauseFit,
-    FitConfig,
     baseline_step,
     beta_step,
     fit,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CauseFit",
     "ConvergenceError",
-    "FitConfig",
     "GenReport",
     "GroupedStats",
     "InferenceError",

@@ -3,7 +3,10 @@ baseline curves.
 
 Exit codes: 0 success, 2 input/validation problem, 3 estimation did not
 converge, 4 simulation study aborted.  All artifacts are plain CSV/JSON,
-deterministic under a fixed --seed.
+deterministic under a fixed --seed (fit and simulate; baseline draws
+nothing at random).  No option tunes the fit: every cause takes Newton
+steps to the gradient stop, and a cause still short of it after 50 steps
+is not converged (exit 3 from fit and baseline).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     StudyError,
     ValidationError,
 )
-from .estimator import CauseFit, FitConfig, fit
+from .estimator import CauseFit, fit
 from .inference import _DEFAULT_BOOT_REPS, bootstrap_se, sandwich_se
 from .isotonic import StepFunction
 from .simulate import SimConfig, StudyResult, run_study
@@ -62,7 +65,6 @@ def _write_fit_report(cfg: argparse.Namespace, data_shape: tuple[int, int, int],
         "command": cfg.command,
         "input": str(cfg.input),
         "seed": cfg.seed,
-        "max_iter": cfg.max_iter,
         "n": n,
         "k": k,
         "d": d,
@@ -96,8 +98,7 @@ def cmd_fit(cfg: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_INPUT)
 
     cfg.out.mkdir(parents=True, exist_ok=True)
-    fit_cfg = FitConfig(max_iter=cfg.max_iter)
-    fits = fit(data, fit_cfg)
+    fits = fit(data)
     _write_fit_report(cfg, (data.n, data.k, data.d), fits)
     for cf in fits:
         if cf.error is None:
@@ -117,7 +118,7 @@ def cmd_fit(cfg: argparse.Namespace) -> int:
     if data.d > 0:
         try:
             if cfg.inference == "bootstrap":
-                results = bootstrap_se(data, fit_cfg, B=cfg.boot_reps, seed=cfg.seed)
+                results = bootstrap_se(data, B=cfg.boot_reps, seed=cfg.seed)
             else:
                 results = [sandwich_se(data, cf) for cf in fits]
         except (InferenceError, NumericError, ConvergenceError) as exc:
@@ -153,7 +154,10 @@ def _parse_sim_config(path: Path, default_seed: int) -> list[SimConfig]:
         if "=" not in stripped:
             raise ParseError(f"expected 'key = value', got {stripped!r}", line=lineno)
         key, _, value = stripped.partition("=")
-        raw[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in raw:
+            raise ParseError(f"duplicate key {key!r}", line=lineno)
+        raw[key] = value.strip()
 
     unknown = set(raw) - set(_SIM_KEYS)
     if unknown:
@@ -203,12 +207,11 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_INPUT)
 
     cfg.out.mkdir(parents=True, exist_ok=True)
-    fit_cfg = FitConfig(max_iter=cfg.max_iter)
     header = ["n", *StudyResult.TABLE_COLUMNS, "replications", "failures", "rho_clamps"]
     rows = []
     for sim_cfg in sim_configs:
         try:
-            result = run_study(sim_cfg, fit_cfg)
+            result = run_study(sim_cfg)
         except StudyError as exc:
             return _fail(str(exc), EXIT_STUDY)
         rows.append(
@@ -275,7 +278,7 @@ def cmd_baseline(cfg: argparse.Namespace) -> int:
             data = parse_panel_csv(cfg.input)
         except (ParseError, ValidationError, OSError) as exc:
             return _fail(str(exc), EXIT_INPUT)
-        fits = fit(data, FitConfig(max_iter=cfg.max_iter))
+        fits = fit(data)
         reasons = _unconverged(fits)
         if reasons:
             return _fail(f"fit did not converge ({reasons})", EXIT_CONVERGENCE)
@@ -321,15 +324,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--max-iter", default=FitConfig.max_iter,
-                       type=_option(int, lambda n: n >= 1, "an integer >= 1"),
-                       help="maximum Newton iterations")
-        # the simulator's default seed serves every command
-        p.add_argument("--seed", default=SimConfig.seed,
-                       type=_option(int, lambda n: n >= 0, "a non-negative integer"),
-                       help="seed for all randomness")
+    out = dict(type=Path, default=Path("."), help="output directory")
+    # the simulator's default seed serves both commands that draw at random
+    seed = dict(default=SimConfig.seed, help="seed for all randomness",
+                type=_option(int, lambda n: n >= 0, "a non-negative integer"))
 
     p_fit = sub.add_parser("fit", help="fit a panel count CSV dataset")
     p_fit.add_argument("--input", type=Path, required=True, help="long-format CSV")
@@ -338,13 +336,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--boot-reps", default=_DEFAULT_BOOT_REPS,
                        type=_option(int, lambda n: n >= 2, "an integer >= 2"),
                        help="bootstrap replicates")
-    add_common(p_fit)
+    p_fit.add_argument("--out", **out)
+    p_fit.add_argument("--seed", **seed)
     p_fit.set_defaults(run=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     p_sim.add_argument("--config", type=Path, required=True,
                        help="flat key=value study configuration file")
-    add_common(p_sim)
+    p_sim.add_argument("--out", **out)
+    p_sim.add_argument("--seed", **seed)
     p_sim.set_defaults(run=cmd_simulate)
 
     p_base = sub.add_parser("baseline", help="export baseline curves on a grid")
@@ -356,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         type=_option(_floats, lambda g: all(map(math.isfinite, g)),
                                      "a comma-separated list of numbers"),
                         help="comma-separated evaluation times (default: knots)")
-    add_common(p_base)
+    p_base.add_argument("--out", **out)
     p_base.set_defaults(run=cmd_baseline)
     return parser
 

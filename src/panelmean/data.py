@@ -238,10 +238,21 @@ def _check_cause(data: PanelDataset, cause: int) -> None:
         raise ValueError(f"cause must be in 1..{data.k}, got {cause}")
 
 
-def _numbered(header: list[str], letter: str) -> list[str]:
-    """Header columns named `letter` followed by digits, in numeric order."""
-    return sorted((c for c in header if re.fullmatch(letter + r"\d+", c)),
+def _numbered(header: list[str], letter: str, what: str, path: Path) -> list[str]:
+    """Header columns named `letter` followed by digits, in numeric order;
+    a ParseError unless they are numbered 1..m, each once (n01 repeats n1)."""
+    cols = sorted((c for c in header if re.fullmatch(letter + r"\d+", c)),
                   key=lambda c: int(c[1:]))
+    for j, (prev, col) in enumerate(zip([None, *cols], cols), start=1):
+        if prev is not None and int(col[1:]) == int(prev[1:]):
+            again = "" if col == prev else f" (repeats {prev!r})"
+            raise ParseError(f"{path}: duplicate column {col!r}{again}")
+        if int(col[1:]) != j:
+            expected = f"{what} columns must be {letter}1..{letter}{len(cols)}"
+            if int(col[1:]) < j:  # only n0 / z0 sort below their place
+                raise ParseError(f"{path}: {expected}, got {col!r}")
+            raise ParseError(f"{path}: {expected}, missing '{letter}{j}'")
+    return cols
 
 
 def parse_panel_csv(path: str | Path) -> PanelDataset:
@@ -282,7 +293,10 @@ def _parse_rows(reader, path: Path) -> PanelDataset:
     for col in ("id", "time"):
         if col not in header:
             raise ParseError(f"{path}: missing required column {col!r} in header")
-    count_cols, cov_cols = _numbered(header, "n"), _numbered(header, "z")
+        if header.count(col) > 1:
+            raise ParseError(f"{path}: duplicate column {col!r}")
+    count_cols = _numbered(header, "n", "count", path)
+    cov_cols = _numbered(header, "z", "covariate", path)
     if not count_cols:
         raise ParseError(f"{path}: no count columns found (expected n1,...,nk)")
 

@@ -25,25 +25,10 @@ from .isotonic import StepFunction, _isotonic_baseline
 
 _MAX_HALVINGS = 30
 _BETA_BOUND = 15.0  # on |beta_l| * z_range_l, see _check_divergence
-_NEWTON_MAX_ITER = 50  # Newton steps of beta_step
+_MAX_STEPS = 50  # Newton steps of fit and of beta_step
 _NEWTON_TOL = 1e-8  # norm of gradient / z_range at which Newton stops
 _MAX_CONDITION = 1e12  # of the range-scaled information; beyond it, singular
 _MAX_LP = 600.0  # on |beta'z| at a trial point; e^600 ~ 1e261 leaves sums and ratios room
-
-
-@dataclass
-class FitConfig:
-    """Tuning knob for the profile Newton maximization.
-
-    Every fit starts at beta = 0, where the baseline is the plain
-    no-covariate isotonic estimator, and runs to the gradient stop or
-    `max_iter` Newton steps."""
-
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -165,8 +150,7 @@ class _Path:
         self.beta, self.state = beta, state
 
 
-def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs, max_steps: int,
-            path: _Path) -> bool:
+def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs, path: _Path) -> bool:
     """Maximize a concave objective in beta by damped Newton steps.
 
     `evaluate(beta)` gives (objective, state), `derivs(beta, state)` the
@@ -175,7 +159,7 @@ def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs, max_steps: 
     exp(beta'z) stays inside the float range.  Accepted iterates, the start
     first, go to `path`.  True once the gradient in beta * z_range units
     (a stop that ignores the covariates' units) is within _NEWTON_TOL;
-    False after `max_steps` steps.
+    False after _MAX_STEPS steps.
     """
     path.accept(beta, *evaluate(beta))
     if not np.isfinite(path.trace[0]):
@@ -185,7 +169,7 @@ def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs, max_steps: 
         grad, hess = derivs(path.beta, path.state)
         if np.linalg.norm(grad / ws.z_range) <= _NEWTON_TOL:
             return True
-        if len(path.trace) > max_steps:
+        if len(path.trace) > _MAX_STEPS:
             return False
         step = _inverse_information(hess, ws.z_range) @ grad
         floor = path.trace[-1] - 1e-12 * max(1.0, abs(path.trace[-1]))
@@ -250,8 +234,8 @@ def beta_step(data: PanelDataset, cause: int, baseline: StepFunction, beta_start
     path = _Path()
     if not _newton(ws, _as_beta(beta_start, ws.d).copy(),
                    lambda b: (float(ws.count_sum @ (ws.Z @ b) - ws.exp_lp(b) @ lam_sub), None),
-                   lambda b, _: _profile_grad_hess(ws, lam_sub, b), _NEWTON_MAX_ITER, path):
-        raise ConvergenceError(f"beta step did not converge in {_NEWTON_MAX_ITER} Newton "
+                   lambda b, _: _profile_grad_hess(ws, lam_sub, b), path):
+        raise ConvergenceError(f"beta step did not converge in {_MAX_STEPS} Newton "
                                "iterations", last_beta=path.beta)
     return path.beta
 
@@ -265,7 +249,7 @@ def _as_beta(beta, d: int) -> np.ndarray:
     return beta
 
 
-def _fit_cause(data: PanelDataset, cause: int, cfg: FitConfig) -> CauseFit:
+def _fit_cause(data: PanelDataset, cause: int) -> CauseFit:
     ws = _CauseWorkspace(data, cause)
 
     def profile(beta):
@@ -275,8 +259,7 @@ def _fit_cause(data: PanelDataset, cause: int, cfg: FitConfig) -> CauseFit:
     path = _Path()
     try:
         converged, error = _newton(ws, np.zeros(ws.d), profile,
-                                   lambda beta, values: _profile_derivs(ws, beta, values)[:2],
-                                   cfg.max_iter, path), None
+                                   lambda b, values: _profile_derivs(ws, b, values)[:2], path), None
     except (ConvergenceError, NumericError) as exc:
         converged, error = False, str(exc)
 
@@ -298,16 +281,20 @@ def _assert_ascending(trace: list[float]) -> None:
             raise NumericError("log-likelihood trace decreased")
 
 
-def fit(data: PanelDataset, cfg: FitConfig | None = None) -> list[CauseFit]:
+def fit(data: PanelDataset) -> list[CauseFit]:
     """Fit every recurrence mode independently.
+
+    Each fit starts at beta = 0, where the baseline is the plain
+    no-covariate isotonic estimator, and takes Newton steps to the
+    gradient stop; one that reaches _MAX_STEPS steps first is returned
+    with converged False and no error.
 
     Causes are separable (the joint objective is the sum of per-cause
     objectives), so each is maximized on its own.  A divergence in one
     cause is reported on its CauseFit (error set, converged False) and
     does not stop the others.
     """
-    cfg = cfg or FitConfig()
-    return [_fit_cause(data, j, cfg) for j in range(1, data.k + 1)]
+    return [_fit_cause(data, j) for j in range(1, data.k + 1)]
 
 
 def predict_mean(cause_fit: CauseFit, t, z) -> float | np.ndarray:

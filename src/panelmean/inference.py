@@ -16,8 +16,7 @@ from scipy import special
 
 from .data import PanelDataset
 from .errors import ConvergenceError, InferenceError, NumericError
-from .estimator import (CauseFit, FitConfig, _CauseWorkspace, _inverse_information,
-                        _profile_derivs, fit)
+from .estimator import CauseFit, _CauseWorkspace, _inverse_information, _profile_derivs, fit
 
 _DEFAULT_BOOT_REPS = 300
 
@@ -43,8 +42,8 @@ def _wald_p(beta: np.ndarray, se: np.ndarray) -> np.ndarray:
     return np.where(se > 0, p, np.where(beta != 0, 0.0, 1.0))
 
 
-def bootstrap_se(data: PanelDataset, cfg: FitConfig | None = None,
-                 B: int = _DEFAULT_BOOT_REPS, seed: int = 0) -> list[InferenceResult]:
+def bootstrap_se(data: PanelDataset, B: int = _DEFAULT_BOOT_REPS,
+                 seed: int = 0) -> list[InferenceResult]:
     """Nonparametric bootstrap over subjects.
 
     Each replicate resamples n subjects with replacement and refits; the
@@ -56,8 +55,7 @@ def bootstrap_se(data: PanelDataset, cfg: FitConfig | None = None,
     """
     if B < 2:
         raise ValueError("need at least 2 bootstrap replicates")
-    cfg = cfg or FitConfig()
-    base = fit(data, cfg)
+    base = fit(data)
     for cf in base:
         if cf.error is not None:
             raise InferenceError(f"cause {cf.cause} failed on the original data: {cf.error}")
@@ -70,7 +68,7 @@ def bootstrap_se(data: PanelDataset, cfg: FitConfig | None = None,
         idx = rng.integers(0, n, size=n)
         resampled = data._take(idx)
         try:
-            fits = fit(resampled, cfg)
+            fits = fit(resampled)
         except (ConvergenceError, NumericError):
             failures += 1
             continue

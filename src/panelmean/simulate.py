@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import PanelArrays, PanelDataset
 from .errors import ConvergenceError, NumericError, StudyError
-from .estimator import FitConfig, fit
+from .estimator import fit
 
 BaselineFn = Callable[[np.ndarray], np.ndarray]
 
@@ -188,7 +188,7 @@ def _cumsum_within(x: np.ndarray, visit: np.ndarray) -> np.ndarray:
     return np.cumsum(rows, axis=1)[visit]
 
 
-def run_study(cfg: SimConfig, fit_cfg: FitConfig | None = None) -> StudyResult:
+def run_study(cfg: SimConfig) -> StudyResult:
     """Replicate generate + fit and summarize coefficient recovery.
 
     Replicates draw from RNG streams keyed by (seed, replicate index),
@@ -196,7 +196,6 @@ def run_study(cfg: SimConfig, fit_cfg: FitConfig | None = None) -> StudyResult:
     cause fails to converge are dropped; more than 10% of them aborts
     the study.
     """
-    fit_cfg = fit_cfg or FitConfig()
     truth = np.vstack([cfg.beta1, cfg.beta2])
     estimates = []
     failures = 0
@@ -205,7 +204,7 @@ def run_study(cfg: SimConfig, fit_cfg: FitConfig | None = None) -> StudyResult:
         rng = np.random.default_rng([cfg.seed, rep])
         dataset = gen_dataset(cfg, rng, report)
         try:
-            fits = fit(dataset, fit_cfg)
+            fits = fit(dataset)
         except (ConvergenceError, NumericError):
             failures += 1
             continue

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panelmean import FitConfig, SimConfig, bootstrap_se, fit, gen_dataset, write_panel_csv
+from panelmean import SimConfig, bootstrap_se, fit, gen_dataset, write_panel_csv
+from panelmean import estimator
 from panelmean.cli import _SIM_KEYS, _build_parser, _echo_config, _parse_sim_config, main
 from conftest import table1_config
 
@@ -116,10 +117,9 @@ class TestCmdFit:
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--input", "x.csv", "--boot-reps", "1"],
-        ["fit", "--input", "x.csv", "--max-iter", "0"],
         ["fit", "--input", "x.csv", "--seed", "-1"],
         ["baseline", "--fit-dir", "d", "--grid", "1,two"],
-    ], ids=["boot-reps", "max-iter", "seed", "grid"])
+    ], ids=["boot-reps", "seed", "grid"])
     def test_bad_option_exits_2_naming_it(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as caught:
             main(argv + ["--out", str(tmp_path / "o")])
@@ -240,12 +240,23 @@ class TestCmdSimulate:
         ("rho = x", "bad rho value 'x'"),
     ])
     def test_unusable_config_value_exits_2(self, tmp_path, capsys, line, message):
-        cfg = self.write_config(
-            tmp_path, f"n = 20\nbeta1 = 0.5,1\nbeta2 = -1,0.5\nreplications = 2\n{line}\n"
-        )
+        # `line` replaces the usable value of its key: a key may not repeat
+        usable = {"n": "20", "beta1": "0.5,1", "beta2": "-1,0.5", "replications": "2"}
+        usable.pop(line.partition("=")[0].strip(), None)
+        text = "".join(f"{key} = {value}\n" for key, value in usable.items())
+        cfg = self.write_config(tmp_path, f"{text}{line}\n")
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_config_key_exits_2_naming_second_line(self, tmp_path, capsys):
+        cfg = self.write_config(
+            tmp_path, "n = 20\nbeta1 = 0.5,1\nbeta2 = -1,0.5\n# a later edit\nN = 30\n"
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "line 5: duplicate key 'n'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [
@@ -295,6 +306,19 @@ class TestCmdSimulate:
         assert sim_cfg.seed == seed
         assert f"seed = {seed}\n" in _echo_config(sim_cfg, [20])
 
+    def test_readme_quick_start_runs(self, tmp_path, monkeypatch):
+        # every python block of the section, with B and replications cut
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+        code = "".join(block.split("```", 1)[0] for block in section.split("```python\n")[1:])
+        for full, cut in (("B=300", "B=3"), ("replications=500", "replications=2")):
+            assert full in code
+            code = code.replace(full, cut)
+        data = gen_dataset(table1_config(n=60), np.random.default_rng([60, 0]))
+        write_panel_csv(data, tmp_path / "visits.csv")
+        monkeypatch.chdir(tmp_path)
+        exec(compile(code, "README.md", "exec"), {})
+
     def test_every_sim_config_field_has_a_key(self):
         named = {"gap_range" if key.startswith("gap_") else key for key in _SIM_KEYS}
         assert named == {f.name for f in fields(SimConfig)}
@@ -303,9 +327,19 @@ class TestCmdSimulate:
 class TestOptions:
     def test_defaults_come_from_their_owners(self):
         args = _build_parser().parse_args(["fit", "--input", "x.csv"])
-        assert args.max_iter == FitConfig().max_iter
         assert args.boot_reps == inspect.signature(bootstrap_se).parameters["B"].default
         assert args.seed == SimConfig.seed
+
+    @pytest.mark.parametrize("argv", [
+        ["baseline", "--fit-dir", "d", "--seed", "1"],
+        ["fit", "--input", "x.csv", "--max-iter", "5"],
+    ], ids=["baseline-seed", "fit-max-iter"])
+    def test_removed_option_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as caught:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert caught.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["fit", "simulate", "baseline"])
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
@@ -427,11 +461,11 @@ class TestCmdBaseline:
         assert (out / "baseline_curve_cause1.csv").exists()
 
     def test_unconverged_fit_from_input_exits_3_without_curves(self, fixture_csv, tmp_path,
-                                                               capsys):
+                                                               capsys, monkeypatch):
         # as `fit` does: one Newton step cannot meet the stopping rule
+        monkeypatch.setattr(estimator, "_MAX_STEPS", 1)
         out = tmp_path / "direct"
-        assert main(["baseline", "--input", str(fixture_csv), "--out", str(out),
-                     "--max-iter", "1"]) == 3
+        assert main(["baseline", "--input", str(fixture_csv), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "cause 1: not converged" in err and "cause 2: not converged" in err
         assert not list(out.glob("baseline_curve_cause*.csv"))

@@ -112,6 +112,27 @@ class TestParse:
         with pytest.raises(ValidationError, match="duplicate"):
             parse_panel_csv(path)
 
+    @pytest.mark.parametrize("header,message", [
+        ("id,time,n1,n1,z1", "duplicate column 'n1'"),
+        ("id,time,n1,n01,z1", "duplicate column 'n01' (repeats 'n1')"),
+        ("id,time,n1,z1,z1", "duplicate column 'z1'"),
+        ("id,time,n1,n3,z1", "count columns must be n1..n2, missing 'n2'"),
+        ("id,time,n1,z1,z3", "covariate columns must be z1..z2, missing 'z2'"),
+        ("id,time,n0,n1,z1", "count columns must be n1..n2, got 'n0'"),
+        ("id,time,time,n1,z1", "duplicate column 'time'"),
+    ], ids=["n-repeat", "n-zero-padded-repeat", "z-repeat", "n-gap", "z-gap", "n-zero",
+            "time-repeat"])
+    def test_repeated_or_skipped_columns_rejected_by_name(self, tmp_path, header, message):
+        path = write(tmp_path, f"{header}\na,2,1,1,1\n")
+        with pytest.raises(ParseError) as caught:
+            parse_panel_csv(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_columns_in_any_order_keep_their_numbers(self, tmp_path):
+        path = write(tmp_path, "z1,n2,id,time,n1\n0.5,3,a,2,1\n")
+        data = parse_panel_csv(path)
+        np.testing.assert_array_equal(data.arrays.counts, [[1], [3]])
+
     def test_no_covariate_dataset_is_legal(self, tmp_path):
         path = write(tmp_path, "id,time,n1\na,2,1\na,5,3\n")
         data = parse_panel_csv(path)

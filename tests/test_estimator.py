@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from panelmean import (
     ConvergenceError,
-    FitConfig,
     NumericError,
     PanelDataset,
     SimConfig,
@@ -18,6 +18,7 @@ from panelmean import (
     aggregate,
     weighted_isotonic,
 )
+from panelmean import estimator
 from panelmean.estimator import _NEWTON_TOL, _assert_ascending, _CauseWorkspace, _profile_grad_hess
 
 from _oracles import (
@@ -386,11 +387,58 @@ class TestFit:
         with pytest.raises(NumericError, match="decreased"):
             _assert_ascending([2.0, 1.0])
 
-    def test_max_iter_reached_flags_not_converged(self):
+    def test_max_iter_reached_flags_not_converged(self, monkeypatch):
         cfg_sim = table1_config(n=40, seed=53)
         data = gen_dataset(cfg_sim, np.random.default_rng([53, 0]))
-        cf = fit(data, FitConfig(max_iter=2))[0]
+        monkeypatch.setattr(estimator, "_MAX_STEPS", 2)
+        cf = fit(data)[0]
         assert not cf.converged and cf.iterations == 2 and cf.error is None
+
+
+@st.composite
+def table1_datasets(draw):
+    """Small Table 1 datasets: two causes, a Bernoulli and a normal covariate."""
+    n, seed = draw(st.integers(20, 60)), draw(st.integers(0, 2**32 - 1))
+    return gen_dataset(table1_config(n=n, seed=seed), np.random.default_rng([seed, 0]))
+
+
+def converged_fit(data):
+    fits = fit(data)
+    assume(all(cf.converged for cf in fits))
+    return fits
+
+
+class TestInvariance:
+    @settings(max_examples=30, deadline=None)
+    @given(data=table1_datasets(), rnd=st.randoms(use_true_random=False))
+    def test_subject_order_does_not_matter(self, data, rnd):
+        order = list(range(data.n))
+        rnd.shuffle(order)
+        for cf, shuffled in zip(converged_fit(data), fit(data._take(np.array(order)))):
+            np.testing.assert_allclose(shuffled.beta, cf.beta, rtol=1e-10)
+            np.testing.assert_array_equal(shuffled.baseline.knots, cf.baseline.knots)
+            np.testing.assert_allclose(shuffled.baseline.values, cf.baseline.values, rtol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=table1_datasets())
+    def test_duplicating_every_subject_does_not_matter(self, data):
+        # twice the data doubles the gradient, so the stop (an absolute
+        # 1e-8 on it) can come one Newton step apart: both ends are within
+        # about 1e-8 / information of the same maximizer
+        doubled = fit(data._take(np.repeat(np.arange(data.n), 2)))
+        for cf, twice in zip(converged_fit(data), doubled):
+            np.testing.assert_allclose(twice.beta, cf.beta, rtol=1e-8)
+            np.testing.assert_array_equal(twice.baseline.knots, cf.baseline.knots)
+            np.testing.assert_allclose(twice.baseline.values, cf.baseline.values, rtol=1e-8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=table1_datasets())
+    def test_one_cause_alone_fits_as_in_the_full_data(self, data):
+        for cf in converged_fit(data):
+            [alone] = fit(data.select_cause(cf.cause))
+            np.testing.assert_array_equal(alone.beta, cf.beta)
+            np.testing.assert_array_equal(alone.baseline.values, cf.baseline.values)
+            assert alone.loglik_trace == cf.loglik_trace
 
 
 @pytest.fixture(scope="module")

@@ -130,11 +130,11 @@ class TestBootstrap:
         # a ValueError is a programming error, not a failed replicate
         calls = []
 
-        def fit_then_fail(data, cfg):
+        def fit_then_fail(data):
             calls.append(data)
             if len(calls) > 1:
                 raise ValueError("bug in replicate")
-            return fit(data, cfg)
+            return fit(data)
 
         monkeypatch.setattr(inference, "fit", fit_then_fail)
         with pytest.raises(ValueError, match="bug in replicate"):

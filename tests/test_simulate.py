@@ -303,7 +303,7 @@ class TestRunStudy:
             run_study(cfg)
 
     def test_replicate_value_error_propagates(self, monkeypatch):
-        def fail(data, cfg):
+        def fail(data):
             raise ValueError("bug in replicate")
 
         monkeypatch.setattr(simulate, "fit", fail)
