@@ -86,32 +86,24 @@ class PanelArrays:
     An epoch is one (subject, observation) pair, in dataset order: `t` is
     its time, `subj` its subject and `inverse` its index in the distinct
     `times`.  Epochs are grouped by subject and sorted by time within it.
-    Rows of `counts` (k x P), `count_sum` (k x n, per-subject totals) and
-    `mean_count` (k x r, per-time means) are indexed by cause - 1.
+    Rows of `counts` (k x P) and `count_sum` (k x n, per-subject totals)
+    are indexed by cause - 1.
     """
 
     t: np.ndarray
     subj: np.ndarray
     times: np.ndarray
     inverse: np.ndarray
-    n_obs: np.ndarray
     counts: np.ndarray
     Z: np.ndarray
     count_sum: np.ndarray
-    mean_count: np.ndarray
 
     @classmethod
-    def build(cls, t, subj, counts, Z, times=None, inverse=None) -> "PanelArrays":
-        """Derive the grouped arrays from the epoch arrays and freeze them all.
-
-        `times` and `inverse` come from np.unique(t) unless given.
-        """
-        if times is None:
-            times, inverse = np.unique(t, return_inverse=True)
-        n_obs = np.bincount(inverse)
+    def build(cls, t, subj, counts, Z) -> "PanelArrays":
+        """Derive the grouped arrays from the epoch arrays and freeze them all."""
+        times, inverse = np.unique(t, return_inverse=True)
         count_sum = np.array([np.bincount(subj, weights=c, minlength=len(Z)) for c in counts])
-        mean_count = np.array([np.bincount(inverse, weights=c) / n_obs for c in counts])
-        arrays = cls(t, subj, times, inverse, n_obs, counts, Z, count_sum, mean_count)
+        arrays = cls(t, subj, times, inverse, counts, Z, count_sum)
         for a in vars(arrays).values():
             a.flags.writeable = False
         return arrays
@@ -168,41 +160,17 @@ class PanelDataset:
         return self.arrays.t.size
 
     @cached_property
-    def _bounds(self) -> np.ndarray:
-        """Subject i owns epochs _bounds[i]:_bounds[i + 1]."""
-        return np.searchsorted(self.arrays.subj, np.arange(self.n + 1))
-
-    @cached_property
     def subjects(self) -> list[Subject]:
         """Per-subject view of the arrays, built on first use."""
         a = self.arrays
         counts = a.counts.astype(np.int64)
         counts.flags.writeable = False
-        spans = zip(self._bounds[:-1], self._bounds[1:])
+        bounds = np.searchsorted(a.subj, np.arange(self.n + 1))  # subject i: bounds[i]:bounds[i+1]
+        spans = zip(bounds[:-1], bounds[1:])
         return [
             Subject(sid, a.t[lo:hi], counts[:, lo:hi], a.Z[i])
             for i, (sid, (lo, hi)) in enumerate(zip(self.ids, spans))
         ]
-
-    def _take(self, idx: np.ndarray) -> "PanelDataset":
-        """The subjects `idx` (repeats allowed) in that order, gathered
-        epoch by epoch from the arrays; no distinct time is regrouped."""
-        a = self.arrays
-        lo = self._bounds[idx]
-        sizes = self._bounds[idx + 1] - lo
-        epochs = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
-        parent = a.inverse[epochs]
-        used = np.zeros(a.times.size, dtype=bool)
-        used[parent] = True
-        arrays = PanelArrays.build(
-            a.t[epochs],
-            np.repeat(np.arange(idx.size), sizes),
-            a.counts[:, epochs],
-            a.Z[idx],
-            times=a.times[used],
-            inverse=(np.cumsum(used) - 1)[parent],
-        )
-        return PanelDataset._from_arrays(tuple(self.ids[i] for i in idx), arrays)
 
     def select_cause(self, cause: int) -> "PanelDataset":
         """Single-cause view of the dataset (counts restricted to `cause`)."""
@@ -210,8 +178,7 @@ class PanelDataset:
         a = self.arrays
         row = slice(cause - 1, cause)
         return PanelDataset._from_arrays(self.ids, replace(
-            a, counts=a.counts[row], count_sum=a.count_sum[row], mean_count=a.mean_count[row]
-        ))
+            a, counts=a.counts[row], count_sum=a.count_sum[row]))
 
 
 @dataclass
@@ -451,4 +418,6 @@ def aggregate(data: PanelDataset, cause: int) -> GroupedStats:
     """
     _check_cause(data, cause)
     a = data.arrays
-    return GroupedStats(cause, a.times, a.n_obs, a.mean_count[cause - 1])
+    n_obs = np.bincount(a.inverse)
+    mean_count = np.bincount(a.inverse, weights=a.counts[cause - 1]) / n_obs
+    return GroupedStats(cause, a.times, n_obs, mean_count)

@@ -9,8 +9,12 @@ baseline(t) * exp(beta'z).  Per cause, the pseudo log-likelihood
 is maximized by damped Newton steps on its profile l_p in beta, a
 concave Cox-type partial likelihood whose strata are the PAVA blocks of
 the isotonic baseline at beta (Zhang 2002; Wellner & Zhang 2007).  Each
-evaluation runs one PAVA; the fit stops on the gradient, in units of
-beta times covariate range.
+evaluation runs one PAVA and is computed from per-time sums: with
+C_q the count total and S_q the exp(beta'z) sum over the epochs at
+distinct time q, l = sum_q C_q log v_q + beta' sum_i N_i z_i - S'v.  The
+fit stops on the gradient, in units of beta times covariate range.
+Subjects may carry integer weights (multiplicities), which is how a
+bootstrap replicate is fitted on its parent's arrays.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ _MAX_LP = 600.0  # on |beta'z| at a trial point; e^600 ~ 1e261 leaves sums and r
 class CauseFit:
     """Fitted coefficients and baseline for one recurrence mode.
 
-    `loglik_trace` is l_p at beta = 0 and after each Newton step, which
-    `iterations` counts (1 when none is taken)."""
+    `loglik_trace` is l_p at the start (beta = 0 for `fit`) and after
+    each Newton step, which `iterations` counts (1 when none is taken)."""
 
     cause: int
     beta: np.ndarray
@@ -52,78 +56,110 @@ class _CauseWorkspace:
 
     Epochs are the pooled (subject, observation) pairs; `inverse` maps
     each epoch to its distinct-time index and `subj` to its subject.
+    `weights` (default all 1) gives each subject a multiplicity: a
+    bootstrap replicate is the integer weights of its draw.  Only subjects
+    of positive weight, and the distinct times they are observed at, take
+    part, so the workspace is that of the explicitly resampled data with
+    repeats summed; it shares the dataset's arrays when `weights` is None.
     """
 
-    def __init__(self, data: PanelDataset, cause: int):
+    def __init__(self, data: PanelDataset, cause: int, weights: np.ndarray | None = None):
         _check_cause(data, cause)
         a = data.arrays
-        self.n = data.n
         self.d = data.d
-        self.subj = a.subj
-        self.Z = a.Z
-        self.times = a.times
-        self.inverse = a.inverse
-        self.n_obs = a.n_obs
+        self.subj, self.Z, self.times, self.inverse = a.subj, a.Z, a.times, a.inverse
         self.n_all = a.counts[cause - 1]
-        self.mean_count = a.mean_count[cause - 1]
+        count_sum = a.count_sum[cause - 1]
+        self.w = np.ones(data.n)
+        if weights is not None:
+            pos = weights > 0
+            keep = pos[a.subj]
+            self.subj = (np.cumsum(pos) - 1)[a.subj[keep]]
+            self.n_all = self.n_all[keep]
+            self.w, count_sum = weights[pos].astype(float), count_sum[pos]
+            self.Z = np.compress(pos, a.Z, axis=0)  # a row gather, faster than a.Z[pos]
+            inverse = a.inverse[keep]
+            used = np.zeros(a.times.size, dtype=bool)
+            used[inverse] = True
+            self.times = a.times[used]
+            self.inverse = (np.cumsum(used) - 1)[inverse]
+        self.n = self.w.size
+        w_epoch = self.w[self.subj]
+        # per distinct time: weighted observations and count total C_q
+        self.n_obs = np.bincount(self.inverse, weights=w_epoch)
+        self.count_total = np.bincount(self.inverse, weights=w_epoch * self.n_all)
+        self.mean_count = self.count_total / self.n_obs
         # per-subject total count, for the collapsed gradient/Hessian
-        self.count_sum = a.count_sum[cause - 1]
+        self.count_sum = self.w * count_sum
         # each covariate's range over subjects (|z_l| if all share it, 1 if
         # that is 0): the unit in which beta_l * z_l is judged
-        spread = np.ptp(self.Z, axis=0)
-        shared = np.where(spread > 0, spread, np.abs(self.Z[0]))
+        zt = self.Z.T.copy()  # reductions along contiguous rows are much faster
+        spread = np.ptp(zt, axis=1)
+        shared = np.where(spread > 0, spread, np.abs(zt[:, 0]))
         self.z_range = np.where(shared > 0, shared, 1.0)
 
     def exp_lp(self, beta: np.ndarray) -> np.ndarray:
         """Per-subject exp(beta'z)."""
         return np.exp(self.Z @ beta)
 
-    def baseline_values(self, beta: np.ndarray) -> np.ndarray:
-        """Isotonic baseline values at the distinct times for fixed beta."""
-        ez = self.exp_lp(beta)
-        exposure = np.bincount(self.inverse, weights=ez[self.subj]) / self.n_obs
-        return _isotonic_baseline(self.mean_count, self.n_obs, exposure)
+    def exposure(self, beta: np.ndarray) -> np.ndarray:
+        """Per distinct time, S_q: the weighted sum of exp(beta'z) over its epochs."""
+        return np.bincount(self.inverse, weights=(self.w * self.exp_lp(beta))[self.subj],
+                           minlength=self.times.size)
 
-    def loglik(self, beta: np.ndarray, values: np.ndarray) -> float:
-        """Full objective at (beta, baseline values); -inf if a positive
-        count sits on a zero baseline value."""
-        lam_e = values[self.inverse]
-        pos = self.n_all > 0
-        if np.any(lam_e[pos] == 0):
+    def baseline_values(self, beta: np.ndarray, exposure: np.ndarray | None = None) -> np.ndarray:
+        """Isotonic baseline values at the distinct times for fixed beta;
+        `exposure`, if given, is `self.exposure(beta)`."""
+        if exposure is None:
+            exposure = self.exposure(beta)
+        return _isotonic_baseline(self.mean_count, self.n_obs, exposure / self.n_obs)
+
+    def loglik(self, beta: np.ndarray, values: np.ndarray,
+               exposure: np.ndarray | None = None) -> float:
+        """Full objective at (beta, baseline values), from per-time sums:
+        sum_q C_q log v_q + count_sum'Z beta - S'v, with S the `exposure`
+        (as in `baseline_values`); -inf if a positive count sits on a zero
+        value."""
+        if exposure is None:
+            exposure = self.exposure(beta)
+        pos = self.count_total > 0
+        if np.any(values[pos] == 0):
             return -np.inf
-        ez = self.exp_lp(beta)
-        lam_sub = np.bincount(self.subj, weights=lam_e, minlength=self.n)
-        ll = float(np.sum(self.n_all[pos] * np.log(lam_e[pos])))
+        ll = float(self.count_total[pos] @ np.log(values[pos]))
         ll += float(self.count_sum @ (self.Z @ beta))
-        ll -= float(ez @ lam_sub)
+        ll -= float(exposure @ values)
         return ll
 
 
 def _profile_grad_hess(ws: _CauseWorkspace, lam_sub: np.ndarray,
                        beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient and Hessian of the fixed-baseline beta profile,
-    collapsed to per-subject sums."""
+    collapsed to per-subject sums (`lam_sub` carries the subject weights)."""
     mu_sub = np.exp(ws.Z @ beta) * lam_sub
     grad = ws.Z.T @ (ws.count_sum - mu_sub)
     hess = -(ws.Z * mu_sub[:, None]).T @ ws.Z
     return grad, hess
 
 
-def _profile_derivs(ws: _CauseWorkspace, beta: np.ndarray,
-                    values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient and Hessian of l_p at beta, and per distinct time the
-    exp(beta'z)-weighted mean m_B of z over its block B, a run of equal
-    `values` (each N_B / E_B for the isotonic baseline at beta).  By the
-    envelope theorem the gradient is the fixed-baseline one; the Hessian
-    is the fixed-baseline one plus sum_B N_B m_B m_B'."""
-    lam_sub = np.bincount(ws.subj, weights=values[ws.inverse], minlength=ws.n)
+def _profile_derivs(ws: _CauseWorkspace, beta: np.ndarray, values: np.ndarray,
+                    exposure: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient and Hessian of l_p at beta; per block B, a run of equal
+    `values` (each N_B / E_B for the isotonic baseline at beta), the
+    exp(beta'z)-weighted mean m_B of z over its epochs; and each epoch's
+    block.  By the envelope theorem the gradient is the fixed-baseline
+    one; the Hessian is the fixed-baseline one plus sum_B N_B m_B m_B'.
+    `exposure` is as in `_CauseWorkspace.baseline_values`."""
+    if exposure is None:
+        exposure = ws.exposure(beta)
+    lam_sub = ws.w * np.bincount(ws.subj, weights=values[ws.inverse], minlength=ws.n)
     grad, hess = _profile_grad_hess(ws, lam_sub, beta)
     block_t = np.cumsum(np.r_[False, np.diff(values) > 0])
-    block, ez = block_t[ws.inverse], ws.exp_lp(beta)
-    mean = np.array([np.bincount(block, weights=(ez * z)[ws.subj]) for z in ws.Z.T]).T
-    mean /= np.bincount(block, weights=ez[ws.subj])[:, None]
-    count = np.bincount(block, weights=ws.n_all)
-    return grad, hess + (mean * count[:, None]).T @ mean, mean[block_t]
+    block, wez = block_t[ws.inverse], ws.w * ws.exp_lp(beta)
+    mean = np.array([np.bincount(block, weights=(wez * z)[ws.subj]) for z in ws.Z.T]).T
+    mean /= np.bincount(block_t, weights=exposure)[:, None]
+    count = np.bincount(block_t, weights=ws.count_total)
+    return grad, hess + (mean * count[:, None]).T @ mean, mean, block
 
 
 def _inverse_information(hess: np.ndarray, z_range: np.ndarray) -> np.ndarray:
@@ -249,17 +285,24 @@ def _as_beta(beta, d: int) -> np.ndarray:
     return beta
 
 
-def _fit_cause(data: PanelDataset, cause: int) -> CauseFit:
-    ws = _CauseWorkspace(data, cause)
+def _fit_cause(data: PanelDataset, cause: int, weights: np.ndarray | None = None,
+               start: np.ndarray | None = None) -> CauseFit:
+    """Fit one cause with subject `weights` (see _CauseWorkspace) by Newton
+    steps from `start` (default beta = 0).  l_p is concave, so the start
+    changes the path, not the maximizer; the bootstrap starts each
+    replicate at the full-data beta."""
+    ws = _CauseWorkspace(data, cause, weights)
 
     def profile(beta):
-        values = ws.baseline_values(beta)
-        return ws.loglik(beta, values), values
+        exposure = ws.exposure(beta)
+        values = ws.baseline_values(beta, exposure)
+        return ws.loglik(beta, values, exposure), (values, exposure)
 
     path = _Path()
     try:
-        converged, error = _newton(ws, np.zeros(ws.d), profile,
-                                   lambda b, values: _profile_derivs(ws, b, values)[:2], path), None
+        converged, error = _newton(ws, np.zeros(ws.d) if start is None else start, profile,
+                                   lambda b, state: _profile_derivs(ws, b, *state)[:2],
+                                   path), None
     except (ConvergenceError, NumericError) as exc:
         converged, error = False, str(exc)
 
@@ -267,7 +310,7 @@ def _fit_cause(data: PanelDataset, cause: int) -> CauseFit:
     return CauseFit(
         cause=cause,
         beta=path.beta,
-        baseline=StepFunction(ws.times.copy(), path.state),
+        baseline=StepFunction(ws.times.copy(), path.state[0]),
         loglik_trace=path.trace,
         iterations=max(len(path.trace) - 1, 1),
         converged=converged,

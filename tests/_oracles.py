@@ -2,8 +2,9 @@
 
 Everything here is written the slow, obvious way on purpose: plain
 double loops, exhaustive enumeration, no reuse of the library's
-vectorized paths.  The one exception, `alternating_fit`, is a different
-algorithm built from the library's exact coordinate steps.
+vectorized paths.  Two exceptions: `alternating_fit` is a different
+algorithm built from the library's exact coordinate steps, and `take`
+gathers an explicit resample from a dataset's flat arrays.
 """
 
 import csv
@@ -22,6 +23,7 @@ from panelmean import (
     beta_step,
     log_pseudo_likelihood,
 )
+from panelmean.data import PanelArrays
 
 
 def isotonic_maxmin(y, w):
@@ -302,3 +304,18 @@ def alternating_fit(data, cause, epsilon, max_iter):
             if (change / denom if denom > 0 else change) <= epsilon:
                 return beta, log_pseudo_likelihood(data, cause, beta, baseline)
     raise AssertionError(f"alternating fit did not converge in {max_iter} sweeps")
+
+
+def take(data, idx):
+    """The subjects `idx` (repeats allowed) in that order, as a new dataset
+    gathered epoch by epoch from `data.arrays`: the explicit resample that
+    a fit with subject weights `np.bincount(idx)` must reproduce."""
+    a = data.arrays
+    idx = np.asarray(idx)
+    bounds = np.searchsorted(a.subj, np.arange(data.n + 1))  # subject i: bounds[i]:bounds[i+1]
+    lo = bounds[idx]
+    sizes = bounds[idx + 1] - lo
+    epochs = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+    arrays = PanelArrays.build(a.t[epochs], np.repeat(np.arange(idx.size), sizes),
+                               a.counts[:, epochs], a.Z[idx])
+    return PanelDataset._from_arrays(tuple(data.ids[i] for i in idx), arrays)

@@ -19,7 +19,9 @@ from panelmean import (
     weighted_isotonic,
 )
 from panelmean import estimator
-from panelmean.estimator import _NEWTON_TOL, _assert_ascending, _CauseWorkspace, _profile_grad_hess
+from panelmean.data import PanelArrays
+from panelmean.estimator import (_NEWTON_TOL, _assert_ascending, _CauseWorkspace, _fit_cause,
+                                  _profile_grad_hess)
 
 from _oracles import (
     alternating_fit,
@@ -27,6 +29,7 @@ from _oracles import (
     best_monotone_grid,
     grouped_loglik,
     naive_loglik,
+    take,
 )
 from conftest import epoch_members, random_small_dataset, table1_config
 
@@ -414,7 +417,7 @@ class TestInvariance:
     def test_subject_order_does_not_matter(self, data, rnd):
         order = list(range(data.n))
         rnd.shuffle(order)
-        for cf, shuffled in zip(converged_fit(data), fit(data._take(np.array(order)))):
+        for cf, shuffled in zip(converged_fit(data), fit(take(data, order))):
             np.testing.assert_allclose(shuffled.beta, cf.beta, rtol=1e-10)
             np.testing.assert_array_equal(shuffled.baseline.knots, cf.baseline.knots)
             np.testing.assert_allclose(shuffled.baseline.values, cf.baseline.values, rtol=1e-10)
@@ -425,7 +428,7 @@ class TestInvariance:
         # twice the data doubles the gradient, so the stop (an absolute
         # 1e-8 on it) can come one Newton step apart: both ends are within
         # about 1e-8 / information of the same maximizer
-        doubled = fit(data._take(np.repeat(np.arange(data.n), 2)))
+        doubled = fit(take(data, np.repeat(np.arange(data.n), 2)))
         for cf, twice in zip(converged_fit(data), doubled):
             np.testing.assert_allclose(twice.beta, cf.beta, rtol=1e-8)
             np.testing.assert_array_equal(twice.baseline.knots, cf.baseline.knots)
@@ -439,6 +442,31 @@ class TestInvariance:
             np.testing.assert_array_equal(alone.beta, cf.beta)
             np.testing.assert_array_equal(alone.baseline.values, cf.baseline.values)
             assert alone.loglik_trace == cf.loglik_trace
+
+
+class TestSubjectWeights:
+    @settings(max_examples=30, deadline=None)
+    @given(data=table1_datasets(), gridded=st.booleans(),
+           zero_at=st.sampled_from(["none", "first", "last", "both"]),
+           weights=st.lists(st.integers(0, 3), min_size=60, max_size=60))
+    def test_weighted_fit_equals_explicit_resample_fit(self, data, gridded, zero_at, weights):
+        a = data.arrays
+        if gridded:  # visit gaps are >= 1, so ceil keeps a subject's times distinct
+            data = PanelDataset._from_arrays(data.ids, PanelArrays.build(
+                np.ceil(a.t), a.subj, a.counts, a.Z))
+            a = data.arrays
+        w = np.array(weights[:data.n])
+        # no weight on the subjects seen at the first and/or last distinct time
+        for q in {"none": [], "first": [0], "last": [-1], "both": [0, -1]}[zero_at]:
+            w[a.subj[a.inverse == q % a.times.size]] = 0
+        assume(w.sum() > 0)
+        explicit = fit(take(data, np.repeat(np.arange(data.n), w)))
+        for ef in explicit:
+            wf = _fit_cause(data, ef.cause, w)
+            assert (wf.converged, wf.error) == (ef.converged, ef.error)
+            np.testing.assert_allclose(wf.beta, ef.beta, rtol=1e-8)
+            np.testing.assert_array_equal(wf.baseline.knots, ef.baseline.knots)
+            np.testing.assert_allclose(wf.baseline.values, ef.baseline.values, rtol=1e-8)
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ from panelmean import (
     PanelDataset,
     Subject,
     bootstrap_se,
+    estimator,
     fit,
     gen_dataset,
     inference,
@@ -15,7 +16,7 @@ from panelmean import (
     sandwich_se,
     write_panel_csv,
 )
-from _oracles import profile_sandwich_cov
+from _oracles import profile_sandwich_cov, take
 from conftest import random_small_dataset, table1_config
 
 
@@ -25,6 +26,23 @@ def check_cov(result):
     assert np.min(np.linalg.eigvalsh((cov + cov.T) / 2)) >= -1e-10
     np.testing.assert_allclose(result.se, np.sqrt(np.diag(cov)))
     assert np.all((result.wald_p >= 0) & (result.wald_p <= 1))
+
+
+def explicit_bootstrap(data, B, seed):
+    """Per-cause SEs and failure count of bootstrap_se's draws, each
+    replicate refitted on its explicit resample."""
+    betas, failures = [], 0
+    for b in range(B):
+        idx = np.random.default_rng([seed, b]).integers(0, data.n, size=data.n)
+        fits = fit(take(data, idx))
+        if all(cf.converged and cf.error is None for cf in fits):
+            betas.append([cf.beta for cf in fits])
+        else:
+            failures += 1
+    betas = np.array(betas)  # (replicates, k, d)
+    se = [np.sqrt(np.diag(np.atleast_2d(np.cov(betas[:, j], rowvar=False, ddof=1))))
+          for j in range(data.k)]
+    return se, failures
 
 
 class TestBootstrap:
@@ -57,7 +75,7 @@ class TestBootstrap:
         if gridded:
             data = random_small_dataset(np.random.default_rng(seed), n=12, k=2)
         idx = np.random.default_rng([seed, b]).integers(0, data.n, size=data.n)
-        gathered = data._take(idx)
+        gathered = take(data, idx)
         explicit = PanelDataset([data.subjects[i] for i in idx], k=data.k, d=data.d)
         assert gathered.ids == explicit.ids
         for name, value in vars(explicit.arrays).items():
@@ -79,13 +97,20 @@ class TestBootstrap:
         sandwich_se(data, fits[0])
         assert "subjects" not in vars(data)
 
-    def test_matches_explicit_resampling(self, table1_dataset_n100, monkeypatch):
-        gathered = bootstrap_se(table1_dataset_n100, B=20, seed=3)
-        monkeypatch.setattr(PanelDataset, "_take", lambda data, idx: PanelDataset(
-            [data.subjects[i] for i in idx], k=data.k, d=data.d))
-        explicit = bootstrap_se(table1_dataset_n100, B=20, seed=3)
-        for g, e in zip(gathered, explicit):
-            assert np.array_equal(g.se, e.se) and np.array_equal(g.cov, e.cov)
+    def test_matches_explicit_resampling(self, table1_dataset_n100):
+        se, failures = explicit_bootstrap(table1_dataset_n100, B=20, seed=3)
+        for res, want in zip(bootstrap_se(table1_dataset_n100, B=20, seed=3), se):
+            np.testing.assert_allclose(res.se, want, rtol=1e-8)
+            assert res.failures == failures and res.replicates == 20 - failures
+
+    def test_warm_start_does_not_change_the_answer(self, table1_dataset_n100, monkeypatch):
+        warm = bootstrap_se(table1_dataset_n100, B=20, seed=0)
+        monkeypatch.setattr(inference, "_fit_cause", lambda data, cause, weights, start:
+                            estimator._fit_cause(data, cause, weights))
+        cold = bootstrap_se(table1_dataset_n100, B=20, seed=0)
+        for w, c in zip(warm, cold):
+            np.testing.assert_allclose(w.se, c.se, rtol=1e-8)
+            assert w.failures == c.failures
 
     def test_too_few_replicates_rejected(self, table1_dataset_n100):
         with pytest.raises(ValueError, match="at least 2"):
@@ -125,21 +150,22 @@ class TestBootstrap:
         assert res.failures > 0
         assert res.replicates == 30 - res.failures
         assert res.replicates >= 2
+        [se], failures = explicit_bootstrap(data, B=30, seed=4)
+        assert res.failures == failures
+        np.testing.assert_allclose(res.se, se, rtol=1e-8)
 
     def test_replicate_value_error_propagates(self, table1_dataset_n100, monkeypatch):
         # a ValueError is a programming error, not a failed replicate
         calls = []
 
-        def fit_then_fail(data):
-            calls.append(data)
-            if len(calls) > 1:
-                raise ValueError("bug in replicate")
-            return fit(data)
+        def fit_then_fail(data, cause, weights, start):
+            calls.append(cause)
+            raise ValueError("bug in replicate")
 
-        monkeypatch.setattr(inference, "fit", fit_then_fail)
+        monkeypatch.setattr(inference, "_fit_cause", fit_then_fail)
         with pytest.raises(ValueError, match="bug in replicate"):
             bootstrap_se(table1_dataset_n100, B=5, seed=0)
-        assert len(calls) == 2
+        assert calls == [1]
 
     def test_se_shrinks_like_root_n(self):
         cfg100 = table1_config(n=100)
