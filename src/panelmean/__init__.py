@@ -7,14 +7,7 @@ and sandwich standard errors, a two-cause simulation engine, and a
 CSV/CLI surface.
 """
 
-from .data import (
-    GroupedStats,
-    PanelDataset,
-    Subject,
-    aggregate,
-    parse_panel_csv,
-    write_panel_csv,
-)
+from .data import PanelDataset, Subject, parse_panel_csv, write_panel_csv
 from .errors import (
     ConvergenceError,
     InferenceError,
@@ -26,6 +19,7 @@ from .errors import (
 )
 from .estimator import (
     CauseFit,
+    aggregate,
     baseline_step,
     beta_step,
     fit,
@@ -50,7 +44,6 @@ __all__ = [
     "CauseFit",
     "ConvergenceError",
     "GenReport",
-    "GroupedStats",
     "InferenceError",
     "InferenceResult",
     "NumericError",

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import numbers
+import re
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -230,12 +231,15 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
 
 def _load_fitted_baselines(fit_dir: Path) -> list[tuple[int, StepFunction]]:
     """The baseline_cause<j>.csv files of a fit, by cause.  A malformed
-    file raises ParseError naming it (and the line, where there is one)."""
+    file raises ParseError naming it (and the line, where there is one), as
+    does a name whose j is not written as `fit` writes it (1, 2, ... in
+    ASCII digits), so no two files can claim one cause."""
     out = []
     for path in fit_dir.glob("baseline_cause*.csv"):
-        cause = path.stem.removeprefix("baseline_cause")
-        if not cause.isdecimal():
-            raise ParseError(f"{path}: expected a file name baseline_cause<j>.csv")
+        cause = re.fullmatch(r"baseline_cause([1-9][0-9]*)\.csv", path.name)
+        if cause is None:
+            raise ParseError(f"{path}: expected a file name baseline_cause<j>.csv, "
+                             "j = 1, 2, ...")
         knots, values = [], []
         lines = path.read_text(encoding="utf-8").splitlines()
         for lineno, line in enumerate(lines[1:], start=2):
@@ -256,7 +260,7 @@ def _load_fitted_baselines(fit_dir: Path) -> list[tuple[int, StepFunction]]:
             knots.append(t)
             values.append(v)
         try:
-            out.append((int(cause), StepFunction(np.array(knots), np.array(values))))
+            out.append((int(cause[1]), StepFunction(np.array(knots), np.array(values))))
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from None
     return sorted(out, key=lambda pair: pair[0])

@@ -86,8 +86,8 @@ class PanelArrays:
     An epoch is one (subject, observation) pair, in dataset order: `t` is
     its time, `subj` its subject and `inverse` its index in the distinct
     `times`.  Epochs are grouped by subject and sorted by time within it.
-    Rows of `counts` (k x P) and `count_sum` (k x n, per-subject totals)
-    are indexed by cause - 1.
+    Rows of `counts` (k x P) are indexed by cause - 1.  No per-cause
+    totals are stored: `estimator._CauseWorkspace` forms them.
     """
 
     t: np.ndarray
@@ -96,14 +96,12 @@ class PanelArrays:
     inverse: np.ndarray
     counts: np.ndarray
     Z: np.ndarray
-    count_sum: np.ndarray
 
     @classmethod
     def build(cls, t, subj, counts, Z) -> "PanelArrays":
         """Derive the grouped arrays from the epoch arrays and freeze them all."""
         times, inverse = np.unique(t, return_inverse=True)
-        count_sum = np.array([np.bincount(subj, weights=c, minlength=len(Z)) for c in counts])
-        arrays = cls(t, subj, times, inverse, counts, Z, count_sum)
+        arrays = cls(t, subj, times, inverse, counts, Z)
         for a in vars(arrays).values():
             a.flags.writeable = False
         return arrays
@@ -176,28 +174,7 @@ class PanelDataset:
         """Single-cause view of the dataset (counts restricted to `cause`)."""
         _check_cause(self, cause)
         a = self.arrays
-        row = slice(cause - 1, cause)
-        return PanelDataset._from_arrays(self.ids, replace(
-            a, counts=a.counts[row], count_sum=a.count_sum[row]))
-
-
-@dataclass
-class GroupedStats:
-    """Per-cause statistics on the pooled grid of distinct observation times.
-
-    For each distinct time, `n_obs` counts the observations made there
-    and `mean_count` averages the cumulative cause counts over those
-    observations.  The epochs behind each time are in `PanelArrays`.
-    """
-
-    cause: int
-    times: np.ndarray
-    n_obs: np.ndarray
-    mean_count: np.ndarray
-
-    @property
-    def r(self) -> int:
-        return self.times.size
+        return PanelDataset._from_arrays(self.ids, replace(a, counts=a.counts[cause - 1:cause]))
 
 
 def _check_cause(data: PanelDataset, cause: int) -> None:
@@ -408,16 +385,3 @@ def write_panel_csv(data: PanelDataset, path: str | Path) -> None:
                 row += [repr(float(z)) for z in s.covariates]
                 writer.writerow(row)
 
-
-def aggregate(data: PanelDataset, cause: int) -> GroupedStats:
-    """Group all observation epochs by distinct time for one cause.
-
-    Every epoch records counts for all causes at once, so the distinct
-    times and per-time observation counts are shared across causes; only
-    the count means are cause-specific.
-    """
-    _check_cause(data, cause)
-    a = data.arrays
-    n_obs = np.bincount(a.inverse)
-    mean_count = np.bincount(a.inverse, weights=a.counts[cause - 1]) / n_obs
-    return GroupedStats(cause, a.times, n_obs, mean_count)

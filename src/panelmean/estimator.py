@@ -52,7 +52,8 @@ class CauseFit:
 
 
 class _CauseWorkspace:
-    """Per-cause view of the dataset's flat arrays, reused across iterations.
+    """Per-cause view of the dataset's flat arrays, reused across iterations,
+    and the one place a cause's epochs are summed.
 
     Epochs are the pooled (subject, observation) pairs; `inverse` maps
     each epoch to its distinct-time index and `subj` to its subject.
@@ -61,6 +62,9 @@ class _CauseWorkspace:
     of positive weight, and the distinct times they are observed at, take
     part, so the workspace is that of the explicitly resampled data with
     repeats summed; it shares the dataset's arrays when `weights` is None.
+    Per distinct time it holds the weighted observation count `n_obs`, the
+    count total `count_total` and their ratio `mean_count`; per subject,
+    the weighted count total `count_sum`.
     """
 
     def __init__(self, data: PanelDataset, cause: int, weights: np.ndarray | None = None):
@@ -69,14 +73,13 @@ class _CauseWorkspace:
         self.d = data.d
         self.subj, self.Z, self.times, self.inverse = a.subj, a.Z, a.times, a.inverse
         self.n_all = a.counts[cause - 1]
-        count_sum = a.count_sum[cause - 1]
         self.w = np.ones(data.n)
         if weights is not None:
             pos = weights > 0
             keep = pos[a.subj]
             self.subj = (np.cumsum(pos) - 1)[a.subj[keep]]
             self.n_all = self.n_all[keep]
-            self.w, count_sum = weights[pos].astype(float), count_sum[pos]
+            self.w = weights[pos].astype(float)
             self.Z = np.compress(pos, a.Z, axis=0)  # a row gather, faster than a.Z[pos]
             inverse = a.inverse[keep]
             used = np.zeros(a.times.size, dtype=bool)
@@ -85,18 +88,23 @@ class _CauseWorkspace:
             self.inverse = (np.cumsum(used) - 1)[inverse]
         self.n = self.w.size
         w_epoch = self.w[self.subj]
+        w_count = w_epoch * self.n_all
         # per distinct time: weighted observations and count total C_q
         self.n_obs = np.bincount(self.inverse, weights=w_epoch)
-        self.count_total = np.bincount(self.inverse, weights=w_epoch * self.n_all)
+        self.count_total = np.bincount(self.inverse, weights=w_count)
         self.mean_count = self.count_total / self.n_obs
-        # per-subject total count, for the collapsed gradient/Hessian
-        self.count_sum = self.w * count_sum
+        # per subject: weighted count total, for the collapsed gradient/Hessian
+        self.count_sum = np.bincount(self.subj, weights=w_count, minlength=self.n)
         # each covariate's range over subjects (|z_l| if all share it, 1 if
         # that is 0): the unit in which beta_l * z_l is judged
         zt = self.Z.T.copy()  # reductions along contiguous rows are much faster
         spread = np.ptp(zt, axis=1)
         shared = np.where(spread > 0, spread, np.abs(zt[:, 0]))
         self.z_range = np.where(shared > 0, shared, 1.0)
+
+    @property
+    def r(self) -> int:
+        return self.times.size
 
     def exp_lp(self, beta: np.ndarray) -> np.ndarray:
         """Per-subject exp(beta'z)."""
@@ -107,21 +115,15 @@ class _CauseWorkspace:
         return np.bincount(self.inverse, weights=(self.w * self.exp_lp(beta))[self.subj],
                            minlength=self.times.size)
 
-    def baseline_values(self, beta: np.ndarray, exposure: np.ndarray | None = None) -> np.ndarray:
-        """Isotonic baseline values at the distinct times for fixed beta;
-        `exposure`, if given, is `self.exposure(beta)`."""
-        if exposure is None:
-            exposure = self.exposure(beta)
+    def baseline_values(self, exposure: np.ndarray) -> np.ndarray:
+        """Isotonic baseline values at the distinct times for fixed beta,
+        given `exposure` = `self.exposure(beta)`."""
         return _isotonic_baseline(self.mean_count, self.n_obs, exposure / self.n_obs)
 
-    def loglik(self, beta: np.ndarray, values: np.ndarray,
-               exposure: np.ndarray | None = None) -> float:
+    def loglik(self, beta: np.ndarray, values: np.ndarray, exposure: np.ndarray) -> float:
         """Full objective at (beta, baseline values), from per-time sums:
         sum_q C_q log v_q + count_sum'Z beta - S'v, with S the `exposure`
-        (as in `baseline_values`); -inf if a positive count sits on a zero
-        value."""
-        if exposure is None:
-            exposure = self.exposure(beta)
+        at beta; -inf if a positive count sits on a zero value."""
         pos = self.count_total > 0
         if np.any(values[pos] == 0):
             return -np.inf
@@ -142,16 +144,13 @@ def _profile_grad_hess(ws: _CauseWorkspace, lam_sub: np.ndarray,
 
 
 def _profile_derivs(ws: _CauseWorkspace, beta: np.ndarray, values: np.ndarray,
-                    exposure: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                    exposure: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradient and Hessian of l_p at beta; per block B, a run of equal
     `values` (each N_B / E_B for the isotonic baseline at beta), the
     exp(beta'z)-weighted mean m_B of z over its epochs; and each epoch's
     block.  By the envelope theorem the gradient is the fixed-baseline
     one; the Hessian is the fixed-baseline one plus sum_B N_B m_B m_B'.
-    `exposure` is as in `_CauseWorkspace.baseline_values`."""
-    if exposure is None:
-        exposure = ws.exposure(beta)
+    `exposure` is `ws.exposure(beta)`."""
     lam_sub = ws.w * np.bincount(ws.subj, weights=values[ws.inverse], minlength=ws.n)
     grad, hess = _profile_grad_hess(ws, lam_sub, beta)
     block_t = np.cumsum(np.r_[False, np.diff(values) > 0])
@@ -237,6 +236,14 @@ def _check_divergence(beta: np.ndarray, z_range: np.ndarray) -> None:
         )
 
 
+def aggregate(data: PanelDataset, cause: int) -> _CauseWorkspace:
+    """Group all observation epochs by distinct time for one cause: the
+    cause's workspace, whose `times`, `n_obs` (observations per time),
+    `mean_count` (their mean cumulative count) and `r` (number of times)
+    the fit uses.  Times and observation counts are shared across causes."""
+    return _CauseWorkspace(data, cause)
+
+
 def log_pseudo_likelihood(data: PanelDataset, cause: int, beta,
                           baseline: StepFunction) -> float:
     """Evaluate the per-cause objective at (beta, baseline).
@@ -250,13 +257,13 @@ def log_pseudo_likelihood(data: PanelDataset, cause: int, beta,
         raise ValueError("baseline knots do not cover the observation times")
     values = baseline(ws.times)
     beta = _as_beta(beta, ws.d)
-    return ws.loglik(beta, values)
+    return ws.loglik(beta, values, ws.exposure(beta))
 
 
 def baseline_step(data: PanelDataset, cause: int, beta) -> StepFunction:
     """Exact baseline maximizer at fixed beta (profile step)."""
     ws = _CauseWorkspace(data, cause)
-    return StepFunction(ws.times.copy(), ws.baseline_values(_as_beta(beta, ws.d)))
+    return StepFunction(ws.times.copy(), ws.baseline_values(ws.exposure(_as_beta(beta, ws.d))))
 
 
 def beta_step(data: PanelDataset, cause: int, baseline: StepFunction, beta_start) -> np.ndarray:
@@ -295,7 +302,7 @@ def _fit_cause(data: PanelDataset, cause: int, weights: np.ndarray | None = None
 
     def profile(beta):
         exposure = ws.exposure(beta)
-        values = ws.baseline_values(beta, exposure)
+        values = ws.baseline_values(exposure)
         return ws.loglik(beta, values, exposure), (values, exposure)
 
     path = _Path()
@@ -338,6 +345,24 @@ def fit(data: PanelDataset) -> list[CauseFit]:
     does not stop the others.
     """
     return [_fit_cause(data, j) for j in range(1, data.k + 1)]
+
+
+def _replicate_betas(B: int, fit_replicate) -> tuple[list[np.ndarray], int]:
+    """The (k, d) coefficients of each replicate b in 0..B-1 whose causes all
+    converge, and how many replicates did not; `fit_replicate(b)` returns
+    replicate b's CauseFits."""
+    betas, failures = [], 0
+    for b in range(B):
+        try:
+            fits = fit_replicate(b)
+        except (ConvergenceError, NumericError):
+            failures += 1
+            continue
+        if all(cf.converged for cf in fits):
+            betas.append(np.array([cf.beta for cf in fits]))
+        else:
+            failures += 1
+    return betas, failures
 
 
 def predict_mean(cause_fit: CauseFit, t, z) -> float | np.ndarray:

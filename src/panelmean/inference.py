@@ -17,9 +17,9 @@ import numpy as np
 from scipy import special
 
 from .data import PanelDataset
-from .errors import ConvergenceError, InferenceError, NumericError
+from .errors import InferenceError
 from .estimator import (CauseFit, _CauseWorkspace, _fit_cause, _inverse_information,
-                        _profile_derivs, fit)
+                        _profile_derivs, _replicate_betas, fit)
 
 _DEFAULT_BOOT_REPS = 300
 
@@ -67,21 +67,14 @@ def bootstrap_se(data: PanelDataset, B: int = _DEFAULT_BOOT_REPS,
         if cf.error is not None:
             raise InferenceError(f"cause {cf.cause} failed on the original data: {cf.error}")
 
-    betas: list[np.ndarray] = []  # (k, d) per successful replicate
-    failures = 0
     n = data.n
-    for b in range(B):
+
+    def fit_replicate(b):
         rng = np.random.default_rng([seed, b])
         weights = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        try:
-            fits = [_fit_cause(data, cf.cause, weights, start=cf.beta) for cf in base]
-        except (ConvergenceError, NumericError):
-            failures += 1
-            continue
-        if any(cf.error is not None or not cf.converged for cf in fits):
-            failures += 1
-            continue
-        betas.append(np.array([cf.beta for cf in fits]))
+        return [_fit_cause(data, cf.cause, weights, start=cf.beta) for cf in base]
+
+    betas, failures = _replicate_betas(B, fit_replicate)
 
     if len(betas) < 2:
         raise InferenceError(
@@ -122,7 +115,7 @@ def sandwich_se(data: PanelDataset, cause_fit: CauseFit) -> InferenceResult:
     ws = _CauseWorkspace(data, cause_fit.cause)
     beta = cause_fit.beta
     values = cause_fit.baseline(ws.times)
-    _, hess, block_mean, block = _profile_derivs(ws, beta, values)
+    _, hess, block_mean, block = _profile_derivs(ws, beta, values, ws.exposure(beta))
     info_inv = _inverse_information(hess, ws.z_range)
 
     resid = ws.n_all - values[ws.inverse] * ws.exp_lp(beta)[ws.subj]  # per epoch

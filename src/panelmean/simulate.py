@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .data import PanelArrays, PanelDataset
-from .errors import ConvergenceError, NumericError, StudyError
-from .estimator import fit
+from .errors import StudyError
+from .estimator import _replicate_betas, fit
 
 BaselineFn = Callable[[np.ndarray], np.ndarray]
 
@@ -197,21 +197,10 @@ def run_study(cfg: SimConfig) -> StudyResult:
     the study.
     """
     truth = np.vstack([cfg.beta1, cfg.beta2])
-    estimates = []
-    failures = 0
     report = GenReport()
-    for rep in range(cfg.replications):
-        rng = np.random.default_rng([cfg.seed, rep])
-        dataset = gen_dataset(cfg, rng, report)
-        try:
-            fits = fit(dataset)
-        except (ConvergenceError, NumericError):
-            failures += 1
-            continue
-        if any(cf.error is not None or not cf.converged for cf in fits):
-            failures += 1
-            continue
-        estimates.append(np.array([cf.beta for cf in fits]))
+    estimates, failures = _replicate_betas(
+        cfg.replications,
+        lambda rep: fit(gen_dataset(cfg, np.random.default_rng([cfg.seed, rep]), report)))
 
     if failures > 0.10 * cfg.replications:
         raise StudyError(

@@ -443,8 +443,11 @@ class TestCmdBaseline:
         ("baseline_cause1.csv", "knot,value\n3,0.5\n2,0.7\n", "line 3: knot 2 is below"),
         ("baseline_cause1.csv", "knot,value\n1,0.5\n2,0.3\n", "values must be non-decreasing"),
         ("baseline_causeX.csv", "knot,value\n1,0.5\n", "expected a file name"),
+        ("baseline_cause0.csv", "knot,value\n1,0.5\n", "expected a file name"),
+        ("baseline_cause01.csv", "knot,value\n1,0.5\n", "expected a file name"),
+        ("baseline_cause\u0661.csv", "knot,value\n1,0.5\n", "expected a file name"),
     ], ids=["header-only", "non-numeric", "nan", "decreasing-knots",
-            "decreasing-values", "bad-name"])
+            "decreasing-values", "bad-name", "cause-zero", "leading-zero", "non-ascii-digit"])
     def test_malformed_fitted_baseline_exits_2_naming_file(self, tmp_path, capsys,
                                                            name, text, where):
         src = tmp_path / "fitted"
@@ -453,6 +456,18 @@ class TestCmdBaseline:
         out = tmp_path / "curves"
         assert main(["baseline", "--fit-dir", str(src), "--out", str(out)]) == 2
         assert f"{src / name}: {where}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_files_for_one_cause_exit_2(self, tmp_path, capsys):
+        # baseline_cause01.csv would also read as cause 1, and whichever
+        # file the directory listing gave last would win
+        src = tmp_path / "fitted"
+        src.mkdir()
+        (src / "baseline_cause1.csv").write_text("knot,value\n1,0.5\n2,1\n")
+        (src / "baseline_cause01.csv").write_text("knot,value\n1,7\n2,9\n")
+        out = tmp_path / "curves"
+        assert main(["baseline", "--fit-dir", str(src), "--out", str(out)]) == 2
+        assert f"{src / 'baseline_cause01.csv'}: expected a file name" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fit_from_input_directly(self, fixture_csv, tmp_path):

@@ -468,6 +468,30 @@ class TestSubjectWeights:
             np.testing.assert_array_equal(wf.baseline.knots, ef.baseline.knots)
             np.testing.assert_allclose(wf.baseline.values, ef.baseline.values, rtol=1e-8)
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+           weights=st.lists(st.integers(0, 3), min_size=6, max_size=6))
+    def test_sums_equal_a_loop_over_the_explicit_resample(self, seed, k, weights):
+        data = random_small_dataset(np.random.default_rng(seed), k=k)
+        w = np.array(weights[:data.n])
+        assume(w.sum() > 0)
+        idx = np.repeat(np.arange(data.n), w)
+        resample = take(data, idx)
+        rank = {i: r for r, i in enumerate(dict.fromkeys(idx.tolist()))}  # among w > 0
+        for cause in range(1, k + 1):
+            ws = _CauseWorkspace(data, cause, w)
+            per_time, count_sum = {}, [0] * len(rank)  # time -> (observations, count total)
+            for i, s in zip(idx, resample.subjects):
+                for t, c in zip(s.times, s.counts[cause - 1]):
+                    obs, total = per_time.get(t, (0, 0))
+                    per_time[t] = (obs + 1, total + c)
+                    count_sum[rank[i]] += c
+            times = sorted(per_time)
+            np.testing.assert_array_equal(ws.times, times)
+            np.testing.assert_array_equal(ws.n_obs, [per_time[t][0] for t in times])
+            np.testing.assert_array_equal(ws.count_total, [per_time[t][1] for t in times])
+            np.testing.assert_array_equal(ws.count_sum, count_sum)
+
 
 @pytest.fixture(scope="module")
 def table1_seed0_fit():
