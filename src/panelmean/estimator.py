@@ -13,8 +13,12 @@ evaluation runs one PAVA and is computed from per-time sums: with
 C_q the count total and S_q the exp(beta'z) sum over the epochs at
 distinct time q, l = sum_q C_q log v_q + beta' sum_i N_i z_i - S'v.  The
 fit stops on the gradient, in units of beta times covariate range.
-Subjects may carry integer weights (multiplicities), which is how a
-bootstrap replicate is fitted on its parent's arrays.
+
+Fits run as columns.  A column is one cause, one vector of subject
+weights (integer multiplicities: a bootstrap replicate is the weights of
+its draw) and one starting beta, and one Newton loop steps all columns
+of a call in lockstep.  Every sum over epochs is a sparse product with
+the time x subject incidence matrix, taken for all columns at once.
 """
 
 from __future__ import annotations
@@ -22,17 +26,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .data import PanelDataset, _check_cause
 from .errors import ConvergenceError, NumericError
 from .isotonic import StepFunction, _isotonic_baseline
 
 _MAX_HALVINGS = 30
-_BETA_BOUND = 15.0  # on |beta_l| * z_range_l, see _check_divergence
+_BETA_BOUND = 15.0  # on |beta_l| * z_range_l, see _newton
 _MAX_STEPS = 50  # Newton steps of fit and of beta_step
 _NEWTON_TOL = 1e-8  # norm of gradient / z_range at which Newton stops
 _MAX_CONDITION = 1e12  # of the range-scaled information; beyond it, singular
 _MAX_LP = 600.0  # on |beta'z| at a trial point; e^600 ~ 1e261 leaves sums and ratios room
+_CHUNK_FLOATS = 2**15  # per (subjects or times) x columns array of one lockstep call
+
+_SINGULAR = ("singular information matrix: covariates are collinear, "
+             "or constant within the baseline's blocks")
 
 
 @dataclass
@@ -51,189 +60,370 @@ class CauseFit:
     error: str | None = None
 
 
-class _CauseWorkspace:
-    """Per-cause view of the dataset's flat arrays, reused across iterations,
-    and the one place a cause's epochs are summed.
+def _csr(data: np.ndarray, indices: np.ndarray, row_sizes: np.ndarray, n_cols: int) -> csr_array:
+    indptr = np.zeros(row_sizes.size + 1, dtype=np.intp)
+    np.cumsum(row_sizes, out=indptr[1:])
+    return csr_array((data, indices, indptr), shape=(row_sizes.size, n_cols))
 
-    Epochs are the pooled (subject, observation) pairs; `inverse` maps
-    each epoch to its distinct-time index and `subj` to its subject.
-    `weights` (default all 1) gives each subject a multiplicity: a
-    bootstrap replicate is the integer weights of its draw.  Only subjects
-    of positive weight, and the distinct times they are observed at, take
-    part, so the workspace is that of the explicitly resampled data with
-    repeats summed; it shares the dataset's arrays when `weights` is None.
-    Per distinct time it holds the weighted observation count `n_obs`, the
-    count total `count_total` and their ratio `mean_count`; per subject,
-    the weighted count total `count_sum`.
+
+class _CauseWorkspace:
+    """m fit columns over one dataset's flat arrays, and the one place
+    their epochs are summed.
+
+    Column c fits cause `causes[c]` with subject weights `weights[:, c]`
+    (default all 1).  Only subjects of positive weight, and the distinct
+    times they are observed at (the column's used times), take part, so a
+    column is the explicitly resampled data with repeats summed.
+
+    Epochs are the pooled (subject, observation) pairs.  They are summed
+    through the time x subject incidence `inc` (one 1 per epoch) and its
+    transpose `inc_t`: per-time sums of per-subject values X (n x m) are
+    `inc @ X`, and per-subject sums of per-time values V (r x m) are
+    `inc_t @ V`.  Per-time and per-subject results are kept with one row
+    per column, so sums over times run along rows, and the products with
+    Z (linear predictors, gradients, Hessians) are made column by column.
+    Each sum adds a column's terms in a fixed order, so no column's
+    numbers depend on the other columns of the call.
+
+    Per column and time, `total` holds the weighted count total C_q; per
+    column, `zcs` holds Z' times the weighted per-subject count totals
+    (the beta-linear part of l) and `z_range` each covariate's range over
+    the column's subjects (|z_l| if all share it, 1 if that is 0): the
+    unit in which beta_l * z_l is judged.
+
+    A scalar `cause` (and 1-D `weights`) makes the one-column view, which
+    also holds 1-D arrays: on the column's used times `times`, `r`, the
+    weighted observation count `n_obs`, `count_total` and their ratio
+    `mean_count`; per subject the weighted count total `count_sum`.  Its
+    `inverse` maps each epoch to its index in `times` (a zero-weight
+    subject's epoch at an unused time, to the used time before it).
     """
 
-    def __init__(self, data: PanelDataset, cause: int, weights: np.ndarray | None = None):
-        _check_cause(data, cause)
+    def __init__(self, data: PanelDataset, cause, weights: np.ndarray | None = None):
+        self.causes = causes = np.atleast_1d(cause)
+        for j in set(causes.tolist()):
+            _check_cause(data, j)
         a = data.arrays
-        self.d = data.d
-        self.subj, self.Z, self.times, self.inverse = a.subj, a.Z, a.times, a.inverse
-        self.n_all = a.counts[cause - 1]
-        self.w = np.ones(data.n)
-        if weights is not None:
-            pos = weights > 0
-            keep = pos[a.subj]
-            self.subj = (np.cumsum(pos) - 1)[a.subj[keep]]
-            self.n_all = self.n_all[keep]
-            self.w = weights[pos].astype(float)
-            self.Z = np.compress(pos, a.Z, axis=0)  # a row gather, faster than a.Z[pos]
-            inverse = a.inverse[keep]
-            used = np.zeros(a.times.size, dtype=bool)
-            used[inverse] = True
-            self.times = a.times[used]
-            self.inverse = (np.cumsum(used) - 1)[inverse]
-        self.n = self.w.size
-        w_epoch = self.w[self.subj]
-        w_count = w_epoch * self.n_all
-        # per distinct time: weighted observations and count total C_q
-        self.n_obs = np.bincount(self.inverse, weights=w_epoch)
-        self.count_total = np.bincount(self.inverse, weights=w_count)
-        self.mean_count = self.count_total / self.n_obs
-        # per subject: weighted count total, for the collapsed gradient/Hessian
-        self.count_sum = np.bincount(self.subj, weights=w_count, minlength=self.n)
-        # each covariate's range over subjects (|z_l| if all share it, 1 if
-        # that is 0): the unit in which beta_l * z_l is judged
-        zt = self.Z.T.copy()  # reductions along contiguous rows are much faster
-        spread = np.ptp(zt, axis=1)
-        shared = np.where(spread > 0, spread, np.abs(zt[:, 0]))
-        self.z_range = np.where(shared > 0, shared, 1.0)
+        n, r, m = data.n, a.times.size, causes.size
+        self.d, self.n, self.Z = data.d, n, a.Z
+        self.subj, self.inverse = a.subj, a.inverse
+        self.all_times = self.times = a.times
+        per_subj = np.bincount(a.subj, minlength=n)
+        self.inc_t = _csr(np.ones(a.subj.size), a.inverse, per_subj, r)
+        self.inc = self.inc_t.T  # a CSC view: still adds a time's epochs in subject order
+
+        self.w = None if weights is None else np.asarray(weights, dtype=float).reshape(n, m)
+        self.active = None if weights is None or self.w.min() > 0 else self.w > 0
+        if weights is None:  # unit weights: bincounts add the same terms in the same order
+            obs = np.broadcast_to(np.bincount(a.inverse, minlength=r).astype(float), (m, r))
+            self.total = np.array([np.bincount(a.inverse, weights=a.counts[j - 1], minlength=r)
+                                   for j in causes])
+        else:
+            obs = np.ascontiguousarray((self.inc @ self.w).T)
+            self.total = np.empty((m, r))
+            for j in set(causes.tolist()):
+                col = causes == j
+                inc_counts = _csr(a.counts[j - 1], a.inverse, per_subj, r).T
+                self.total[col] = (inc_counts @ self.w[:, col]).T
+        self.no_count = (self.total == 0).astype(float)
+        self.z_range = _z_range(a.Z, self.active, m)
+
+        # per column: Z' times its weighted per-subject count totals; and
+        # what its PAVA needs: its used times (None: all), for each time the
+        # used time at or before it (the first before any), and the
+        # observation counts and mean counts there
+        subj_total = {j: np.bincount(a.subj, weights=a.counts[j - 1], minlength=n)
+                      for j in set(causes.tolist())}
+        self.zcs = np.empty((m, self.d))
+        self._pava = []
+        all_used = bool((obs > 0).all())
+        for c, (o, t) in enumerate(zip(obs, self.total)):
+            count_sum = subj_total[causes[c]]
+            self.zcs[c] = a.Z.T @ (count_sum if weights is None else self.w[:, c] * count_sum)
+            u = fill = None
+            if not all_used:
+                used = o > 0
+                u = np.flatnonzero(used)
+                fill = np.maximum(np.cumsum(used) - 1, 0)
+                o, t = o[u], t[u]
+            self._pava.append((u, fill, o, t / o))
+
+        if np.ndim(cause) == 0:
+            u, fill, self.n_obs, self.mean_count = self._pava[0]
+            self.count_total = self.total[0] if u is None else self.total[0, u]
+            self.count_sum = np.bincount(a.subj, weights=a.counts[cause - 1], minlength=n)
+            if weights is not None:
+                self.count_sum *= self.w[:, 0]
+            if u is not None:
+                self.times, self.inverse = a.times[u], fill[a.inverse]
 
     @property
     def r(self) -> int:
         return self.times.size
 
-    def exp_lp(self, beta: np.ndarray) -> np.ndarray:
-        """Per-subject exp(beta'z)."""
-        return np.exp(self.Z @ beta)
+    def linear_predictor(self, beta: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Per subject and column in `cols`, beta'z at that column's row of
+        `beta` (len(cols) x d); 0 off the column's subjects."""
+        lp = np.array([self.Z @ b for b in beta]).reshape(-1, self.n).T.copy()
+        if self.active is not None:
+            lp *= self.active[:, cols]
+        return lp
 
-    def exposure(self, beta: np.ndarray) -> np.ndarray:
-        """Per distinct time, S_q: the weighted sum of exp(beta'z) over its epochs."""
-        return np.bincount(self.inverse, weights=(self.w * self.exp_lp(beta))[self.subj],
-                           minlength=self.times.size)
+    def _weighted_exp(self, lp: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """w exp(lp), in the place of `lp`."""
+        e = np.exp(lp, out=lp)
+        if self.w is not None:
+            e *= self.w[:, cols]
+        return e
 
-    def baseline_values(self, exposure: np.ndarray) -> np.ndarray:
-        """Isotonic baseline values at the distinct times for fixed beta,
-        given `exposure` = `self.exposure(beta)`."""
-        return _isotonic_baseline(self.mean_count, self.n_obs, exposure / self.n_obs)
+    def exposure(self, beta: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Per column and time, S_q: the weighted sum of exp(beta'z) over its epochs."""
+        return self._exposure(self._weighted_exp(self.linear_predictor(beta, cols), cols))
 
-    def loglik(self, beta: np.ndarray, values: np.ndarray, exposure: np.ndarray) -> float:
-        """Full objective at (beta, baseline values), from per-time sums:
-        sum_q C_q log v_q + count_sum'Z beta - S'v, with S the `exposure`
-        at beta; -inf if a positive count sits on a zero value."""
-        pos = self.count_total > 0
-        if np.any(values[pos] == 0):
-            return -np.inf
-        ll = float(self.count_total[pos] @ np.log(values[pos]))
-        ll += float(self.count_sum @ (self.Z @ beta))
-        ll -= float(exposure @ values)
-        return ll
+    def _exposure(self, wez: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray((self.inc @ wez).T)
+
+    def baseline_values(self, exposure: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Per column and time, the isotonic baseline at fixed beta, given
+        `exposure` = `self.exposure(beta, cols)`; one PAVA per column on
+        its used times, whose values the unused times repeat."""
+        values = np.empty_like(exposure)
+        for i, c in enumerate(cols):
+            u, fill, n_obs, mean_count = self._pava[c]
+            s = exposure[i] if u is None else exposure[i, u]
+            v = _isotonic_baseline(mean_count, n_obs, s / n_obs)
+            values[i] = v if u is None else v[fill]
+        return values
+
+    def loglik(self, beta: np.ndarray, values: np.ndarray, exposure: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+        """Full objective of each column at (beta, baseline values), from
+        per-time sums: sum_q C_q log v_q + beta'zcs - S'v, with S the
+        `exposure` at beta; -inf if a positive count sits on a zero value."""
+        terms = values + self.no_count[cols]
+        with np.errstate(divide="ignore"):  # log 0 = -inf: kept where C_q > 0
+            np.log(terms, out=terms)
+        terms *= self.total[cols]
+        terms -= exposure * values
+        return terms.sum(axis=1) + (beta * self.zcs[cols]).sum(axis=1)
+
+    def evaluate(self, beta: np.ndarray, cols: np.ndarray):
+        """l_p of each column in `cols` at its row of `beta` (-inf where
+        some |beta'z| > _MAX_LP, see _newton), and the state (baseline
+        values, exposure) its derivatives reuse."""
+        lp = self.linear_predictor(beta, cols)
+        over = np.zeros(len(cols), dtype=bool)
+        if not (lp.max(initial=0.0) <= _MAX_LP and -lp.min(initial=0.0) <= _MAX_LP):  # rare
+            over = ~(np.abs(lp).max(axis=0) <= _MAX_LP)  # or not a number
+            lp[:, over] = 0.0
+        exposure = self._exposure(self._weighted_exp(lp, cols))
+        values = self.baseline_values(exposure, cols)
+        ll = self.loglik(beta, values, exposure, cols)
+        ll[over] = -np.inf
+        return ll, (values, exposure)
+
+    def derivs(self, beta: np.ndarray, state, cols: np.ndarray):
+        """Gradient (rows) and Hessian of l_p at beta for each column in
+        `cols`; per block B, a run of equal `values` (each N_B / E_B for
+        the isotonic baseline at beta), the exp(beta'z)-weighted mean m_B
+        of z over its epochs; and where each block starts, as a flat index
+        into the (column, time) cells.  By the envelope theorem the
+        gradient is the fixed-baseline one; the Hessian is the
+        fixed-baseline one plus sum_B N_B m_B m_B'.  `state` is (values,
+        exposure) as `evaluate` gives it."""
+        values, exposure = state
+        m, r, d = values.shape[0], values.shape[1], self.d
+        wez = self._weighted_exp(self.linear_predictor(beta, cols), cols)
+        # per subject, w exp(beta'z) times its epochs' values, one row per column
+        mu = np.ascontiguousarray((self.inc_t @ values.T).T)
+        mu *= wez.T
+        grad = self.zcs[cols] - np.array([self.Z.T @ row for row in mu]).reshape(m, d)
+        hess = -np.array([(self.Z * row[:, None]).T @ self.Z for row in mu]).reshape(m, d, d)
+        # blocks in (column, time) order: each column's first at its first time
+        new = np.ones((m, r), dtype=bool)
+        np.greater(values[:, 1:], values[:, :-1], out=new[:, 1:])
+        start = np.flatnonzero(new)
+        mean = np.empty((start.size, d))
+        for l, z in enumerate(self.Z.T):  # per block, sum of w exp(beta'z) z_l over its epochs
+            mean[:, l] = np.add.reduceat((self.inc @ (wez * z[:, None])).T.ravel(), start)
+        mean /= np.add.reduceat(exposure.ravel(), start)[:, None]
+        count = np.add.reduceat(self.total[cols].ravel(), start)
+        hess += np.add.reduceat(count[:, None, None] * mean[:, :, None] * mean[:, None, :],
+                                np.searchsorted(start, np.arange(0, m * r, r)), axis=0)
+        return grad, hess, mean, start
+
+    def cause_fit(self, path: "_Path", c: int) -> CauseFit:
+        """Column c of `path` as a CauseFit."""
+        u = self._pava[c][0]
+        values = path.state[0][c]
+        error = path.error[c]
+        return CauseFit(
+            cause=int(self.causes[c]),
+            beta=path.beta[c].copy(),
+            baseline=StepFunction(self.all_times.copy() if u is None else self.all_times[u],
+                                  values.copy() if u is None else values[u]),
+            loglik_trace=path.trace[c],
+            iterations=max(len(path.trace[c]) - 1, 1),
+            converged=bool(path.converged[c]),
+            error=None if error is None else str(error),
+        )
+
+
+def _z_range(Z: np.ndarray, active: np.ndarray | None, m: int) -> np.ndarray:
+    """Each covariate's range over each column's subjects (m x d), |z_l|
+    when they all share it, 1 when that is 0; computed once when every
+    column has every subject."""
+    if active is None:
+        zt = Z.T.copy()  # reductions along contiguous rows are much faster
+        hi, lo = zt.max(axis=1, initial=-np.inf)[None], zt.min(axis=1, initial=np.inf)[None]
+    else:
+        hi, lo = np.empty((m, Z.shape[1])), np.empty((m, Z.shape[1]))
+        for l, z in enumerate(Z.T):
+            hi[:, l] = np.where(active, z[:, None], -np.inf).max(axis=0)
+            lo[:, l] = np.where(active, z[:, None], np.inf).min(axis=0)
+    spread = hi - lo
+    shared = np.where(spread > 0, spread, np.abs(hi))
+    return np.broadcast_to(np.where(shared > 0, shared, 1.0), (m, Z.shape[1]))
 
 
 def _profile_grad_hess(ws: _CauseWorkspace, lam_sub: np.ndarray,
                        beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient and Hessian of the fixed-baseline beta profile,
-    collapsed to per-subject sums (`lam_sub` carries the subject weights)."""
+    """Analytic gradient and Hessian of the fixed-baseline beta profile of
+    a one-column workspace, collapsed to per-subject sums (`lam_sub`
+    carries the subject weights)."""
     mu_sub = np.exp(ws.Z @ beta) * lam_sub
     grad = ws.Z.T @ (ws.count_sum - mu_sub)
     hess = -(ws.Z * mu_sub[:, None]).T @ ws.Z
     return grad, hess
 
 
-def _profile_derivs(ws: _CauseWorkspace, beta: np.ndarray, values: np.ndarray,
-                    exposure: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient and Hessian of l_p at beta; per block B, a run of equal
-    `values` (each N_B / E_B for the isotonic baseline at beta), the
-    exp(beta'z)-weighted mean m_B of z over its epochs; and each epoch's
-    block.  By the envelope theorem the gradient is the fixed-baseline
-    one; the Hessian is the fixed-baseline one plus sum_B N_B m_B m_B'.
-    `exposure` is `ws.exposure(beta)`."""
-    lam_sub = ws.w * np.bincount(ws.subj, weights=values[ws.inverse], minlength=ws.n)
-    grad, hess = _profile_grad_hess(ws, lam_sub, beta)
-    block_t = np.cumsum(np.r_[False, np.diff(values) > 0])
-    block, wez = block_t[ws.inverse], ws.w * ws.exp_lp(beta)
-    mean = np.array([np.bincount(block, weights=(wez * z)[ws.subj]) for z in ws.Z.T]).T
-    mean /= np.bincount(block_t, weights=exposure)[:, None]
-    count = np.bincount(block_t, weights=ws.count_total)
-    return grad, hess + (mean * count[:, None]).T @ mean, mean, block
-
-
-def _inverse_information(hess: np.ndarray, z_range: np.ndarray) -> np.ndarray:
-    """(-hess)^-1, after a condition test in units of beta * z_range."""
-    unit = np.outer(z_range, z_range)
+def _inverse_information(hess: np.ndarray, z_range: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-hess)^-1 of each column (hess is m x d x d), after a condition
+    test in units of beta * z_range; and which columns fail the test."""
+    unit = z_range[:, :, None] * z_range[:, None, :]
     scaled = -hess * unit
-    eig, vec = np.linalg.eigh(scaled) if np.all(np.isfinite(scaled)) else (np.zeros(1), None)
-    if eig[0] <= eig[-1] / _MAX_CONDITION:  # or not finite, or all zero
-        raise NumericError("singular information matrix: covariates are collinear, "
-                           "or constant within the baseline's blocks")
-    return (vec / eig) @ vec.T * unit
+    finite = np.all(np.isfinite(scaled), axis=(1, 2))
+    eig, vec = np.linalg.eigh(np.where(finite[:, None, None], scaled, 0.0))
+    singular = eig[:, 0] <= eig[:, -1] / _MAX_CONDITION  # or not finite, or all zero
+    eig[singular] = 1.0
+    return (vec / eig[:, None, :]) @ vec.transpose(0, 2, 1) * unit, singular
 
 
 @dataclass
 class _Path:
-    """Accepted Newton iterates: each objective value; the last beta and state."""
+    """Each column's accepted Newton iterates (its objective values, its
+    last beta row and state), whether it converged and why it stopped."""
 
-    trace: list[float] = field(default_factory=list)
-    beta: np.ndarray | None = None
-    state: object = None
+    trace: list[list[float]]
+    beta: np.ndarray
+    state: tuple
+    converged: np.ndarray
+    error: list
 
-    def accept(self, beta: np.ndarray, obj: float, state) -> None:
-        self.trace.append(obj)
-        self.beta, self.state = beta, state
+    def accept(self, cols: np.ndarray, beta: np.ndarray, obj: np.ndarray, state) -> None:
+        self.beta[cols] = beta
+        for full, part in zip(self.state, state):
+            full[cols] = part
+        for c, o in zip(cols, obj.tolist()):
+            self.trace[c].append(o)
 
 
-def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs, path: _Path) -> bool:
-    """Maximize a concave objective in beta by damped Newton steps.
+def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs) -> _Path:
+    """Maximize a concave objective in beta for each column by damped
+    Newton steps, all columns in lockstep.
 
-    `evaluate(beta)` gives (objective, state), `derivs(beta, state)` the
-    gradient and Hessian.  Steps halve until the objective does not drop;
-    a trial point with some |beta'z| > _MAX_LP is skipped unevaluated, so
-    exp(beta'z) stays inside the float range.  Accepted iterates, the start
-    first, go to `path`.  True once the gradient in beta * z_range units
-    (a stop that ignores the covariates' units) is within _NEWTON_TOL;
-    False after _MAX_STEPS steps.
+    `beta` holds a starting row per column.  `evaluate(beta, cols)` gives
+    the objective of columns `cols` at the rows of beta (-inf, unevaluated,
+    where some |beta'z| > _MAX_LP, so exp(beta'z) stays inside the float
+    range), and a state: a tuple of arrays with a row per column.
+    `derivs(beta, state, cols)` gives their gradients (rows) and Hessians.
+    A column's steps halve until its objective does not drop.  Accepted
+    iterates, the start first, go to the returned path.  A column
+    converges once its gradient in beta * z_range units (a stop that
+    ignores the covariates' units) is within _NEWTON_TOL, stops
+    unconverged after _MAX_STEPS steps, and stops with an error on the
+    path when it diverges, its information is singular or no halving
+    improves it.
     """
-    path.accept(beta, *evaluate(beta))
-    if not np.isfinite(path.trace[0]):
-        raise NumericError("objective not finite at the starting point")
-    while path.beta.size:  # no coefficients: the start is the maximizer
-        _check_divergence(path.beta, ws.z_range)
-        grad, hess = derivs(path.beta, path.state)
-        if np.linalg.norm(grad / ws.z_range) <= _NEWTON_TOL:
-            return True
-        if len(path.trace) > _MAX_STEPS:
-            return False
-        step = _inverse_information(hess, ws.z_range) @ grad
-        floor = path.trace[-1] - 1e-12 * max(1.0, abs(path.trace[-1]))
+    m = beta.shape[0]
+    obj, state = evaluate(beta, np.arange(m))
+    path = _Path([[o] for o in obj.tolist()], beta.copy(), state, np.zeros(m, dtype=bool),
+                 [None] * m)
+    run = np.isfinite(obj)
+    for c in np.flatnonzero(~run):
+        path.error[c] = NumericError("objective not finite at the starting point")
+    if not beta.shape[1]:  # no coefficients: the start is the maximizer
+        path.converged[:], run[:] = run, False
+    while run.any():
+        cols = np.flatnonzero(run)
+        run[:] = False
+        b, z_range = path.beta[cols], ws.z_range[cols]
+        grad, hess = derivs(b, tuple(s[cols] for s in path.state), cols)[:2]
+        diverged = np.any(np.abs(b) * z_range > _BETA_BOUND, axis=1)
+        done = ~diverged & (np.linalg.norm(grad / z_range, axis=1) <= _NEWTON_TOL)
+        path.converged[cols[done]] = True
+        for c in cols[diverged]:
+            path.error[c] = _diverged(path.beta[c])
+        stepping = ~diverged & ~done & (np.array([len(path.trace[c]) for c in cols]) <= _MAX_STEPS)
+        if not stepping.any():
+            continue
+        cols, b, grad = cols[stepping], b[stepping], grad[stepping]
+        inv, singular = _inverse_information(hess[stepping], z_range[stepping])
+        for c in cols[singular]:
+            path.error[c] = NumericError(_SINGULAR)
+        cols, b, grad, inv = cols[~singular], b[~singular], grad[~singular], inv[~singular]
+        step = (inv @ grad[:, :, None])[:, :, 0]
+        last = np.array([path.trace[c][-1] for c in cols])
+        floor = last - 1e-12 * np.maximum(1.0, np.abs(last))
+        pending = np.ones(cols.size, dtype=bool)
         for halving in range(_MAX_HALVINGS):
-            cand = path.beta + 0.5 ** halving * step
-            if np.max(np.abs(ws.Z @ cand)) <= _MAX_LP:
-                obj, state = evaluate(cand)
-                if obj >= floor:
-                    path.accept(cand, obj, state)
-                    break
-        else:
-            raise ConvergenceError("Newton step could not improve the objective (or |beta'z| "
-                                   f"reached {_MAX_LP:g}: center covariates far from 0)",
-                                   last_beta=path.beta)
-    return True
+            if not pending.any():
+                break
+            cand = b + 0.5 ** halving * step
+            obj, state = evaluate(cand[pending], cols[pending])
+            better = obj >= floor[pending]
+            took = np.flatnonzero(pending)[better]
+            path.accept(cols[took], cand[took], obj[better], (s[better] for s in state))
+            pending[took] = False
+        run[cols[~pending]] = True
+        for c in cols[pending]:
+            path.error[c] = ConvergenceError(
+                "Newton step could not improve the objective (or |beta'z| "
+                f"reached {_MAX_LP:g}: center covariates far from 0)",
+                last_beta=path.beta[c].copy())
+    for c in range(m):
+        try:
+            _assert_ascending(path.trace[c])
+        except NumericError as exc:
+            path.converged[c], path.error[c] = False, exc
+    return path
 
 
-def _check_divergence(beta: np.ndarray, z_range: np.ndarray) -> None:
+def _diverged(beta: np.ndarray) -> ConvergenceError:
     """A coefficient that moves exp(beta'z) by more than e^15 across its
     covariate's range means the profile maximum is at infinity.  On a
     covariate level with no events each Newton step moves |beta_l| * z_range_l
     by about 1, so the check fires after the same steps in any unit."""
-    if np.any(np.abs(beta) * z_range > _BETA_BOUND):
-        raise ConvergenceError(
-            "beta diverged (coefficient times covariate range beyond "
-            f"{_BETA_BOUND:g}); the profile maximum is at infinity, e.g. a "
-            "covariate level with no observed events",
-            last_beta=beta,
-        )
+    return ConvergenceError(
+        "beta diverged (coefficient times covariate range beyond "
+        f"{_BETA_BOUND:g}); the profile maximum is at infinity, e.g. a "
+        "covariate level with no observed events",
+        last_beta=beta.copy(),
+    )
+
+
+def _lockstep(data: PanelDataset, causes: np.ndarray, start: np.ndarray, weights=None):
+    """Fit column c, cause `causes[c]` from the row `start[c]`, with the
+    subject weights `weights(cols)` gives (n x len(cols); default all 1).
+
+    Columns run in chunks, so that no array of a chunk holds more than
+    _CHUNK_FLOATS floats per subject or distinct time.  Yields each
+    chunk's column indices, workspace and path."""
+    size = max(1, _CHUNK_FLOATS // max(data.n, data.arrays.times.size))
+    for lo in range(0, len(causes), size):
+        cols = np.arange(lo, min(lo + size, len(causes)))
+        ws = _CauseWorkspace(data, causes[cols], None if weights is None else weights(cols))
+        yield cols, ws, _newton(ws, start[cols], ws.evaluate, ws.derivs)
 
 
 def aggregate(data: PanelDataset, cause: int) -> _CauseWorkspace:
@@ -242,6 +432,9 @@ def aggregate(data: PanelDataset, cause: int) -> _CauseWorkspace:
     `mean_count` (their mean cumulative count) and `r` (number of times)
     the fit uses.  Times and observation counts are shared across causes."""
     return _CauseWorkspace(data, cause)
+
+
+_ONE = np.arange(1)  # the column of a one-column workspace
 
 
 def log_pseudo_likelihood(data: PanelDataset, cause: int, beta,
@@ -255,15 +448,15 @@ def log_pseudo_likelihood(data: PanelDataset, cause: int, beta,
     ws = _CauseWorkspace(data, cause)
     if ws.times[0] < baseline.knots[0] or ws.times[-1] > baseline.knots[-1]:
         raise ValueError("baseline knots do not cover the observation times")
-    values = baseline(ws.times)
-    beta = _as_beta(beta, ws.d)
-    return ws.loglik(beta, values, ws.exposure(beta))
+    beta = _as_beta(beta, ws.d)[None]
+    return float(ws.loglik(beta, baseline(ws.times)[None], ws.exposure(beta, _ONE), _ONE)[0])
 
 
 def baseline_step(data: PanelDataset, cause: int, beta) -> StepFunction:
     """Exact baseline maximizer at fixed beta (profile step)."""
     ws = _CauseWorkspace(data, cause)
-    return StepFunction(ws.times.copy(), ws.baseline_values(ws.exposure(_as_beta(beta, ws.d))))
+    exposure = ws.exposure(_as_beta(beta, ws.d)[None], _ONE)
+    return StepFunction(ws.times.copy(), ws.baseline_values(exposure, _ONE)[0])
 
 
 def beta_step(data: PanelDataset, cause: int, baseline: StepFunction, beta_start) -> np.ndarray:
@@ -274,13 +467,23 @@ def beta_step(data: PanelDataset, cause: int, baseline: StepFunction, beta_start
     if ws.times[0] < baseline.knots[0] or ws.times[-1] > baseline.knots[-1]:
         raise ValueError("baseline knots do not cover the observation times")
     lam_sub = np.bincount(ws.subj, weights=baseline(ws.times)[ws.inverse], minlength=ws.n)
-    path = _Path()
-    if not _newton(ws, _as_beta(beta_start, ws.d).copy(),
-                   lambda b: (float(ws.count_sum @ (ws.Z @ b) - ws.exp_lp(b) @ lam_sub), None),
-                   lambda b, _: _profile_grad_hess(ws, lam_sub, b), path):
+
+    def objective(b, cols):
+        lp = ws.Z @ b[0]
+        if not np.max(np.abs(lp)) <= _MAX_LP:
+            return np.array([-np.inf]), ()
+        return np.array([ws.count_sum @ lp - np.exp(lp) @ lam_sub]), ()
+
+    def derivs(b, state, cols):
+        return [x[None] for x in _profile_grad_hess(ws, lam_sub, b[0])]
+
+    path = _newton(ws, _as_beta(beta_start, ws.d)[None], objective, derivs)
+    if path.error[0] is not None:
+        raise path.error[0]
+    if not path.converged[0]:
         raise ConvergenceError(f"beta step did not converge in {_MAX_STEPS} Newton "
-                               "iterations", last_beta=path.beta)
-    return path.beta
+                               "iterations", last_beta=path.beta[0])
+    return path.beta[0]
 
 
 def _as_beta(beta, d: int) -> np.ndarray:
@@ -292,39 +495,6 @@ def _as_beta(beta, d: int) -> np.ndarray:
     return beta
 
 
-def _fit_cause(data: PanelDataset, cause: int, weights: np.ndarray | None = None,
-               start: np.ndarray | None = None) -> CauseFit:
-    """Fit one cause with subject `weights` (see _CauseWorkspace) by Newton
-    steps from `start` (default beta = 0).  l_p is concave, so the start
-    changes the path, not the maximizer; the bootstrap starts each
-    replicate at the full-data beta."""
-    ws = _CauseWorkspace(data, cause, weights)
-
-    def profile(beta):
-        exposure = ws.exposure(beta)
-        values = ws.baseline_values(exposure)
-        return ws.loglik(beta, values, exposure), (values, exposure)
-
-    path = _Path()
-    try:
-        converged, error = _newton(ws, np.zeros(ws.d) if start is None else start, profile,
-                                   lambda b, state: _profile_derivs(ws, b, *state)[:2],
-                                   path), None
-    except (ConvergenceError, NumericError) as exc:
-        converged, error = False, str(exc)
-
-    _assert_ascending(path.trace)
-    return CauseFit(
-        cause=cause,
-        beta=path.beta,
-        baseline=StepFunction(ws.times.copy(), path.state[0]),
-        loglik_trace=path.trace,
-        iterations=max(len(path.trace) - 1, 1),
-        converged=converged,
-        error=error,
-    )
-
-
 def _assert_ascending(trace: list[float]) -> None:
     for a, b in zip(trace, trace[1:]):
         if b < a - 1e-9 * max(1.0, abs(a)):
@@ -334,9 +504,10 @@ def _assert_ascending(trace: list[float]) -> None:
 def fit(data: PanelDataset) -> list[CauseFit]:
     """Fit every recurrence mode independently.
 
-    Each fit starts at beta = 0, where the baseline is the plain
-    no-covariate isotonic estimator, and takes Newton steps to the
-    gradient stop; one that reaches _MAX_STEPS steps first is returned
+    Each cause is a column of one lockstep Newton loop (see _lockstep),
+    with unit weights.  Each fit starts at beta = 0, where the baseline is
+    the plain no-covariate isotonic estimator, and takes Newton steps to
+    the gradient stop; one that reaches _MAX_STEPS steps first is returned
     with converged False and no error.
 
     Causes are separable (the joint objective is the sum of per-cause
@@ -344,7 +515,10 @@ def fit(data: PanelDataset) -> list[CauseFit]:
     cause is reported on its CauseFit (error set, converged False) and
     does not stop the others.
     """
-    return [_fit_cause(data, j) for j in range(1, data.k + 1)]
+    causes = np.arange(1, data.k + 1)
+    return [ws.cause_fit(path, i)
+            for cols, ws, path in _lockstep(data, causes, np.zeros((data.k, data.d)))
+            for i in range(cols.size)]
 
 
 def _replicate_betas(B: int, fit_replicate) -> tuple[list[np.ndarray], int]:

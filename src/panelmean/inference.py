@@ -1,12 +1,12 @@
 """Standard errors for the regression coefficients.
 
 Two routes: a nonparametric bootstrap that resamples subjects with
-replacement and refits (default, assumption-light), each replicate as
-subject weights on the dataset's own arrays, warm-started at the
-full-data beta; and a plug-in sandwich estimator built from empirical
-analogues of the asymptotic covariance pieces.  Both report
-per-coefficient standard errors and two-sided Wald p-values against the
-normal reference.
+replacement and refits (default, assumption-light), each replicate and
+cause a column of weights on the dataset's own arrays, warm-started at
+the full-data beta, all fitted in lockstep Newton loops; and a plug-in
+sandwich estimator built from empirical analogues of the asymptotic
+covariance pieces.  Both report per-coefficient standard errors and
+two-sided Wald p-values against the normal reference.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import numpy as np
 from scipy import special
 
 from .data import PanelDataset
-from .errors import InferenceError
-from .estimator import (CauseFit, _CauseWorkspace, _fit_cause, _inverse_information,
-                        _profile_derivs, _replicate_betas, fit)
+from .errors import InferenceError, NumericError
+from .estimator import (_ONE, _SINGULAR, CauseFit, _CauseWorkspace, _inverse_information,
+                        _lockstep, fit)
 
 _DEFAULT_BOOT_REPS = 300
 
@@ -55,10 +55,13 @@ def bootstrap_se(data: PanelDataset, B: int = _DEFAULT_BOOT_REPS,
     subject weights, how often each subject was drawn, on the dataset's
     own arrays (the multinomial case of the exchangeably weighted
     bootstrap, Praestgaard & Wellner 1993), so no resampled dataset is
-    built; each cause's Newton steps start at its full-data beta.
+    built.  Each (replicate, cause) pair is one column of a lockstep
+    Newton loop (see estimator._lockstep), started at the cause's
+    full-data beta; the columns run in chunks that bound the memory.
     Replicate RNG streams are derived from (seed, replicate index), so the
-    result is reproducible and independent of evaluation order.
-    Replicates where any cause fails to converge are dropped and counted.
+    result is reproducible and independent of evaluation order and
+    chunking.  Replicates where any cause fails to converge are dropped
+    and counted.  With no covariates there is nothing to refit.
     """
     if B < 2:
         raise ValueError("need at least 2 bootstrap replicates")
@@ -67,22 +70,31 @@ def bootstrap_se(data: PanelDataset, B: int = _DEFAULT_BOOT_REPS,
         if cf.error is not None:
             raise InferenceError(f"cause {cf.cause} failed on the original data: {cf.error}")
 
-    n = data.n
+    n, k, d = data.n, data.k, data.d
 
-    def fit_replicate(b):
-        rng = np.random.default_rng([seed, b])
-        weights = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        return [_fit_cause(data, cf.cause, weights, start=cf.beta) for cf in base]
+    def weights(cols):
+        w = np.empty((n, cols.size))
+        for b in np.unique(cols // k):  # replicate b's causes share its draw
+            draw = np.random.default_rng([seed, b]).integers(0, n, size=n)
+            w[:, cols // k == b] = np.bincount(draw, minlength=n)[:, None]
+        return w
 
-    betas, failures = _replicate_betas(B, fit_replicate)
-
-    if len(betas) < 2:
+    betas = np.zeros((B * k, d))
+    converged = np.ones(B * k, dtype=bool)
+    if d:
+        causes = np.tile(np.arange(1, k + 1), B)
+        start = np.tile([cf.beta for cf in base], (B, 1))
+        for cols, _, path in _lockstep(data, causes, start, weights):
+            betas[cols], converged[cols] = path.beta, path.converged
+    ok = converged.reshape(B, k).all(axis=1)
+    failures = B - int(ok.sum())
+    if ok.sum() < 2:
         raise InferenceError(
-            f"only {len(betas)} of {B} bootstrap replicates converged; cannot "
+            f"only {ok.sum()} of {B} bootstrap replicates converged; cannot "
             "estimate a covariance"
         )
 
-    stacked = np.stack(betas)  # (B_ok, k, d)
+    stacked = betas.reshape(B, k, d)[ok]
     results = []
     for j in range(data.k):
         cov = np.atleast_2d(np.cov(stacked[:, j, :], rowvar=False, ddof=1))
@@ -94,7 +106,7 @@ def bootstrap_se(data: PanelDataset, B: int = _DEFAULT_BOOT_REPS,
                 cov=cov,
                 method="bootstrap",
                 wald_p=_wald_p(base[j].beta, se),
-                replicates=len(betas),
+                replicates=len(stacked),
                 failures=failures,
             )
         )
@@ -114,17 +126,24 @@ def sandwich_se(data: PanelDataset, cause_fit: CauseFit) -> InferenceResult:
         raise ValueError("sandwich covariance needs at least one covariate")
     ws = _CauseWorkspace(data, cause_fit.cause)
     beta = cause_fit.beta
-    values = cause_fit.baseline(ws.times)
-    _, hess, block_mean, block = _profile_derivs(ws, beta, values, ws.exposure(beta))
-    info_inv = _inverse_information(hess, ws.z_range)
+    values = cause_fit.baseline(ws.times)[None]
+    state = (values, ws.exposure(beta[None], _ONE))
+    _, hess, block_mean, start = ws.derivs(beta[None], state, _ONE)
+    info_inv, singular = _inverse_information(hess, ws.z_range)
+    if singular[0]:
+        raise NumericError(_SINGULAR)
 
-    resid = ws.n_all - values[ws.inverse] * ws.exp_lp(beta)[ws.subj]  # per epoch
-    # per epoch, (P, d); np.take gathers rows much faster than fancy indexing
+    # per epoch; np.take gathers rows much faster than fancy indexing
+    fitted = values[0, ws.inverse] * np.exp(ws.Z @ beta)[ws.subj]
+    resid = data.arrays.counts[cause_fit.cause - 1] - fitted
+    first = np.zeros(ws.r, dtype=np.intp)
+    first[start] = 1
+    block = (np.cumsum(first) - 1)[ws.inverse]
     centered = np.take(ws.Z, ws.subj, axis=0) - np.take(block_mean, block, axis=0)
     score = np.stack([np.bincount(ws.subj, weights=resid * c, minlength=ws.n)
                       for c in centered.T], axis=1)
     # (I/n)^-1 (S'S/n) (I/n)^-1 / n with I the information, S the scores
-    cov = info_inv @ (score.T @ score) @ info_inv.T
+    cov = info_inv[0] @ (score.T @ score) @ info_inv[0].T
     se = np.sqrt(np.diag(cov))
     return InferenceResult(
         cause=cause_fit.cause,

@@ -72,9 +72,14 @@ def weighted_isotonic(y, w) -> np.ndarray:
         raise ValueError("y and weights must be finite")
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
+    return _pava(y, w)
+
+
+def _pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`weighted_isotonic` of finite y with finite positive weights, unchecked."""
     # SciPy may move already-monotone input by an ulp; a fixed point must
     # come back exactly
-    if np.all(np.diff(y) >= 0):
+    if (y[1:] >= y[:-1]).all():
         return y.copy()
     x = isotonic_regression(y, weights=w).x
     _check_non_decreasing(x)
@@ -82,7 +87,7 @@ def weighted_isotonic(y, w) -> np.ndarray:
 
 
 def _check_non_decreasing(x: np.ndarray) -> None:
-    if np.any(np.diff(x) < 0):
+    if (x[1:] < x[:-1]).any():
         raise NumericError("isotonic output must be non-decreasing")
 
 
@@ -90,6 +95,6 @@ def _isotonic_baseline(mean_count: np.ndarray, n_obs: np.ndarray,
                        exposure: np.ndarray) -> np.ndarray:
     """Baseline values at the distinct times maximizing the profile
     objective for the given per-time exposure."""
-    if np.any(exposure <= 0) or not np.all(np.isfinite(exposure)):
+    if not (exposure > 0).all() or not np.isfinite(exposure).all():
         raise NumericError("exposure must be finite and strictly positive")
-    return np.maximum(weighted_isotonic(mean_count / exposure, n_obs * exposure), 0.0)
+    return np.maximum(_pava(mean_count / exposure, n_obs * exposure), 0.0)

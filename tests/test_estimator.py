@@ -20,7 +20,7 @@ from panelmean import (
 )
 from panelmean import estimator
 from panelmean.data import PanelArrays
-from panelmean.estimator import (_NEWTON_TOL, _assert_ascending, _CauseWorkspace, _fit_cause,
+from panelmean.estimator import (_NEWTON_TOL, _assert_ascending, _CauseWorkspace, _lockstep,
                                   _profile_grad_hess)
 
 from _oracles import (
@@ -32,6 +32,16 @@ from _oracles import (
     take,
 )
 from conftest import epoch_members, random_small_dataset, table1_config
+
+
+def lockstep_fits(data, causes, weights, start=None):
+    """The CauseFits of lockstep columns: cause causes[c] with subject
+    weights weights[:, c], from start[c] (default beta = 0)."""
+    causes = np.asarray(causes)
+    start = np.zeros((causes.size, data.d)) if start is None else start
+    return [ws.cause_fit(path, i)
+            for cols, ws, path in _lockstep(data, causes, start, lambda cols: weights[:, cols])
+            for i in range(cols.size)]
 
 
 def flat_baseline(data, value=1.0):
@@ -462,11 +472,69 @@ class TestSubjectWeights:
         assume(w.sum() > 0)
         explicit = fit(take(data, np.repeat(np.arange(data.n), w)))
         for ef in explicit:
-            wf = _fit_cause(data, ef.cause, w)
+            [wf] = lockstep_fits(data, [ef.cause], w[:, None])
             assert (wf.converged, wf.error) == (ef.converged, ef.error)
             np.testing.assert_allclose(wf.beta, ef.beta, rtol=1e-8)
             np.testing.assert_array_equal(wf.baseline.knots, ef.baseline.knots)
             np.testing.assert_allclose(wf.baseline.values, ef.baseline.values, rtol=1e-8)
+
+    @staticmethod
+    def weight_columns(data, draws, min_subjects):
+        """One weight column per draw, zero on the subjects seen at the
+        first and/or last distinct time as the draw says; columns with
+        fewer than `min_subjects` subjects of positive weight are dropped."""
+        a = data.arrays
+        W = np.array([w[:data.n] for w, _ in draws]).T
+        for i, (_, zero_at) in enumerate(draws):
+            for q in {"none": [], "first": [0], "last": [-1], "both": [0, -1]}[zero_at]:
+                W[a.subj[a.inverse == q % a.times.size], i] = 0
+        W = W[:, (W > 0).sum(axis=0) >= min_subjects]
+        assume(W.shape[1] > 0)
+        return W
+
+    draws = st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=12, max_size=12),
+                               st.sampled_from(["none", "first", "last", "both"])),
+                     min_size=1, max_size=4)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 12), k=st.integers(1, 3),
+           draws=draws)
+    def test_every_column_equals_its_explicit_refit(self, seed, n, k, draws):
+        # one lockstep call over every (draw, cause) column.  Six or more
+        # subjects keep the outcome clear of rounding: with fewer, a
+        # near-singular design can stop one Newton step apart or flip
+        # between singular and converged under any change in summation
+        # order, the explicit refit's own order included
+        data = random_small_dataset(np.random.default_rng(seed), n=n, k=k)
+        W = self.weight_columns(data, draws, min_subjects=6)
+        fits = lockstep_fits(data, np.tile(np.arange(1, k + 1), W.shape[1]),
+                             np.repeat(W, k, axis=1))
+        for i, w in enumerate(W.T):
+            explicit = fit(take(data, np.repeat(np.arange(data.n), w)))
+            for lf, ef in zip(fits[i * k:(i + 1) * k], explicit):
+                assert (lf.cause, lf.converged, lf.error) == (ef.cause, ef.converged, ef.error)
+                np.testing.assert_array_equal(lf.baseline.knots, ef.baseline.knots)
+                if ef.converged:  # a failed fit's last iterate is as ill-conditioned as its design
+                    np.testing.assert_allclose(lf.beta, ef.beta, rtol=1e-8)
+                    np.testing.assert_allclose(lf.baseline.values, ef.baseline.values, rtol=1e-8)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), draws=draws)
+    def test_a_column_fits_as_if_alone(self, seed, k, draws):
+        # tiny designs: many columns diverge or are singular, and none of
+        # that reaches the other columns of the call
+        data = random_small_dataset(np.random.default_rng(seed), k=k)
+        W = np.repeat(self.weight_columns(data, draws, min_subjects=1), k, axis=1)
+        causes = np.tile(np.arange(1, k + 1), W.shape[1] // k)
+        start = np.random.default_rng(seed).normal(0, 0.3, size=(causes.size, data.d))
+        together = lockstep_fits(data, causes, W, start)
+        for c, lf in enumerate(together):
+            [alone] = lockstep_fits(data, causes[c:c + 1], W[:, c:c + 1], start[c:c + 1])
+            assert (lf.cause, lf.converged, lf.error) == (alone.cause, alone.converged, alone.error)
+            assert lf.loglik_trace == alone.loglik_trace
+            np.testing.assert_array_equal(lf.beta, alone.beta)
+            np.testing.assert_array_equal(lf.baseline.knots, alone.baseline.knots)
+            np.testing.assert_array_equal(lf.baseline.values, alone.baseline.values)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
@@ -478,6 +546,7 @@ class TestSubjectWeights:
         idx = np.repeat(np.arange(data.n), w)
         resample = take(data, idx)
         rank = {i: r for r, i in enumerate(dict.fromkeys(idx.tolist()))}  # among w > 0
+        columns = _CauseWorkspace(data, np.arange(1, k + 1), np.repeat(w[:, None], k, axis=1))
         for cause in range(1, k + 1):
             ws = _CauseWorkspace(data, cause, w)
             per_time, count_sum = {}, [0] * len(rank)  # time -> (observations, count total)
@@ -490,7 +559,12 @@ class TestSubjectWeights:
             np.testing.assert_array_equal(ws.times, times)
             np.testing.assert_array_equal(ws.n_obs, [per_time[t][0] for t in times])
             np.testing.assert_array_equal(ws.count_total, [per_time[t][1] for t in times])
-            np.testing.assert_array_equal(ws.count_sum, count_sum)
+            np.testing.assert_array_equal(ws.count_sum[w > 0], count_sum)
+            np.testing.assert_array_equal(ws.count_sum[w == 0], 0)
+            # the same sums as a column of a k-column workspace
+            used = np.isin(columns.all_times, times)
+            np.testing.assert_array_equal(columns.total[cause - 1, used], ws.count_total)
+            np.testing.assert_array_equal(columns.total[cause - 1, ~used], 0)
 
 
 @pytest.fixture(scope="module")

@@ -105,8 +105,8 @@ class TestBootstrap:
 
     def test_warm_start_does_not_change_the_answer(self, table1_dataset_n100, monkeypatch):
         warm = bootstrap_se(table1_dataset_n100, B=20, seed=0)
-        monkeypatch.setattr(inference, "_fit_cause", lambda data, cause, weights, start:
-                            estimator._fit_cause(data, cause, weights))
+        monkeypatch.setattr(inference, "_lockstep", lambda data, causes, start, weights:
+                            estimator._lockstep(data, causes, np.zeros_like(start), weights))
         cold = bootstrap_se(table1_dataset_n100, B=20, seed=0)
         for w, c in zip(warm, cold):
             np.testing.assert_allclose(w.se, c.se, rtol=1e-8)
@@ -158,14 +158,48 @@ class TestBootstrap:
         # a ValueError is a programming error, not a failed replicate
         calls = []
 
-        def fit_then_fail(data, cause, weights, start):
-            calls.append(cause)
+        def fit_then_fail(data, causes, start, weights):
+            calls.append(int(causes[0]))
             raise ValueError("bug in replicate")
 
-        monkeypatch.setattr(inference, "_fit_cause", fit_then_fail)
+        monkeypatch.setattr(inference, "_lockstep", fit_then_fail)
         with pytest.raises(ValueError, match="bug in replicate"):
             bootstrap_se(table1_dataset_n100, B=5, seed=0)
         assert calls == [1]
+
+    @pytest.mark.parametrize("columns", [1, 7])
+    def test_chunking_does_not_change_the_result(self, table1_dataset_n100, monkeypatch,
+                                                 columns):
+        data = table1_dataset_n100
+        default = bootstrap_se(data, B=20, seed=8)
+        a = data.arrays
+        monkeypatch.setattr(estimator, "_CHUNK_FLOATS", columns * max(data.n, a.times.size))
+        chunks = []
+        monkeypatch.setattr(inference, "_lockstep", lambda *args: (
+            chunks.append(cols.size) or (cols, ws, path)
+            for cols, ws, path in estimator._lockstep(*args)))
+        for d, c in zip(default, bootstrap_se(data, B=20, seed=8)):
+            np.testing.assert_array_equal(c.cov, d.cov)
+            assert (c.replicates, c.failures) == (d.replicates, d.failures)
+        assert max(chunks) == columns and sum(chunks) == 20 * data.k
+
+    def test_no_covariates_fits_no_replicate(self, monkeypatch):
+        subjects = [Subject(str(i), [1.0 + 0.1 * i, 2.0], [[i % 3, i % 3 + 1], [1, 2]], [])
+                    for i in range(6)]
+        data = PanelDataset(subjects, k=2, d=0)
+        calls = []
+
+        def counting_newton(*args):
+            calls.append(args[1].shape[0])
+            return newton(*args)
+
+        newton = estimator._newton
+        monkeypatch.setattr(estimator, "_newton", counting_newton)
+        results = bootstrap_se(data, B=5, seed=0)
+        assert calls == [2]  # the full-data fit's two causes only
+        for j, res in enumerate(results, start=1):
+            assert (res.cause, res.method, res.replicates, res.failures) == (j, "bootstrap", 5, 0)
+            assert res.se.shape == res.wald_p.shape == (0,) and res.cov.shape == (0, 0)
 
     def test_se_shrinks_like_root_n(self):
         cfg100 = table1_config(n=100)
