@@ -17,8 +17,9 @@ fit stops on the gradient, in units of beta times covariate range.
 Fits run as columns.  A column is one cause, one vector of subject
 weights (integer multiplicities: a bootstrap replicate is the weights of
 its draw) and one starting beta, and one Newton loop steps all columns
-of a call in lockstep.  Every sum over epochs is a sparse product with
-the time x subject incidence matrix, taken for all columns at once.
+of a call in lockstep.  _CauseWorkspace makes every sum over epochs, as
+sparse products with the time x subject incidence matrix taken for all
+columns at once, and every derivative of l.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array, csr_array
 
 from .data import PanelDataset, _check_cause
 from .errors import ConvergenceError, NumericError
@@ -39,6 +40,7 @@ _NEWTON_TOL = 1e-8  # norm of gradient / z_range at which Newton stops
 _MAX_CONDITION = 1e12  # of the range-scaled information; beyond it, singular
 _MAX_LP = 600.0  # on |beta'z| at a trial point; e^600 ~ 1e261 leaves sums and ratios room
 _CHUNK_FLOATS = 2**15  # per (subjects or times) x columns array of one lockstep call
+_ONE = np.arange(1)  # the column of a one-column workspace
 
 _SINGULAR = ("singular information matrix: covariates are collinear, "
              "or constant within the baseline's blocks")
@@ -60,43 +62,41 @@ class CauseFit:
     error: str | None = None
 
 
-def _csr(data: np.ndarray, indices: np.ndarray, row_sizes: np.ndarray, n_cols: int) -> csr_array:
-    indptr = np.zeros(row_sizes.size + 1, dtype=np.intp)
-    np.cumsum(row_sizes, out=indptr[1:])
-    return csr_array((data, indices, indptr), shape=(row_sizes.size, n_cols))
-
-
 class _CauseWorkspace:
-    """m fit columns over one dataset's flat arrays, and the one place
-    their epochs are summed.
+    """m fit columns over one dataset's flat arrays: the one place their
+    epochs are summed and l is differentiated.
 
     Column c fits cause `causes[c]` with subject weights `weights[:, c]`
-    (default all 1).  Only subjects of positive weight, and the distinct
-    times they are observed at (the column's used times), take part, so a
-    column is the explicitly resampled data with repeats summed.
+    (default all 1, summed like any other weights: counts are integers,
+    so their sums are exact in any order).  Only subjects of positive
+    weight, and the distinct times they are observed at (the column's
+    used times), take part, so a column is the explicitly resampled data
+    with repeats summed.
 
     Epochs are the pooled (subject, observation) pairs.  They are summed
-    through the time x subject incidence `inc` (one 1 per epoch) and its
-    transpose `inc_t`: per-time sums of per-subject values X (n x m) are
-    `inc @ X`, and per-subject sums of per-time values V (r x m) are
-    `inc_t @ V`.  Per-time and per-subject results are kept with one row
-    per column, so sums over times run along rows, and the products with
-    Z (linear predictors, gradients, Hessians) are made column by column.
-    Each sum adds a column's terms in a fixed order, so no column's
-    numbers depend on the other columns of the call.
+    through the time x subject incidence `inc` (one 1 per epoch), its
+    transpose `inc_t` and, for counts, each cause's `count_inc` (the
+    epoch's count in place of the 1): per-time sums of per-subject values
+    X (n x m) are `inc @ X`, and per-subject sums of per-time values V
+    (r x m) are `inc_t @ V`.  Per-time and per-subject results are kept
+    with one row per column, so sums over times run along rows, and the
+    products with Z (linear predictors, gradients, Hessians) are made
+    column by column.  Each sum adds a column's terms in a fixed order,
+    so no column's numbers depend on the other columns of the call.
 
     Per column and time, `total` holds the weighted count total C_q; per
     column, `zcs` holds Z' times the weighted per-subject count totals
     (the beta-linear part of l) and `z_range` each covariate's range over
     the column's subjects (|z_l| if all share it, 1 if that is 0): the
-    unit in which beta_l * z_l is judged.
+    unit in which beta_l * z_l is judged.  `evaluate`, `fixed_derivs`
+    and `derivs` serve every Newton loop, and `residual_sums` the
+    sandwich estimator.
 
-    A scalar `cause` (and 1-D `weights`) makes the one-column view, which
-    also holds 1-D arrays: on the column's used times `times`, `r`, the
-    weighted observation count `n_obs`, `count_total` and their ratio
-    `mean_count`; per subject the weighted count total `count_sum`.  Its
-    `inverse` maps each epoch to its index in `times` (a zero-weight
-    subject's epoch at an unused time, to the used time before it).
+    A scalar `cause` (no weights) makes the one-column view of the full
+    data, which also holds 1-D arrays: on the distinct times `times`, `r`,
+    the observation count `n_obs`, `count_total` and their ratio
+    `mean_count`; per subject the count total `count_sum`.  `subj` and
+    `inverse` are the dataset's epoch arrays (see PanelArrays).
     """
 
     def __init__(self, data: PanelDataset, cause, weights: np.ndarray | None = None):
@@ -106,56 +106,40 @@ class _CauseWorkspace:
         a = data.arrays
         n, r, m = data.n, a.times.size, causes.size
         self.d, self.n, self.Z = data.d, n, a.Z
-        self.subj, self.inverse = a.subj, a.inverse
-        self.all_times = self.times = a.times
-        per_subj = np.bincount(a.subj, minlength=n)
-        self.inc_t = _csr(np.ones(a.subj.size), a.inverse, per_subj, r)
+        self.subj, self.inverse, self.times = a.subj, a.inverse, a.times
+        bounds = np.searchsorted(a.subj, np.arange(n + 1))  # subject i: bounds[i]:bounds[i+1]
+        self.inc_t = csr_array((np.ones(a.subj.size), a.inverse, bounds), shape=(n, r))
         self.inc = self.inc_t.T  # a CSC view: still adds a time's epochs in subject order
+        self.count_inc = {j: csc_array((a.counts[j - 1], self.inc.indices, self.inc.indptr),
+                                       shape=(r, n)) for j in set(causes.tolist())}
 
-        self.w = None if weights is None else np.asarray(weights, dtype=float).reshape(n, m)
-        self.active = None if weights is None or self.w.min() > 0 else self.w > 0
-        if weights is None:  # unit weights: bincounts add the same terms in the same order
-            obs = np.broadcast_to(np.bincount(a.inverse, minlength=r).astype(float), (m, r))
-            self.total = np.array([np.bincount(a.inverse, weights=a.counts[j - 1], minlength=r)
-                                   for j in causes])
-        else:
-            obs = np.ascontiguousarray((self.inc @ self.w).T)
-            self.total = np.empty((m, r))
-            for j in set(causes.tolist()):
-                col = causes == j
-                inc_counts = _csr(a.counts[j - 1], a.inverse, per_subj, r).T
-                self.total[col] = (inc_counts @ self.w[:, col]).T
+        w = np.ones((n, m)) if weights is None else weights
+        self.w = np.asarray(w, dtype=float).reshape(n, m)
+        self.active = None if self.w.min() > 0 else self.w > 0
+        obs = np.ascontiguousarray((self.inc @ self.w).T)
+        self.total = np.empty((m, r))
+        self.zcs = np.empty((m, self.d))
+        for j, inc_counts in self.count_inc.items():
+            col = causes == j
+            self.total[col] = (inc_counts @ self.w[:, col]).T
+            count_sum = np.bincount(a.subj, weights=a.counts[j - 1], minlength=n)
+            for c in np.flatnonzero(col):  # row by row: one matrix product rounds otherwise
+                self.zcs[c] = a.Z.T @ (self.w[:, c] * count_sum)
         self.no_count = (self.total == 0).astype(float)
         self.z_range = _z_range(a.Z, self.active, m)
 
-        # per column: Z' times its weighted per-subject count totals; and
-        # what its PAVA needs: its used times (None: all), for each time the
+        # per column, what its PAVA needs: its used times, for each time the
         # used time at or before it (the first before any), and the
         # observation counts and mean counts there
-        subj_total = {j: np.bincount(a.subj, weights=a.counts[j - 1], minlength=n)
-                      for j in set(causes.tolist())}
-        self.zcs = np.empty((m, self.d))
-        self._pava = []
-        all_used = bool((obs > 0).all())
-        for c, (o, t) in enumerate(zip(obs, self.total)):
-            count_sum = subj_total[causes[c]]
-            self.zcs[c] = a.Z.T @ (count_sum if weights is None else self.w[:, c] * count_sum)
-            u = fill = None
-            if not all_used:
-                used = o > 0
-                u = np.flatnonzero(used)
-                fill = np.maximum(np.cumsum(used) - 1, 0)
-                o, t = o[u], t[u]
-            self._pava.append((u, fill, o, t / o))
+        used = obs > 0
+        fill = np.maximum(np.cumsum(used, axis=1) - 1, 0)
+        self._pava = [(u, fill[c], obs[c, u], self.total[c, u] / obs[c, u])
+                      for c, u in enumerate(map(np.flatnonzero, used))]
 
         if np.ndim(cause) == 0:
-            u, fill, self.n_obs, self.mean_count = self._pava[0]
-            self.count_total = self.total[0] if u is None else self.total[0, u]
-            self.count_sum = np.bincount(a.subj, weights=a.counts[cause - 1], minlength=n)
-            if weights is not None:
-                self.count_sum *= self.w[:, 0]
-            if u is not None:
-                self.times, self.inverse = a.times[u], fill[a.inverse]
+            _, _, self.n_obs, self.mean_count = self._pava[0]
+            self.count_total = self.total[0]
+            self.count_sum = count_sum  # of the one cause
 
     @property
     def r(self) -> int:
@@ -172,8 +156,7 @@ class _CauseWorkspace:
     def _weighted_exp(self, lp: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """w exp(lp), in the place of `lp`."""
         e = np.exp(lp, out=lp)
-        if self.w is not None:
-            e *= self.w[:, cols]
+        e *= self.w[:, cols]
         return e
 
     def exposure(self, beta: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -190,9 +173,7 @@ class _CauseWorkspace:
         values = np.empty_like(exposure)
         for i, c in enumerate(cols):
             u, fill, n_obs, mean_count = self._pava[c]
-            s = exposure[i] if u is None else exposure[i, u]
-            v = _isotonic_baseline(mean_count, n_obs, s / n_obs)
-            values[i] = v if u is None else v[fill]
+            values[i] = _isotonic_baseline(mean_count, n_obs, exposure[i, u] / n_obs)[fill]
         return values
 
     def loglik(self, beta: np.ndarray, values: np.ndarray, exposure: np.ndarray,
@@ -207,20 +188,41 @@ class _CauseWorkspace:
         terms -= exposure * values
         return terms.sum(axis=1) + (beta * self.zcs[cols]).sum(axis=1)
 
-    def evaluate(self, beta: np.ndarray, cols: np.ndarray):
-        """l_p of each column in `cols` at its row of `beta` (-inf where
-        some |beta'z| > _MAX_LP, see _newton), and the state (baseline
-        values, exposure) its derivatives reuse."""
+    def evaluate(self, beta: np.ndarray, cols: np.ndarray, values: np.ndarray | None = None):
+        """l_p of each column in `cols` at its row of `beta`, or l at its
+        row of fixed baseline `values` if given (-inf where some
+        |beta'z| > _MAX_LP, see _newton), and the state (baseline values,
+        exposure) its derivatives reuse."""
         lp = self.linear_predictor(beta, cols)
         over = np.zeros(len(cols), dtype=bool)
         if not (lp.max(initial=0.0) <= _MAX_LP and -lp.min(initial=0.0) <= _MAX_LP):  # rare
             over = ~(np.abs(lp).max(axis=0) <= _MAX_LP)  # or not a number
             lp[:, over] = 0.0
         exposure = self._exposure(self._weighted_exp(lp, cols))
-        values = self.baseline_values(exposure, cols)
+        if values is None:
+            values = self.baseline_values(exposure, cols)
         ll = self.loglik(beta, values, exposure, cols)
         ll[over] = -np.inf
         return ll, (values, exposure)
+
+    def _fixed_grad_hess(self, wez: np.ndarray, lam: np.ndarray,
+                         cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient (rows) and Hessian of l in beta at a fixed baseline for
+        each column in `cols`, from w exp(beta'z) `wez` (subjects x
+        columns) and `lam`, per column (rows) and subject the sum of the
+        baseline's values at its epochs."""
+        mu = lam * wez.T
+        m, d = mu.shape[0], self.d
+        grad = self.zcs[cols] - np.array([self.Z.T @ row for row in mu]).reshape(m, d)
+        hess = -np.array([(self.Z * row[:, None]).T @ self.Z for row in mu]).reshape(m, d, d)
+        return grad, hess
+
+    def fixed_derivs(self, beta: np.ndarray, state, cols: np.ndarray):
+        """Gradient (rows) and Hessian of l at beta and the fixed baseline
+        values state[0] for each column in `cols`, and w exp(beta'z)."""
+        wez = self._weighted_exp(self.linear_predictor(beta, cols), cols)
+        lam = np.ascontiguousarray((self.inc_t @ state[0].T).T)
+        return (*self._fixed_grad_hess(wez, lam, cols), wez)
 
     def derivs(self, beta: np.ndarray, state, cols: np.ndarray):
         """Gradient (rows) and Hessian of l_p at beta for each column in
@@ -233,12 +235,7 @@ class _CauseWorkspace:
         exposure) as `evaluate` gives it."""
         values, exposure = state
         m, r, d = values.shape[0], values.shape[1], self.d
-        wez = self._weighted_exp(self.linear_predictor(beta, cols), cols)
-        # per subject, w exp(beta'z) times its epochs' values, one row per column
-        mu = np.ascontiguousarray((self.inc_t @ values.T).T)
-        mu *= wez.T
-        grad = self.zcs[cols] - np.array([self.Z.T @ row for row in mu]).reshape(m, d)
-        hess = -np.array([(self.Z * row[:, None]).T @ self.Z for row in mu]).reshape(m, d, d)
+        grad, hess, wez = self.fixed_derivs(beta, state, cols)
         # blocks in (column, time) order: each column's first at its first time
         new = np.ones((m, r), dtype=bool)
         np.greater(values[:, 1:], values[:, :-1], out=new[:, 1:])
@@ -252,16 +249,27 @@ class _CauseWorkspace:
                                 np.searchsorted(start, np.arange(0, m * r, r)), axis=0)
         return grad, hess, mean, start
 
+    def residual_sums(self, beta: np.ndarray, values: np.ndarray,
+                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For the one-column view at beta and the baseline `values` (one
+        per time), per subject i: R_i, the sum of its residuals
+        N_ip - v_p exp(beta'z_i) over its epochs p, and M_i (n x d), the
+        same sum with residual p weighted by the row of `x` (r x d) at its
+        epoch's time."""
+        ez = self._weighted_exp(self.linear_predictor(beta[None], _ONE), _ONE)
+        per_time = np.column_stack([np.ones(self.r), x])
+        resid = self.count_inc[self.causes[0]].T @ per_time
+        resid -= (self.inc_t @ (values[:, None] * per_time)) * ez
+        return resid[:, 0], resid[:, 1:]
+
     def cause_fit(self, path: "_Path", c: int) -> CauseFit:
         """Column c of `path` as a CauseFit."""
         u = self._pava[c][0]
-        values = path.state[0][c]
         error = path.error[c]
         return CauseFit(
             cause=int(self.causes[c]),
             beta=path.beta[c].copy(),
-            baseline=StepFunction(self.all_times.copy() if u is None else self.all_times[u],
-                                  values.copy() if u is None else values[u]),
+            baseline=StepFunction(self.times[u], path.state[0][c, u]),
             loglik_trace=path.trace[c],
             iterations=max(len(path.trace[c]) - 1, 1),
             converged=bool(path.converged[c]),
@@ -288,13 +296,12 @@ def _z_range(Z: np.ndarray, active: np.ndarray | None, m: int) -> np.ndarray:
 
 def _profile_grad_hess(ws: _CauseWorkspace, lam_sub: np.ndarray,
                        beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient and Hessian of the fixed-baseline beta profile of
-    a one-column workspace, collapsed to per-subject sums (`lam_sub`
-    carries the subject weights)."""
-    mu_sub = np.exp(ws.Z @ beta) * lam_sub
-    grad = ws.Z.T @ (ws.count_sum - mu_sub)
-    hess = -(ws.Z * mu_sub[:, None]).T @ ws.Z
-    return grad, hess
+    """The workspace's fixed-baseline gradient and Hessian of l in beta for
+    a one-column workspace, given `lam_sub`: per subject, the sum of the
+    baseline's values at its epochs."""
+    wez = ws._weighted_exp(ws.linear_predictor(beta[None], _ONE), _ONE)
+    grad, hess = ws._fixed_grad_hess(wez, lam_sub[None], _ONE)
+    return grad[0], hess[0]
 
 
 def _inverse_information(hess: np.ndarray, z_range: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -434,9 +441,6 @@ def aggregate(data: PanelDataset, cause: int) -> _CauseWorkspace:
     return _CauseWorkspace(data, cause)
 
 
-_ONE = np.arange(1)  # the column of a one-column workspace
-
-
 def log_pseudo_likelihood(data: PanelDataset, cause: int, beta,
                           baseline: StepFunction) -> float:
     """Evaluate the per-cause objective at (beta, baseline).
@@ -446,10 +450,8 @@ def log_pseudo_likelihood(data: PanelDataset, cause: int, beta,
     all observation times of the dataset.
     """
     ws = _CauseWorkspace(data, cause)
-    if ws.times[0] < baseline.knots[0] or ws.times[-1] > baseline.knots[-1]:
-        raise ValueError("baseline knots do not cover the observation times")
     beta = _as_beta(beta, ws.d)[None]
-    return float(ws.loglik(beta, baseline(ws.times)[None], ws.exposure(beta, _ONE), _ONE)[0])
+    return float(ws.loglik(beta, _values_at(ws, baseline), ws.exposure(beta, _ONE), _ONE)[0])
 
 
 def baseline_step(data: PanelDataset, cause: int, beta) -> StepFunction:
@@ -464,26 +466,22 @@ def beta_step(data: PanelDataset, cause: int, baseline: StepFunction, beta_start
     if data.d == 0:
         raise ValueError("beta step needs at least one covariate")
     ws = _CauseWorkspace(data, cause)
-    if ws.times[0] < baseline.knots[0] or ws.times[-1] > baseline.knots[-1]:
-        raise ValueError("baseline knots do not cover the observation times")
-    lam_sub = np.bincount(ws.subj, weights=baseline(ws.times)[ws.inverse], minlength=ws.n)
-
-    def objective(b, cols):
-        lp = ws.Z @ b[0]
-        if not np.max(np.abs(lp)) <= _MAX_LP:
-            return np.array([-np.inf]), ()
-        return np.array([ws.count_sum @ lp - np.exp(lp) @ lam_sub]), ()
-
-    def derivs(b, state, cols):
-        return [x[None] for x in _profile_grad_hess(ws, lam_sub, b[0])]
-
-    path = _newton(ws, _as_beta(beta_start, ws.d)[None], objective, derivs)
+    values = _values_at(ws, baseline)
+    path = _newton(ws, _as_beta(beta_start, ws.d)[None],
+                   lambda b, cols: ws.evaluate(b, cols, values[cols]), ws.fixed_derivs)
     if path.error[0] is not None:
         raise path.error[0]
     if not path.converged[0]:
         raise ConvergenceError(f"beta step did not converge in {_MAX_STEPS} Newton "
                                "iterations", last_beta=path.beta[0])
     return path.beta[0]
+
+
+def _values_at(ws: _CauseWorkspace, baseline: StepFunction) -> np.ndarray:
+    """The baseline at the view's times, as its one row."""
+    if ws.times[0] < baseline.knots[0] or ws.times[-1] > baseline.knots[-1]:
+        raise ValueError("baseline knots do not cover the observation times")
+    return baseline(ws.times)[None]
 
 
 def _as_beta(beta, d: int) -> np.ndarray:

@@ -6,7 +6,8 @@ cause a column of weights on the dataset's own arrays, warm-started at
 the full-data beta, all fitted in lockstep Newton loops; and a plug-in
 sandwich estimator built from empirical analogues of the asymptotic
 covariance pieces.  Both report per-coefficient standard errors and
-two-sided Wald p-values against the normal reference.
+two-sided Wald p-values against the normal reference.  The fit's
+workspace makes every sum over epochs and every derivative they use.
 """
 
 from __future__ import annotations
@@ -120,28 +121,27 @@ def sandwich_se(data: PanelDataset, cause_fit: CauseFit) -> InferenceResult:
     the Hessian the fit's Newton steps use: its strata are the runs of
     equal fitted baseline values, the PAVA blocks for a fit from `fit`.
     The meat replaces the within-subject count covariances by products of
-    observed residuals, covariates centered by their block's mean.
+    observed residuals, covariates centered by their block's mean m_B:
+    subject i's score is z_i R_i - M_i (see residual_sums).  A fit that
+    did not converge has none.
     """
     if data.d < 1:
         raise ValueError("sandwich covariance needs at least one covariate")
+    if not cause_fit.converged:
+        raise InferenceError(f"cause {cause_fit.cause} did not converge: "
+                             f"{cause_fit.error or 'not converged'}")
     ws = _CauseWorkspace(data, cause_fit.cause)
     beta = cause_fit.beta
-    values = cause_fit.baseline(ws.times)[None]
-    state = (values, ws.exposure(beta[None], _ONE))
+    values = cause_fit.baseline(ws.times)
+    state = (values[None], ws.exposure(beta[None], _ONE))
     _, hess, block_mean, start = ws.derivs(beta[None], state, _ONE)
     info_inv, singular = _inverse_information(hess, ws.z_range)
     if singular[0]:
         raise NumericError(_SINGULAR)
 
-    # per epoch; np.take gathers rows much faster than fancy indexing
-    fitted = values[0, ws.inverse] * np.exp(ws.Z @ beta)[ws.subj]
-    resid = data.arrays.counts[cause_fit.cause - 1] - fitted
-    first = np.zeros(ws.r, dtype=np.intp)
-    first[start] = 1
-    block = (np.cumsum(first) - 1)[ws.inverse]
-    centered = np.take(ws.Z, ws.subj, axis=0) - np.take(block_mean, block, axis=0)
-    score = np.stack([np.bincount(ws.subj, weights=resid * c, minlength=ws.n)
-                      for c in centered.T], axis=1)
+    block_lengths = np.diff(start, append=ws.r)
+    resid, weighted = ws.residual_sums(beta, values, np.repeat(block_mean, block_lengths, axis=0))
+    score = ws.Z * resid[:, None] - weighted
     # (I/n)^-1 (S'S/n) (I/n)^-1 / n with I the information, S the scores
     cov = info_inv[0] @ (score.T @ score) @ info_inv[0].T
     se = np.sqrt(np.diag(cov))

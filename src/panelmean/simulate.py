@@ -2,8 +2,8 @@
 
 Subjects get a Bernoulli and a centered normal covariate, a random
 number of visits with continuous uniform gaps, and per-gap correlated
-count increments from a common-shock bivariate Poisson.  The rate of
-cause j over the gap (t_{p-1}, t_p] is the baseline increment
+count increments from gen_bivpois, a common-shock bivariate Poisson.
+The rate of cause j over the gap (t_{p-1}, t_p] is the baseline increment
 Lambda_j(t_p) - Lambda_j(t_{p-1}) scaled by exp(beta_j'z), so
 E[N_j(t)] = Lambda_j(t) exp(beta_j'z) for any baseline, linear or not.
 A dataset is drawn as whole arrays, a few numpy calls per quantity.
@@ -127,23 +127,23 @@ class StudyResult:
         ]
 
 
-def gen_bivpois(lambda1: float, lambda2: float, rho: float,
-                rng: np.random.Generator) -> tuple[int, int]:
+def gen_bivpois(lambda1, lambda2, rho: float, rng: np.random.Generator):
     """Correlated Poisson pair via a shared common-shock component.
 
     Marginals are Poisson(lambda1) and Poisson(lambda2); the covariance
     equals rho as long as rho <= min(lambda1, lambda2), otherwise the
-    shock rate is clamped to that minimum.
+    shock rate is clamped to that minimum.  The rates may be arrays of
+    one shape, drawn elementwise: every shock first, then every cause-1
+    and then every cause-2 residual count.
     """
-    if lambda1 < 0 or lambda2 < 0:
+    lowest = np.minimum(lambda1, lambda2)
+    if (lowest < 0).any():
         raise ValueError("rates must be non-negative")
     if rho < 0:
         raise ValueError("rho must be non-negative")
-    shock_rate = min(rho, lambda1, lambda2)
+    shock_rate = np.minimum(rho, lowest)
     shock = rng.poisson(shock_rate)
-    x1 = rng.poisson(lambda1 - shock_rate)
-    x2 = rng.poisson(lambda2 - shock_rate)
-    return int(x1 + shock), int(x2 + shock)
+    return rng.poisson(lambda1 - shock_rate) + shock, rng.poisson(lambda2 - shock_rate) + shock
 
 
 def gen_dataset(cfg: SimConfig, rng: np.random.Generator,
@@ -152,7 +152,8 @@ def gen_dataset(cfg: SimConfig, rng: np.random.Generator,
 
     The whole dataset is drawn as arrays, in this order: the covariates,
     the visit counts, every gap, then the common shocks and the two
-    residual increments of every epoch.
+    residual increments of every epoch, by gen_bivpois on the epochs'
+    rate arrays.
     """
     n = cfg.n
     Z = np.column_stack([rng.random(n) < cfg.bernoulli_p,
@@ -169,13 +170,10 @@ def gen_dataset(cfg: SimConfig, rng: np.random.Generator,
     for baseline, beta in ((cfg.baseline1, cfg.beta1), (cfg.baseline2, cfg.beta2)):
         base = resolve_baseline(baseline)
         rates.append((base(t) - base(t_prev)) * np.exp(Z @ beta)[subj])
-    lowest = np.minimum(*rates)
     if report is not None:
-        report.rho_clamps += int(np.count_nonzero(cfg.rho > lowest))
-    shock_rate = np.minimum(cfg.rho, lowest)
-    shock = rng.poisson(shock_rate)
-    counts = np.array([_cumsum_within(rng.poisson(rate - shock_rate) + shock, visit)
-                       for rate in rates], dtype=float)
+        report.rho_clamps += int(np.count_nonzero(cfg.rho > np.minimum(*rates)))
+    counts = np.array([_cumsum_within(x, visit) for x in gen_bivpois(*rates, cfg.rho, rng)],
+                      dtype=float)
     ids = tuple(map(str, range(1, n + 1)))
     return PanelDataset._from_arrays(ids, PanelArrays.build(t, subj, counts, Z))
 

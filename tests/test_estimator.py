@@ -31,7 +31,7 @@ from _oracles import (
     naive_loglik,
     take,
 )
-from conftest import epoch_members, random_small_dataset, table1_config
+from conftest import TABLE1, epoch_members, random_small_dataset, table1_config
 
 
 def lockstep_fits(data, causes, weights, start=None):
@@ -223,6 +223,68 @@ class TestBaselineStep:
             assert ours >= best - 1e-6
 
 
+def hessian_draws(rng):
+    """200 (one-column workspace, beta) draws: Table-1 datasets at beta
+    near the truth, and random small datasets."""
+    for i in range(100):
+        data = gen_dataset(table1_config(n=50, seed=i), np.random.default_rng([i, 0]))
+        cause = 1 + i % 2
+        beta = np.array(TABLE1[f"beta{cause}"]) + rng.normal(0, 0.2, size=2)
+        yield _CauseWorkspace(data, cause), beta
+    for _ in range(100):
+        d = int(rng.integers(1, 4))
+        yield _CauseWorkspace(random_small_dataset(rng, d=d), 1), rng.normal(0, 0.4, size=d)
+
+
+def central_differences(f, beta, h=1e-6):
+    """Per coefficient l, f at beta + h e_l and at beta - h e_l."""
+    bumps = h * np.eye(beta.size)
+    return [(f(beta + bump), f(beta - bump)) for bump in bumps]
+
+
+class TestHessians:
+    # h = 1e-6 leaves about 1e-9 of rounding in each difference quotient;
+    # as in the gradient checks, the bound is relative to max(1, |H|), since
+    # a one-block profile can be flat
+
+    def test_fixed_baseline_hessian_matches_central_differences(self):
+        rng = np.random.default_rng(41)
+        h = 1e-6
+        for ws, beta in hessian_draws(rng):
+            state = (np.sort(rng.uniform(0.3, 2.5, size=ws.r))[None],)
+
+            def grad(b):
+                return ws.fixed_derivs(b[None], state, np.arange(1))[0][0]
+
+            hess = ws.fixed_derivs(beta[None], state, np.arange(1))[1][0]
+            fd = np.column_stack([(up - down) / (2 * h)
+                                  for up, down in central_differences(grad, beta, h)])
+            assert np.linalg.norm(hess - fd) <= 1e-6 * max(1.0, np.linalg.norm(hess))
+
+    def test_profile_hessian_matches_central_differences(self):
+        # the profile gradient is smooth while the PAVA blocks stay put
+        rng = np.random.default_rng(42)
+        h = 1e-6
+        checked = 0
+        for ws, beta in hessian_draws(rng):
+            cols = np.arange(1)
+
+            def grad_and_blocks(b):
+                _, state = ws.evaluate(b[None], cols)
+                grad, _, _, start = ws.derivs(b[None], state, cols)
+                return grad[0], start
+
+            sides = central_differences(grad_and_blocks, beta, h)
+            if any(not np.array_equal(up[1], down[1]) for up, down in sides):
+                continue
+            _, state = ws.evaluate(beta[None], cols)
+            hess = ws.derivs(beta[None], state, cols)[1][0]
+            fd = np.column_stack([(up[0] - down[0]) / (2 * h) for up, down in sides])
+            assert np.linalg.norm(hess - fd) <= 1e-6 * max(1.0, np.linalg.norm(hess))
+            checked += 1
+        assert checked >= 190
+
+
 class TestFit:
     def test_no_covariates_single_iteration(self):
         rng = np.random.default_rng(28)
@@ -268,15 +330,19 @@ class TestFit:
             assert np.max(np.abs(cf.beta - beta)) <= 1e-6
             assert cf.loglik_trace[-1] >= ll - 1e-9 * abs(ll)
 
-    def test_profile_consistency_at_tight_tolerance(self):
-        cfg_sim = table1_config(n=80, seed=9)
-        data = gen_dataset(cfg_sim, np.random.default_rng([9, 0]))
-        cf = fit(data)[0]
-        assert cf.converged
-        redo_baseline = baseline_step(data, 1, cf.beta)
-        assert np.max(np.abs(redo_baseline.values - cf.baseline.values)) <= 1e-8
-        redo_beta = beta_step(data, 1, cf.baseline, cf.beta)
-        assert np.max(np.abs(redo_beta - cf.beta)) <= 1e-6
+    @pytest.mark.parametrize("seed", range(20))
+    def test_profile_consistency_at_tight_tolerance(self, seed):
+        # each coordinate step from a converged fit reproduces it exactly: the
+        # baseline step runs the fit's PAVA at its beta, and the beta step
+        # starts where the fit's own gradient stop held
+        cfg_sim = SimConfig(n=200, beta1=[0.5, -0.5], beta2=[1.0, 0.5], seed=seed)
+        data = gen_dataset(cfg_sim, np.random.default_rng([seed, 0]))
+        for cf in fit(data):
+            assert cf.converged
+            redo_baseline = baseline_step(data, cf.cause, cf.beta)
+            np.testing.assert_array_equal(redo_baseline.values, cf.baseline.values)
+            redo_beta = beta_step(data, cf.cause, cf.baseline, cf.beta)
+            np.testing.assert_array_equal(redo_beta, cf.beta)
 
     def test_cause_separability(self):
         cfg_sim = table1_config(n=60, seed=17)
@@ -545,26 +611,24 @@ class TestSubjectWeights:
         assume(w.sum() > 0)
         idx = np.repeat(np.arange(data.n), w)
         resample = take(data, idx)
-        rank = {i: r for r, i in enumerate(dict.fromkeys(idx.tolist()))}  # among w > 0
         columns = _CauseWorkspace(data, np.arange(1, k + 1), np.repeat(w[:, None], k, axis=1))
         for cause in range(1, k + 1):
-            ws = _CauseWorkspace(data, cause, w)
-            per_time, count_sum = {}, [0] * len(rank)  # time -> (observations, count total)
+            used, _, n_obs, _ = columns._pava[cause - 1]
+            per_time = {}  # time -> (observations, count total)
+            count_sum = np.zeros(data.n)  # per subject, over its repeats
             for i, s in zip(idx, resample.subjects):
                 for t, c in zip(s.times, s.counts[cause - 1]):
                     obs, total = per_time.get(t, (0, 0))
                     per_time[t] = (obs + 1, total + c)
-                    count_sum[rank[i]] += c
+                    count_sum[i] += c
             times = sorted(per_time)
-            np.testing.assert_array_equal(ws.times, times)
-            np.testing.assert_array_equal(ws.n_obs, [per_time[t][0] for t in times])
-            np.testing.assert_array_equal(ws.count_total, [per_time[t][1] for t in times])
-            np.testing.assert_array_equal(ws.count_sum[w > 0], count_sum)
-            np.testing.assert_array_equal(ws.count_sum[w == 0], 0)
-            # the same sums as a column of a k-column workspace
-            used = np.isin(columns.all_times, times)
-            np.testing.assert_array_equal(columns.total[cause - 1, used], ws.count_total)
-            np.testing.assert_array_equal(columns.total[cause - 1, ~used], 0)
+            np.testing.assert_array_equal(columns.times[used], times)
+            np.testing.assert_array_equal(n_obs, [per_time[t][0] for t in times])
+            np.testing.assert_array_equal(columns.total[cause - 1, used],
+                                          [per_time[t][1] for t in times])
+            np.testing.assert_array_equal(np.delete(columns.total[cause - 1], used), 0)
+            # Z' times the per-subject count sums, 0 at weight 0
+            np.testing.assert_array_equal(columns.zcs[cause - 1], data.arrays.Z.T @ count_sum)
 
 
 @pytest.fixture(scope="module")

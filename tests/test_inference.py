@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panelmean import (
     CauseFit,
@@ -18,6 +19,7 @@ from panelmean import (
 )
 from _oracles import profile_sandwich_cov, take
 from conftest import random_small_dataset, table1_config
+from test_estimator import converged_fit, table1_datasets
 
 
 def check_cov(result):
@@ -277,6 +279,29 @@ class TestSandwich:
         )
         res = sandwich_se(scaled, scaled_fit)
         np.testing.assert_allclose(res.se, base.se / c, rtol=1e-10)
+
+    def test_failed_fit_rejected(self):
+        # no events at z = 1: beta runs off to -infinity
+        subjects = [Subject(str(i), [1.0, 2.0, 3.0], [[0, 0, 0] if i % 2 else [1, 1, 2]],
+                            [i % 2]) for i in range(8)]
+        data = PanelDataset(subjects, k=1, d=1)
+        cf = fit(data)[0]
+        assert not cf.converged and "diverged" in cf.error
+        with pytest.raises(InferenceError, match="cause 1 .*diverged"):
+            sandwich_se(data, cf)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=table1_datasets(), rnd=st.randoms(use_true_random=False))
+    def test_subject_order_and_duplication(self, data, rnd):
+        # the same CauseFit on reordered subjects, and on every subject twice:
+        # twice the information and twice the meat halve the covariance
+        order = list(range(data.n))
+        rnd.shuffle(order)
+        shuffled, doubled = take(data, order), take(data, np.repeat(np.arange(data.n), 2))
+        for cf in converged_fit(data):
+            cov = sandwich_se(data, cf).cov
+            np.testing.assert_allclose(sandwich_se(shuffled, cf).cov, cov, rtol=1e-10)
+            np.testing.assert_allclose(sandwich_se(doubled, cf).cov, cov / 2, rtol=1e-10)
 
     def test_needs_covariates(self):
         data = PanelDataset([Subject("a", [1.0], [[1]], [])], k=1, d=0)
