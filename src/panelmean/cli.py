@@ -148,7 +148,7 @@ def _number(text: str) -> int | float:
 def _parse_sim_config(path: Path, default_seed: int) -> list[SimConfig]:
     """Flat key=value simulation config; returns one SimConfig per n."""
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         stripped = line.partition("#")[0].strip()
         if not stripped:
             continue

@@ -211,7 +211,7 @@ def parse_panel_csv(path: str | Path) -> PanelDataset:
     several defects, the first in file order is reported.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         try:
             return _parse_rows(csv.reader(fh), path)
         except UnicodeDecodeError:

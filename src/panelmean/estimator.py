@@ -17,9 +17,10 @@ fit stops on the gradient, in units of beta times covariate range.
 Fits run as columns.  A column is one cause, one vector of subject
 weights (integer multiplicities: a bootstrap replicate is the weights of
 its draw) and one starting beta, and one Newton loop steps all columns
-of a call in lockstep.  _CauseWorkspace makes every sum over epochs, as
-sparse products with the time x subject incidence matrix taken for all
-columns at once, and every derivative of l.
+of a call in lockstep, every call covering every column.  _CauseWorkspace
+makes every sum over epochs, as sparse products with the time x subject
+incidence matrix taken for all columns at once, and every derivative of
+l, which reads the state of the evaluation it follows.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ _NEWTON_TOL = 1e-8  # norm of gradient / z_range at which Newton stops
 _MAX_CONDITION = 1e12  # of the range-scaled information; beyond it, singular
 _MAX_LP = 600.0  # on |beta'z| at a trial point; e^600 ~ 1e261 leaves sums and ratios room
 _CHUNK_FLOATS = 2**15  # per (subjects or times) x columns array of one lockstep call
-_ONE = np.arange(1)  # the column of a one-column workspace
 
 _SINGULAR = ("singular information matrix: covariates are collinear, "
              "or constant within the baseline's blocks")
@@ -88,15 +88,17 @@ class _CauseWorkspace:
     column, `zcs` holds Z' times the weighted per-subject count totals
     (the beta-linear part of l) and `z_range` each covariate's range over
     the column's subjects (|z_l| if all share it, 1 if that is 0): the
-    unit in which beta_l * z_l is judged.  `evaluate`, `fixed_derivs`
-    and `derivs` serve every Newton loop, and `residual_sums` the
-    sandwich estimator.
+    unit in which beta_l * z_l is judged.  Every method covers all m
+    columns.  `evaluate` serves every Newton loop; its state (baseline
+    values, exposure, w exp(beta'z)) is what `fixed_derivs`, `derivs`
+    and, for the sandwich estimator, `residual_sums` read, so none of
+    them forms exp(beta'z) again.
 
     A scalar `cause` (no weights) makes the one-column view of the full
     data, which also holds 1-D arrays: on the distinct times `times`, `r`,
-    the observation count `n_obs`, `count_total` and their ratio
-    `mean_count`; per subject the count total `count_sum`.  `subj` and
-    `inverse` are the dataset's epoch arrays (see PanelArrays).
+    the observation count `n_obs` and the mean count `mean_count`; per
+    subject the count total `count_sum`.  `subj` and `inverse` are the
+    dataset's epoch arrays (see PanelArrays).
     """
 
     def __init__(self, data: PanelDataset, cause, weights: np.ndarray | None = None):
@@ -138,128 +140,122 @@ class _CauseWorkspace:
 
         if np.ndim(cause) == 0:
             _, _, self.n_obs, self.mean_count = self._pava[0]
-            self.count_total = self.total[0]
             self.count_sum = count_sum  # of the one cause
 
     @property
     def r(self) -> int:
         return self.times.size
 
-    def linear_predictor(self, beta: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Per subject and column in `cols`, beta'z at that column's row of
-        `beta` (len(cols) x d); 0 off the column's subjects."""
+    def linear_predictor(self, beta: np.ndarray) -> np.ndarray:
+        """Per subject and column, beta'z at the column's row of `beta`
+        (m x d); 0 off the column's subjects."""
         lp = np.array([self.Z @ b for b in beta]).reshape(-1, self.n).T.copy()
         if self.active is not None:
-            lp *= self.active[:, cols]
+            lp *= self.active
         return lp
 
-    def _weighted_exp(self, lp: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def _weighted_exp(self, lp: np.ndarray) -> np.ndarray:
         """w exp(lp), in the place of `lp`."""
         e = np.exp(lp, out=lp)
-        e *= self.w[:, cols]
+        e *= self.w
         return e
 
-    def exposure(self, beta: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def exposure(self, beta: np.ndarray) -> np.ndarray:
         """Per column and time, S_q: the weighted sum of exp(beta'z) over its epochs."""
-        return self._exposure(self._weighted_exp(self.linear_predictor(beta, cols), cols))
+        return self._exposure(self._weighted_exp(self.linear_predictor(beta)))
 
     def _exposure(self, wez: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray((self.inc @ wez).T)
 
-    def baseline_values(self, exposure: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def baseline_values(self, exposure: np.ndarray) -> np.ndarray:
         """Per column and time, the isotonic baseline at fixed beta, given
-        `exposure` = `self.exposure(beta, cols)`; one PAVA per column on
-        its used times, whose values the unused times repeat."""
+        `exposure` = `self.exposure(beta)`; one PAVA per column on its
+        used times, whose values the unused times repeat."""
         values = np.empty_like(exposure)
-        for i, c in enumerate(cols):
-            u, fill, n_obs, mean_count = self._pava[c]
-            values[i] = _isotonic_baseline(mean_count, n_obs, exposure[i, u] / n_obs)[fill]
+        for c, (u, fill, n_obs, mean_count) in enumerate(self._pava):
+            values[c] = _isotonic_baseline(mean_count, n_obs, exposure[c, u] / n_obs)[fill]
         return values
 
-    def loglik(self, beta: np.ndarray, values: np.ndarray, exposure: np.ndarray,
-               cols: np.ndarray) -> np.ndarray:
+    def loglik(self, beta: np.ndarray, values: np.ndarray, exposure: np.ndarray) -> np.ndarray:
         """Full objective of each column at (beta, baseline values), from
         per-time sums: sum_q C_q log v_q + beta'zcs - S'v, with S the
         `exposure` at beta; -inf if a positive count sits on a zero value."""
-        terms = values + self.no_count[cols]
+        terms = values + self.no_count
         with np.errstate(divide="ignore"):  # log 0 = -inf: kept where C_q > 0
             np.log(terms, out=terms)
-        terms *= self.total[cols]
+        terms *= self.total
         terms -= exposure * values
-        return terms.sum(axis=1) + (beta * self.zcs[cols]).sum(axis=1)
+        return terms.sum(axis=1) + (beta * self.zcs).sum(axis=1)
 
-    def evaluate(self, beta: np.ndarray, cols: np.ndarray, values: np.ndarray | None = None):
-        """l_p of each column in `cols` at its row of `beta`, or l at its
-        row of fixed baseline `values` if given (-inf where some
-        |beta'z| > _MAX_LP, see _newton), and the state (baseline values,
-        exposure) its derivatives reuse."""
-        lp = self.linear_predictor(beta, cols)
-        over = np.zeros(len(cols), dtype=bool)
+    def evaluate(self, beta: np.ndarray, values: np.ndarray | None = None):
+        """l_p of each column at its row of `beta`, or l at its row of
+        fixed baseline `values` if given (-inf where some |beta'z| >
+        _MAX_LP, see _newton), and the state its derivatives read: the
+        baseline values, the exposure and w exp(beta'z) (one row per
+        column; at beta'z = 0 where -inf, so it stays finite)."""
+        lp = self.linear_predictor(beta)
+        over = np.zeros(beta.shape[0], dtype=bool)
         if not (lp.max(initial=0.0) <= _MAX_LP and -lp.min(initial=0.0) <= _MAX_LP):  # rare
             over = ~(np.abs(lp).max(axis=0) <= _MAX_LP)  # or not a number
             lp[:, over] = 0.0
-        exposure = self._exposure(self._weighted_exp(lp, cols))
+        wez = self._weighted_exp(lp)
+        exposure = self._exposure(wez)
         if values is None:
-            values = self.baseline_values(exposure, cols)
-        ll = self.loglik(beta, values, exposure, cols)
+            values = self.baseline_values(exposure)
+        ll = self.loglik(beta, values, exposure)
         ll[over] = -np.inf
-        return ll, (values, exposure)
+        return ll, (values, exposure, wez.T)
 
-    def _fixed_grad_hess(self, wez: np.ndarray, lam: np.ndarray,
-                         cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _fixed_grad_hess(self, wez: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient (rows) and Hessian of l in beta at a fixed baseline for
-        each column in `cols`, from w exp(beta'z) `wez` (subjects x
-        columns) and `lam`, per column (rows) and subject the sum of the
-        baseline's values at its epochs."""
-        mu = lam * wez.T
+        each column, from w exp(beta'z) `wez` and `lam`, per column (rows)
+        and subject the sum of the baseline's values at its epochs."""
+        mu = lam * wez
         m, d = mu.shape[0], self.d
-        grad = self.zcs[cols] - np.array([self.Z.T @ row for row in mu]).reshape(m, d)
+        grad = self.zcs - np.array([self.Z.T @ row for row in mu]).reshape(m, d)
         hess = -np.array([(self.Z * row[:, None]).T @ self.Z for row in mu]).reshape(m, d, d)
         return grad, hess
 
-    def fixed_derivs(self, beta: np.ndarray, state, cols: np.ndarray):
-        """Gradient (rows) and Hessian of l at beta and the fixed baseline
-        values state[0] for each column in `cols`, and w exp(beta'z)."""
-        wez = self._weighted_exp(self.linear_predictor(beta, cols), cols)
-        lam = np.ascontiguousarray((self.inc_t @ state[0].T).T)
-        return (*self._fixed_grad_hess(wez, lam, cols), wez)
+    def fixed_derivs(self, state) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient (rows) and Hessian of l of each column at the fixed
+        baseline values of `state`, as `evaluate` gives it."""
+        values, _, wez = state
+        lam = np.ascontiguousarray((self.inc_t @ values.T).T)
+        return self._fixed_grad_hess(wez, lam)
 
-    def derivs(self, beta: np.ndarray, state, cols: np.ndarray):
-        """Gradient (rows) and Hessian of l_p at beta for each column in
-        `cols`; per block B, a run of equal `values` (each N_B / E_B for
-        the isotonic baseline at beta), the exp(beta'z)-weighted mean m_B
-        of z over its epochs; and where each block starts, as a flat index
-        into the (column, time) cells.  By the envelope theorem the
-        gradient is the fixed-baseline one; the Hessian is the
-        fixed-baseline one plus sum_B N_B m_B m_B'.  `state` is (values,
-        exposure) as `evaluate` gives it."""
-        values, exposure = state
+    def derivs(self, state):
+        """Gradient (rows) and Hessian of l_p of each column at the state
+        `evaluate` gives; per block B, a run of equal `values` (each
+        N_B / E_B for the isotonic baseline at beta), the exp(beta'z)-
+        weighted mean m_B of z over its epochs; and where each block
+        starts, as a flat index into the (column, time) cells.  By the
+        envelope theorem the gradient is the fixed-baseline one; the
+        Hessian is the fixed-baseline one plus sum_B N_B m_B m_B'."""
+        values, exposure, wez = state
         m, r, d = values.shape[0], values.shape[1], self.d
-        grad, hess, wez = self.fixed_derivs(beta, state, cols)
+        grad, hess = self.fixed_derivs(state)
         # blocks in (column, time) order: each column's first at its first time
         new = np.ones((m, r), dtype=bool)
         np.greater(values[:, 1:], values[:, :-1], out=new[:, 1:])
         start = np.flatnonzero(new)
         mean = np.empty((start.size, d))
         for l, z in enumerate(self.Z.T):  # per block, sum of w exp(beta'z) z_l over its epochs
-            mean[:, l] = np.add.reduceat((self.inc @ (wez * z[:, None])).T.ravel(), start)
+            mean[:, l] = np.add.reduceat((self.inc @ (wez.T * z[:, None])).T.ravel(), start)
         mean /= np.add.reduceat(exposure.ravel(), start)[:, None]
-        count = np.add.reduceat(self.total[cols].ravel(), start)
+        count = np.add.reduceat(self.total.ravel(), start)
         hess += np.add.reduceat(count[:, None, None] * mean[:, :, None] * mean[:, None, :],
                                 np.searchsorted(start, np.arange(0, m * r, r)), axis=0)
         return grad, hess, mean, start
 
-    def residual_sums(self, beta: np.ndarray, values: np.ndarray,
-                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For the one-column view at beta and the baseline `values` (one
-        per time), per subject i: R_i, the sum of its residuals
-        N_ip - v_p exp(beta'z_i) over its epochs p, and M_i (n x d), the
-        same sum with residual p weighted by the row of `x` (r x d) at its
-        epoch's time."""
-        ez = self._weighted_exp(self.linear_predictor(beta[None], _ONE), _ONE)
+    def residual_sums(self, state, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For the one-column view at the state `evaluate` gives, per
+        subject i: R_i, the sum of its residuals N_ip - v_p exp(beta'z_i)
+        over its epochs p, and M_i (n x d), the same sum with residual p
+        weighted by the row of `x` (r x d) at its epoch's time."""
+        values, _, wez = state
         per_time = np.column_stack([np.ones(self.r), x])
         resid = self.count_inc[self.causes[0]].T @ per_time
-        resid -= (self.inc_t @ (values[:, None] * per_time)) * ez
+        resid -= (self.inc_t @ (values[0][:, None] * per_time)) * wez.T
         return resid[:, 0], resid[:, 1:]
 
     def cause_fit(self, path: "_Path", c: int) -> CauseFit:
@@ -299,8 +295,8 @@ def _profile_grad_hess(ws: _CauseWorkspace, lam_sub: np.ndarray,
     """The workspace's fixed-baseline gradient and Hessian of l in beta for
     a one-column workspace, given `lam_sub`: per subject, the sum of the
     baseline's values at its epochs."""
-    wez = ws._weighted_exp(ws.linear_predictor(beta[None], _ONE), _ONE)
-    grad, hess = ws._fixed_grad_hess(wez, lam_sub[None], _ONE)
+    wez = ws._weighted_exp(ws.linear_predictor(beta[None])).T
+    grad, hess = ws._fixed_grad_hess(wez, lam_sub[None])
     return grad[0], hess[0]
 
 
@@ -327,11 +323,12 @@ class _Path:
     converged: np.ndarray
     error: list
 
-    def accept(self, cols: np.ndarray, beta: np.ndarray, obj: np.ndarray, state) -> None:
-        self.beta[cols] = beta
+    def accept(self, took: np.ndarray, beta: np.ndarray, obj: np.ndarray, state) -> None:
+        """Accept the rows of beta, obj and state that the mask `took` marks."""
+        self.beta[took] = beta[took]
         for full, part in zip(self.state, state):
-            full[cols] = part
-        for c, o in zip(cols, obj.tolist()):
+            full[took] = part[took]
+        for c, o in zip(np.flatnonzero(took), obj[took].tolist()):
             self.trace[c].append(o)
 
 
@@ -339,21 +336,22 @@ def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs) -> _Path:
     """Maximize a concave objective in beta for each column by damped
     Newton steps, all columns in lockstep.
 
-    `beta` holds a starting row per column.  `evaluate(beta, cols)` gives
-    the objective of columns `cols` at the rows of beta (-inf, unevaluated,
-    where some |beta'z| > _MAX_LP, so exp(beta'z) stays inside the float
-    range), and a state: a tuple of arrays with a row per column.
-    `derivs(beta, state, cols)` gives their gradients (rows) and Hessians.
-    A column's steps halve until its objective does not drop.  Accepted
-    iterates, the start first, go to the returned path.  A column
-    converges once its gradient in beta * z_range units (a stop that
-    ignores the covariates' units) is within _NEWTON_TOL, stops
+    `beta` holds a starting row per column.  `evaluate(beta)` gives the
+    objective of every column at its row of beta (-inf, unevaluated, where
+    some |beta'z| > _MAX_LP, so exp(beta'z) stays inside the float range),
+    and a state: a tuple of arrays with a row per column.  `derivs(state)`
+    gives their gradients (rows) and Hessians.  Every call covers every
+    column; a column that has stopped is evaluated at its last iterate and
+    the result dropped.  A column's steps halve until its objective does
+    not drop.  Accepted iterates, the start first, go to the returned
+    path.  A column converges once its gradient in beta * z_range units (a
+    stop that ignores the covariates' units) is within _NEWTON_TOL, stops
     unconverged after _MAX_STEPS steps, and stops with an error on the
     path when it diverges, its information is singular or no halving
     improves it.
     """
     m = beta.shape[0]
-    obj, state = evaluate(beta, np.arange(m))
+    obj, state = evaluate(beta)
     path = _Path([[o] for o in obj.tolist()], beta.copy(), state, np.zeros(m, dtype=bool),
                  [None] * m)
     run = np.isfinite(obj)
@@ -361,39 +359,36 @@ def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs) -> _Path:
         path.error[c] = NumericError("objective not finite at the starting point")
     if not beta.shape[1]:  # no coefficients: the start is the maximizer
         path.converged[:], run[:] = run, False
+    steps = np.zeros(m, dtype=int)
     while run.any():
-        cols = np.flatnonzero(run)
-        run[:] = False
-        b, z_range = path.beta[cols], ws.z_range[cols]
-        grad, hess = derivs(b, tuple(s[cols] for s in path.state), cols)[:2]
-        diverged = np.any(np.abs(b) * z_range > _BETA_BOUND, axis=1)
-        done = ~diverged & (np.linalg.norm(grad / z_range, axis=1) <= _NEWTON_TOL)
-        path.converged[cols[done]] = True
-        for c in cols[diverged]:
+        grad, hess = derivs(path.state)[:2]
+        diverged = run & np.any(np.abs(path.beta) * ws.z_range > _BETA_BOUND, axis=1)
+        done = run & ~diverged & (np.linalg.norm(grad / ws.z_range, axis=1) <= _NEWTON_TOL)
+        path.converged |= done
+        for c in np.flatnonzero(diverged):
             path.error[c] = _diverged(path.beta[c])
-        stepping = ~diverged & ~done & (np.array([len(path.trace[c]) for c in cols]) <= _MAX_STEPS)
+        stepping = run & ~diverged & ~done & (steps < _MAX_STEPS)
         if not stepping.any():
-            continue
-        cols, b, grad = cols[stepping], b[stepping], grad[stepping]
-        inv, singular = _inverse_information(hess[stepping], z_range[stepping])
-        for c in cols[singular]:
+            break
+        inv, singular = _inverse_information(hess, ws.z_range)
+        singular &= stepping
+        for c in np.flatnonzero(singular):
             path.error[c] = NumericError(_SINGULAR)
-        cols, b, grad, inv = cols[~singular], b[~singular], grad[~singular], inv[~singular]
         step = (inv @ grad[:, :, None])[:, :, 0]
-        last = np.array([path.trace[c][-1] for c in cols])
+        last = np.array([trace[-1] for trace in path.trace])
         floor = last - 1e-12 * np.maximum(1.0, np.abs(last))
-        pending = np.ones(cols.size, dtype=bool)
+        pending = stepping & ~singular
         for halving in range(_MAX_HALVINGS):
             if not pending.any():
                 break
-            cand = b + 0.5 ** halving * step
-            obj, state = evaluate(cand[pending], cols[pending])
-            better = obj >= floor[pending]
-            took = np.flatnonzero(pending)[better]
-            path.accept(cols[took], cand[took], obj[better], (s[better] for s in state))
-            pending[took] = False
-        run[cols[~pending]] = True
-        for c in cols[pending]:
+            cand = np.where(pending[:, None], path.beta + 0.5 ** halving * step, path.beta)
+            obj, state = evaluate(cand)
+            took = pending & (obj >= floor)
+            path.accept(took, cand, obj, state)
+            pending &= ~took
+        run = stepping & ~singular & ~pending
+        steps += run
+        for c in np.flatnonzero(pending):
             path.error[c] = ConvergenceError(
                 "Newton step could not improve the objective (or |beta'z| "
                 f"reached {_MAX_LP:g}: center covariates far from 0)",
@@ -451,14 +446,14 @@ def log_pseudo_likelihood(data: PanelDataset, cause: int, beta,
     """
     ws = _CauseWorkspace(data, cause)
     beta = _as_beta(beta, ws.d)[None]
-    return float(ws.loglik(beta, _values_at(ws, baseline), ws.exposure(beta, _ONE), _ONE)[0])
+    return float(ws.loglik(beta, _values_at(ws, baseline), ws.exposure(beta))[0])
 
 
 def baseline_step(data: PanelDataset, cause: int, beta) -> StepFunction:
     """Exact baseline maximizer at fixed beta (profile step)."""
     ws = _CauseWorkspace(data, cause)
-    exposure = ws.exposure(_as_beta(beta, ws.d)[None], _ONE)
-    return StepFunction(ws.times.copy(), ws.baseline_values(exposure, _ONE)[0])
+    exposure = ws.exposure(_as_beta(beta, ws.d)[None])
+    return StepFunction(ws.times.copy(), ws.baseline_values(exposure)[0])
 
 
 def beta_step(data: PanelDataset, cause: int, baseline: StepFunction, beta_start) -> np.ndarray:
@@ -468,7 +463,7 @@ def beta_step(data: PanelDataset, cause: int, baseline: StepFunction, beta_start
     ws = _CauseWorkspace(data, cause)
     values = _values_at(ws, baseline)
     path = _newton(ws, _as_beta(beta_start, ws.d)[None],
-                   lambda b, cols: ws.evaluate(b, cols, values[cols]), ws.fixed_derivs)
+                   lambda b: ws.evaluate(b, values), ws.fixed_derivs)
     if path.error[0] is not None:
         raise path.error[0]
     if not path.converged[0]:
@@ -517,24 +512,6 @@ def fit(data: PanelDataset) -> list[CauseFit]:
     return [ws.cause_fit(path, i)
             for cols, ws, path in _lockstep(data, causes, np.zeros((data.k, data.d)))
             for i in range(cols.size)]
-
-
-def _replicate_betas(B: int, fit_replicate) -> tuple[list[np.ndarray], int]:
-    """The (k, d) coefficients of each replicate b in 0..B-1 whose causes all
-    converge, and how many replicates did not; `fit_replicate(b)` returns
-    replicate b's CauseFits."""
-    betas, failures = [], 0
-    for b in range(B):
-        try:
-            fits = fit_replicate(b)
-        except (ConvergenceError, NumericError):
-            failures += 1
-            continue
-        if all(cf.converged for cf in fits):
-            betas.append(np.array([cf.beta for cf in fits]))
-        else:
-            failures += 1
-    return betas, failures
 
 
 def predict_mean(cause_fit: CauseFit, t, z) -> float | np.ndarray:

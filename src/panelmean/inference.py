@@ -19,8 +19,8 @@ from scipy import special
 
 from .data import PanelDataset
 from .errors import InferenceError, NumericError
-from .estimator import (_ONE, _SINGULAR, CauseFit, _CauseWorkspace, _inverse_information,
-                        _lockstep, fit)
+from .estimator import (_SINGULAR, CauseFit, _CauseWorkspace, _inverse_information, _lockstep,
+                        fit)
 
 _DEFAULT_BOOT_REPS = 300
 
@@ -123,7 +123,8 @@ def sandwich_se(data: PanelDataset, cause_fit: CauseFit) -> InferenceResult:
     The meat replaces the within-subject count covariances by products of
     observed residuals, covariates centered by their block's mean m_B:
     subject i's score is z_i R_i - M_i (see residual_sums).  A fit that
-    did not converge has none.
+    did not converge has none, nor one whose objective is not finite
+    (some |beta'z| beyond the fit's overflow guard).
     """
     if data.d < 1:
         raise ValueError("sandwich covariance needs at least one covariate")
@@ -132,15 +133,17 @@ def sandwich_se(data: PanelDataset, cause_fit: CauseFit) -> InferenceResult:
                              f"{cause_fit.error or 'not converged'}")
     ws = _CauseWorkspace(data, cause_fit.cause)
     beta = cause_fit.beta
-    values = cause_fit.baseline(ws.times)
-    state = (values[None], ws.exposure(beta[None], _ONE))
-    _, hess, block_mean, start = ws.derivs(beta[None], state, _ONE)
+    ll, state = ws.evaluate(beta[None], cause_fit.baseline(ws.times)[None])
+    if not np.isfinite(ll[0]):
+        raise NumericError(f"cause {cause_fit.cause}: objective not finite at the fitted "
+                           "beta and baseline")
+    _, hess, block_mean, start = ws.derivs(state)
     info_inv, singular = _inverse_information(hess, ws.z_range)
     if singular[0]:
         raise NumericError(_SINGULAR)
 
     block_lengths = np.diff(start, append=ws.r)
-    resid, weighted = ws.residual_sums(beta, values, np.repeat(block_mean, block_lengths, axis=0))
+    resid, weighted = ws.residual_sums(state, np.repeat(block_mean, block_lengths, axis=0))
     score = ws.Z * resid[:, None] - weighted
     # (I/n)^-1 (S'S/n) (I/n)^-1 / n with I the information, S the scores
     cov = info_inv[0] @ (score.T @ score) @ info_inv[0].T

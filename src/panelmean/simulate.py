@@ -7,9 +7,8 @@ The rate of cause j over the gap (t_{p-1}, t_p] is the baseline increment
 Lambda_j(t_p) - Lambda_j(t_{p-1}) scaled by exp(beta_j'z), so
 E[N_j(t)] = Lambda_j(t) exp(beta_j'z) for any baseline, linear or not.
 A dataset is drawn as whole arrays, a few numpy calls per quantity.
-This draw order replaced a per-subject one, so datasets and `study.csv`
-values for a fixed seed changed once with it.  The study runner repeats
-generate + fit and reports absolute bias and MSE per coefficient.
+The study runner repeats generate + fit and reports absolute bias and
+MSE per coefficient.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .data import PanelArrays, PanelDataset
-from .errors import StudyError
-from .estimator import _replicate_betas, fit
+from .errors import ConvergenceError, NumericError, StudyError
+from .estimator import fit
 
 BaselineFn = Callable[[np.ndarray], np.ndarray]
 
@@ -196,9 +195,15 @@ def run_study(cfg: SimConfig) -> StudyResult:
     """
     truth = np.vstack([cfg.beta1, cfg.beta2])
     report = GenReport()
-    estimates, failures = _replicate_betas(
-        cfg.replications,
-        lambda rep: fit(gen_dataset(cfg, np.random.default_rng([cfg.seed, rep]), report)))
+    estimates = []
+    for rep in range(cfg.replications):
+        try:
+            fits = fit(gen_dataset(cfg, np.random.default_rng([cfg.seed, rep]), report))
+        except (ConvergenceError, NumericError):
+            continue
+        if all(cf.converged for cf in fits):
+            estimates.append(np.array([cf.beta for cf in fits]))
+    failures = cfg.replications - len(estimates)
 
     if failures > 0.10 * cfg.replications:
         raise StudyError(

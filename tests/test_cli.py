@@ -290,6 +290,16 @@ class TestCmdSimulate:
         assert [c.n for c in documented] == [50, 100, 200]
         assert _echo_config(documented[0], [50]) == _echo_config(defaults[0], [50])
 
+    def test_config_with_utf8_byte_order_mark(self, tmp_path):
+        # spreadsheet programs write one at the start of "UTF-8" text files
+        text = "n = 20\nbeta1 = 0.5,1\nbeta2 = -1,0.5\nreplications = 2\n"
+        [plain] = _parse_sim_config(self.write_config(tmp_path, text), default_seed=42)
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_text("\ufeff" + text, encoding="utf-8")
+        [with_bom] = _parse_sim_config(cfg, default_seed=42)
+        assert _echo_config(with_bom, [20]) == _echo_config(plain, [20])
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("line,gap_range", [
         ("gap_min = 0.5", (0.5, SimConfig.gap_range[1])),
         ("gap_max = 3.5", (SimConfig.gap_range[0], 3.5)),

@@ -35,6 +35,12 @@ class TestParse:
         np.testing.assert_array_equal(s.counts, [[1, 3]])
         np.testing.assert_array_equal(s.covariates, [1.0])
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet programs write one at the start of "CSV UTF-8" files
+        text = "id,time,n1,z1\na,2,1,1\na,5,3,1\nb,4,0,-2\n"
+        with_bom = parse_panel_csv(write(tmp_path, "\ufeff" + text, name="bom.csv"))
+        assert_same_arrays(with_bom, parse_panel_csv(write(tmp_path, text)))
+
     def test_decreasing_counts_rejected(self, tmp_path):
         path = write(tmp_path, "id,time,n1,z1\na,2,3,1\na,5,1,1\n")
         with pytest.raises(ValidationError, match="cause 1"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -251,12 +253,12 @@ class TestHessians:
         rng = np.random.default_rng(41)
         h = 1e-6
         for ws, beta in hessian_draws(rng):
-            state = (np.sort(rng.uniform(0.3, 2.5, size=ws.r))[None],)
+            values = np.sort(rng.uniform(0.3, 2.5, size=ws.r))[None]
 
             def grad(b):
-                return ws.fixed_derivs(b[None], state, np.arange(1))[0][0]
+                return ws.fixed_derivs(ws.evaluate(b[None], values)[1])[0][0]
 
-            hess = ws.fixed_derivs(beta[None], state, np.arange(1))[1][0]
+            hess = ws.fixed_derivs(ws.evaluate(beta[None], values)[1])[1][0]
             fd = np.column_stack([(up - down) / (2 * h)
                                   for up, down in central_differences(grad, beta, h)])
             assert np.linalg.norm(hess - fd) <= 1e-6 * max(1.0, np.linalg.norm(hess))
@@ -267,18 +269,16 @@ class TestHessians:
         h = 1e-6
         checked = 0
         for ws, beta in hessian_draws(rng):
-            cols = np.arange(1)
-
             def grad_and_blocks(b):
-                _, state = ws.evaluate(b[None], cols)
-                grad, _, _, start = ws.derivs(b[None], state, cols)
+                _, state = ws.evaluate(b[None])
+                grad, _, _, start = ws.derivs(state)
                 return grad[0], start
 
             sides = central_differences(grad_and_blocks, beta, h)
             if any(not np.array_equal(up[1], down[1]) for up, down in sides):
                 continue
-            _, state = ws.evaluate(beta[None], cols)
-            hess = ws.derivs(beta[None], state, cols)[1][0]
+            _, state = ws.evaluate(beta[None])
+            hess = ws.derivs(state)[1][0]
             fd = np.column_stack([(up[0] - down[0]) / (2 * h) for up, down in sides])
             assert np.linalg.norm(hess - fd) <= 1e-6 * max(1.0, np.linalg.norm(hess))
             checked += 1
@@ -644,6 +644,45 @@ def fitted():
     return fit(data)[0]
 
 
+class TestOverflowGuard:
+    # |beta'z| > _MAX_LP: the fit's evaluation reports -inf without forming
+    # exp(beta'z); the public wrappers keep no guard of their own
+    @pytest.fixture(scope="class")
+    def data(self):
+        cfg = SimConfig(n=200, beta1=[.5, -.5], beta2=[1, .5], seed=0)
+        return gen_dataset(cfg, np.random.default_rng([0, 0]))
+
+    def test_lockstep_column_beyond_the_guard_leaves_the_others_alone(self, data):
+        start = np.array([[1000.0, 1000.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bad, good = [ws.cause_fit(path, i)
+                         for cols, ws, path in _lockstep(data, np.array([1, 1]), start)
+                         for i in range(cols.size)]
+        assert bad.error == "objective not finite at the starting point"
+        assert not bad.converged
+        [solo] = fit(data.select_cause(1))
+        assert good.beta.tobytes() == solo.beta.tobytes()
+        assert good.loglik_trace == solo.loglik_trace
+        assert good.baseline.knots.tobytes() == solo.baseline.knots.tobytes()
+        assert good.baseline.values.tobytes() == solo.baseline.values.tobytes()
+        assert (good.iterations, good.converged, good.error) == (solo.iterations, True, None)
+
+    def test_public_wrappers_beyond_the_guard(self, data):
+        baseline = fit(data)[0].baseline
+        with np.errstate(over="ignore"):
+            assert log_pseudo_likelihood(data, 1, [1000.0, 1000.0], baseline) == -np.inf
+            with pytest.raises(NumericError):
+                baseline_step(data, 1, [1000.0, 1000.0])
+            with pytest.raises(NumericError):
+                beta_step(data, 1, baseline, [1000.0, 1000.0])
+        # underflow alone is no overflow: exp(beta'z) is 0 for z_1 = 1
+        ll = log_pseudo_likelihood(data, 1, [-1000.0, 0.0], baseline)
+        assert np.isfinite(ll)
+        ref = naive_loglik(data, 1, [-1000.0, 0.0], baseline.knots, baseline.values)
+        assert ll == pytest.approx(ref, rel=1e-12)
+
+
 class TestPredictMean:
 
     def test_zero_covariates_give_baseline(self, fitted):
@@ -663,6 +702,20 @@ class TestPredictMean:
         z2[0] += 1.0 / fitted.beta[0]
         base = predict_mean(fitted, t, z)
         assert predict_mean(fitted, t, z2) == pytest.approx(base * np.e, rel=1e-9)
+
+    def test_array_time_is_baseline_times_exp_lp_and_flat_after_the_last_knot(self, fitted):
+        knots = fitted.baseline.knots
+        t = np.array([knots[0] / 2, knots[0], knots[knots.size // 2], knots[-1], 2 * knots[-1]])
+        z = [1.0, -0.4]
+        pred = predict_mean(fitted, t, z)
+        np.testing.assert_allclose(pred, fitted.baseline(t) * np.exp(fitted.beta @ z), rtol=1e-15)
+        assert pred[0] == 0.0 and pred[-1] == pred[-2]
+        assert predict_mean(fitted, t[2], z) == pred[2]
+
+    def test_no_covariates_take_an_empty_z(self):
+        [cf] = fit(random_small_dataset(np.random.default_rng(45), d=0))
+        t = cf.baseline.knots[-1]
+        assert predict_mean(cf, t, []) == cf.baseline(t)
 
     def test_wrong_covariate_length_rejected(self, fitted):
         with pytest.raises(ValueError, match="length"):

@@ -280,6 +280,14 @@ class TestSandwich:
         res = sandwich_se(scaled, scaled_fit)
         np.testing.assert_allclose(res.se, base.se / c, rtol=1e-10)
 
+    def test_fit_beyond_the_overflow_guard_rejected(self, table1_dataset_n100):
+        # |beta'z| > 600: exp(beta'z) is not formed, and there are no SEs
+        cf = fit(table1_dataset_n100)[0]
+        far = CauseFit(cause=cf.cause, beta=np.array([1000.0, 1000.0]), baseline=cf.baseline,
+                       loglik_trace=[], converged=True)
+        with pytest.raises(NumericError, match="cause 1: objective not finite"):
+            sandwich_se(table1_dataset_n100, far)
+
     def test_failed_fit_rejected(self):
         # no events at z = 1: beta runs off to -infinity
         subjects = [Subject(str(i), [1.0, 2.0, 3.0], [[0, 0, 0] if i % 2 else [1, 1, 2]],

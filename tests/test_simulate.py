@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from panelmean import (
+    ConvergenceError,
     GenReport,
+    NumericError,
     PanelDataset,
     SimConfig,
     StudyError,
@@ -301,6 +303,20 @@ class TestRunStudy:
         cfg = table1_config(n=2, replications=20, seed=8)
         with pytest.raises(StudyError, match="failed"):
             run_study(cfg)
+
+    @pytest.mark.parametrize("error", [ConvergenceError("no step"), NumericError("singular")])
+    def test_fit_errors_count_as_failed_replications(self, monkeypatch, error):
+        calls = []
+
+        def every_tenth_fails(data):
+            calls.append(data)
+            if len(calls) % 10 == 0:
+                raise error
+            return fit(data)
+
+        monkeypatch.setattr(simulate, "fit", every_tenth_fails)
+        result = run_study(table1_config(n=40, replications=20, seed=6))  # 10%: no abort
+        assert (result.failures, result.replications_used) == (2, 18)
 
     def test_replicate_value_error_propagates(self, monkeypatch):
         def fail(data):
