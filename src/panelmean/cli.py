@@ -4,9 +4,13 @@ baseline curves.
 Exit codes: 0 success, 2 input/validation problem, 3 estimation did not
 converge, 4 simulation study aborted.  All artifacts are plain CSV/JSON,
 deterministic under a fixed --seed (fit and simulate; baseline draws
-nothing at random).  No option tunes the fit: every cause takes Newton
-steps to the gradient stop, and a cause still short of it after 50 steps
-is not converged (exit 3 from fit and baseline).
+nothing at random).  baseline_cause<j>.csv holds the steps of the fitted
+baseline: a row at its first knot, at each knot where its value changes
+and at its last knot (the last observation time); knots and times are
+written exactly, values with 6 significant digits.  No option tunes the
+fit: every cause takes Newton steps to the gradient stop, and a cause
+still short of it after 50 steps is not converged (exit 3 from fit and
+baseline).
 """
 
 from __future__ import annotations
@@ -80,9 +84,21 @@ def _write_fit_report(cfg: argparse.Namespace, data_shape: tuple[int, int, int],
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _steps(step: StepFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Knots and values of `step` at its first knot, at each knot where
+    its value changes and at its last knot: the same function at every t,
+    over the same span of knots."""
+    keep = np.ones(step.knots.size, dtype=bool)
+    keep[1:-1] = step.values[1:-1] != step.values[:-2]
+    return step.knots[keep], step.values[keep]
+
+
 def _write_baseline_csv(path: Path, header: tuple[str, str], knots, values) -> None:
+    # times in the shortest text that reads back as the same float, so a
+    # reloaded knot starts its block at the observation time it was fitted at
     lines = [",".join(header)]
-    lines += ["%.6g,%.6g" % pair for pair in zip(knots.tolist(), values.tolist())]
+    lines += [f"{np.format_float_positional(t, trim='-')},{v:.6g}"
+              for t, v in zip(knots.tolist(), values.tolist())]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -103,12 +119,8 @@ def cmd_fit(cfg: argparse.Namespace) -> int:
     _write_fit_report(cfg, (data.n, data.k, data.d), fits)
     for cf in fits:
         if cf.error is None:
-            _write_baseline_csv(
-                cfg.out / f"baseline_cause{cf.cause}.csv",
-                ("knot", "value"),
-                cf.baseline.knots,
-                cf.baseline.values,
-            )
+            _write_baseline_csv(cfg.out / f"baseline_cause{cf.cause}.csv",
+                                ("knot", "value"), *_steps(cf.baseline))
 
     reasons = _unconverged(fits)
     if reasons:
@@ -253,8 +265,8 @@ def _load_fitted_baselines(fit_dir: Path) -> list[tuple[int, StepFunction]]:
             if knots and t < knots[-1]:
                 raise ParseError(f"{path}: line {lineno}: knot {t_text} is below the one before")
             if knots and t == knots[-1]:
-                # two knots rounded to the same printed value; keep the
-                # later one (right-continuous step)
+                # a repeated knot (a hand-written file may round two
+                # times to one); keep the later value (right-continuous step)
                 values[-1] = v
                 continue
             knots.append(t)
@@ -286,7 +298,7 @@ def cmd_baseline(cfg: argparse.Namespace) -> int:
         reasons = _unconverged(fits)
         if reasons:
             return _fail(f"fit did not converge ({reasons})", EXIT_CONVERGENCE)
-        baselines = [(cf.cause, cf.baseline) for cf in fits]
+        baselines = [(cf.cause, StepFunction(*_steps(cf.baseline))) for cf in fits]
     else:
         return _fail("baseline needs --fit-dir or --input", EXIT_INPUT)
 
@@ -359,7 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("--grid", default=None,
                         type=_option(_floats, lambda g: all(map(math.isfinite, g)),
                                      "a comma-separated list of numbers"),
-                        help="comma-separated evaluation times (default: knots)")
+                        help="comma-separated evaluation times "
+                             "(default: the steps of the fitted baseline)")
     p_base.add_argument("--out", **out)
     p_base.set_defaults(run=cmd_baseline)
     return parser

@@ -440,13 +440,16 @@ def log_pseudo_likelihood(data: PanelDataset, cause: int, beta,
                           baseline: StepFunction) -> float:
     """Evaluate the per-cause objective at (beta, baseline).
 
-    Uses the 0*log(0) = 0 convention and returns -inf when a positive
-    count falls where the baseline is zero.  The baseline knots must span
-    all observation times of the dataset.
+    Uses the 0*log(0) = 0 and 0*inf = 0 conventions and returns -inf
+    when a positive count falls where the baseline is zero.  The baseline
+    knots must span all observation times of the dataset.
     """
     ws = _CauseWorkspace(data, cause)
     beta = _as_beta(beta, ws.d)[None]
-    return float(ws.loglik(beta, _values_at(ws, baseline), ws.exposure(beta))[0])
+    values = _values_at(ws, baseline)
+    # no |beta'z| guard here, so exp(beta'z) may overflow; S_q v_q is 0 where v_q is
+    exposure = np.where(values > 0, ws.exposure(beta), 0.0)
+    return float(ws.loglik(beta, values, exposure)[0])
 
 
 def baseline_step(data: PanelDataset, cause: int, beta) -> StepFunction:

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panelmean import SimConfig, bootstrap_se, fit, gen_dataset, write_panel_csv
+from panelmean import (SimConfig, bootstrap_se, fit, gen_dataset, parse_panel_csv,
+                       write_panel_csv)
 from panelmean import estimator
-from panelmean.cli import _SIM_KEYS, _build_parser, _echo_config, _parse_sim_config, main
+from panelmean.cli import (_SIM_KEYS, _build_parser, _echo_config, _load_fitted_baselines,
+                           _parse_sim_config, main)
 from conftest import table1_config
 
 TRUTH1 = np.array([0.5, 1.0])
@@ -380,6 +382,58 @@ def fit_dir(fixture_csv, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def seed0_csv(tmp_path_factory):
+    # continuous times, several of which %.6g would print past their value
+    path = tmp_path_factory.mktemp("seed0") / "panel.csv"
+    cfg = SimConfig(n=200, beta1=[.5, -.5], beta2=[1, .5], seed=0)
+    write_panel_csv(gen_dataset(cfg, np.random.default_rng([0, 0])), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def seed0_fit(seed0_csv, tmp_path_factory):
+    """(fit directory, in-memory fits) of the seed-0 dataset."""
+    out = tmp_path_factory.mktemp("seed0fit")
+    assert main(["fit", "--input", str(seed0_csv), "--out", str(out),
+                 "--inference", "sandwich"]) == 0
+    return out, fit(parse_panel_csv(seed0_csv))
+
+
+class TestBaselineArtifact:
+    def test_rows_are_first_knot_each_jump_and_last_knot(self, seed0_fit):
+        out, fits = seed0_fit
+        for cf in fits:
+            knots, values = cf.baseline.knots, cf.baseline.values
+            jumps = np.flatnonzero(np.diff(values) != 0) + 1
+            keep = np.unique(np.concatenate([[0], jumps, [knots.size - 1]]))
+            rows = (out / f"baseline_cause{cf.cause}.csv").read_text().splitlines()
+            assert rows[0] == "knot,value"
+            assert len(rows) - 1 == keep.size < knots.size / 5
+            got = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
+            assert got[:, 0].tobytes() == knots[keep].tobytes()  # knots exact
+            assert got[:, 1] == pytest.approx(values[keep], rel=5e-6, abs=0)
+
+    @pytest.mark.parametrize("rows,written", [
+        ("a,1,2\nb,1,1\n", ["1,1.5"]),
+        ("a,1,1\na,2,2\nb,2,0\n", ["1,1", "2,1"]),
+    ], ids=["one-time", "two-times-one-value"])
+    def test_first_and_last_knot_always_written(self, tmp_path, rows, written):
+        csv_path = tmp_path / "tiny.csv"
+        csv_path.write_text("id,time,n1\n" + rows)
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(csv_path), "--out", str(out)]) == 0
+        assert (out / "baseline_cause1.csv").read_text().splitlines() == ["knot,value", *written]
+
+    def test_both_routes_write_the_same_default_curves(self, seed0_csv, seed0_fit, tmp_path):
+        from_fit, from_input = tmp_path / "from_fit", tmp_path / "from_input"
+        assert main(["baseline", "--fit-dir", str(seed0_fit[0]), "--out", str(from_fit)]) == 0
+        assert main(["baseline", "--input", str(seed0_csv), "--out", str(from_input)]) == 0
+        for cause in (1, 2):
+            name = f"baseline_curve_cause{cause}.csv"
+            assert (from_fit / name).read_bytes() == (from_input / name).read_bytes()
+
+
 class TestCmdBaseline:
     def test_default_grid_reproduces_fitted_values(self, fit_dir, tmp_path):
         out = tmp_path / "curves"
@@ -413,8 +467,8 @@ class TestCmdBaseline:
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_reload_collapses_rounded_duplicate_knots(self, tmp_path):
-        # 6-significant-digit printing can merge close knots; the reader
-        # keeps the later value
+        # a hand-written file may round two times to one knot; the
+        # reader keeps the later value
         src = tmp_path / "fitted"
         src.mkdir()
         (src / "baseline_cause1.csv").write_text(
@@ -426,7 +480,7 @@ class TestCmdBaseline:
         assert rows == ["1.23456,0.7", "2,1"]
 
     def test_large_fit_output_reloads(self, tmp_path):
-        # dense continuous-time grids exercise the rounding-collision path
+        # a dense continuous-time grid, written as its steps
         data = gen_dataset(table1_config(n=500), np.random.default_rng([500, 1]))
         csv_path = tmp_path / "big.csv"
         write_panel_csv(data, csv_path)
@@ -437,6 +491,15 @@ class TestCmdBaseline:
         ]) == 0
         curves = tmp_path / "bigcurves"
         assert main(["baseline", "--fit-dir", str(out), "--out", str(curves)]) == 0
+        # equal to the fit at every observation time and between every two,
+        # to the 6 digits values keep
+        loaded = _load_fitted_baselines(out)
+        fits = fit(data)
+        assert [cause for cause, _ in loaded] == [cf.cause for cf in fits]
+        for (_, step), cf in zip(loaded, fits):
+            times = cf.baseline.knots
+            for t in (times, (times[1:] + times[:-1]) / 2):
+                assert step(t) == pytest.approx(cf.baseline(t), rel=5e-6, abs=0)
 
     def test_missing_fit_dir_exits_2(self, tmp_path):
         assert main([

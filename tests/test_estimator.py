@@ -682,6 +682,16 @@ class TestOverflowGuard:
         ref = naive_loglik(data, 1, [-1000.0, 0.0], baseline.knots, baseline.values)
         assert ll == pytest.approx(ref, rel=1e-12)
 
+    def test_overflowed_exposure_on_a_zero_baseline_is_minus_inf(self, data):
+        # exp(beta'z) = inf meets v = 0 at the first times: 0 * inf counts as 0
+        fitted = fit(data)[0].baseline
+        values = fitted.values.copy()
+        values[:5] = 0.0
+        baseline = StepFunction(fitted.knots, values)
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert log_pseudo_likelihood(data, 1, [1000.0, 1000.0], baseline) == -np.inf
+
 
 class TestPredictMean:
 
