@@ -168,7 +168,7 @@ class PanelDataset:
         a = self.arrays
         counts = a.counts.astype(np.int64)
         counts.flags.writeable = False
-        bounds = np.searchsorted(a.subj, np.arange(self.n + 1))  # subject i: bounds[i]:bounds[i+1]
+        bounds = _subject_bounds(a.subj, self.n)
         spans = zip(bounds[:-1], bounds[1:])
         return [
             Subject(sid, a.t[lo:hi], counts[:, lo:hi], a.Z[i])
@@ -180,6 +180,12 @@ class PanelDataset:
         _check_cause(self, cause)
         a = self.arrays
         return PanelDataset._from_arrays(self.ids, replace(a, counts=a.counts[cause - 1:cause]))
+
+
+def _subject_bounds(subj: np.ndarray, n: int) -> np.ndarray:
+    """Where each of the n subjects' epochs start, and where the last ends:
+    subject i's epochs are bounds[i]:bounds[i+1] (epochs are grouped by subject)."""
+    return np.r_[0, np.bincount(subj, minlength=n).cumsum()]
 
 
 def _check_cause(data: PanelDataset, cause: int) -> None:
@@ -237,6 +243,8 @@ def _header(reader, path: Path) -> tuple[list[str], list[str], list[str]]:
         header = next(reader)
     except StopIteration:
         raise ParseError(f"{path}: empty file, missing header row") from None
+    except csv.Error as exc:  # e.g. a field beyond csv's size limit
+        raise ParseError(f"{path}: header: {exc}", line=1) from None
     header = [c.strip() for c in header]
     for col in ("id", "time"):
         if col not in header:
@@ -317,6 +325,8 @@ def _read_rows(path: Path) -> PanelDataset:
                 t.append(time)
     except UnicodeDecodeError:
         raise ParseError("not valid UTF-8 text", line=_first_non_utf8_line(path)) from None
+    except csv.Error as exc:  # reading the row after `line`, e.g. a field beyond csv's size limit
+        raise ParseError(str(exc), line=line + 1) from None
     if not sids:
         raise ParseError(f"{path}: no data rows")
     return _dataset(np.array(sids, dtype=object), np.array(t),
@@ -345,7 +355,11 @@ def _dataset(sids, t, counts, Z, lines) -> PanelDataset:
     seen = np.argsort(first_row)  # uniq[seen] are the ids in order of first appearance
     ids = tuple(uniq[seen])
     subj = np.argsort(seen)[inverse]
-    order = np.lexsort((t, subj))  # by subject, then by time
+    ds, dt = np.diff(subj), np.diff(t)
+    if ((ds > 0) | ((ds == 0) & (dt >= 0))).all():  # the stable sort below is the identity
+        order = slice(None)
+    else:
+        order = np.lexsort((t, subj))  # by subject, then by time
     t, subj = t[order], subj[order]
     counts, Z = counts[:, order], Z[order]
     first = np.flatnonzero(np.diff(subj, prepend=-1))  # each subject's earliest epoch

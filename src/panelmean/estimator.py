@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
+from scipy.sparse import csr_array
 
-from .data import PanelDataset, _check_cause
+from .data import PanelArrays, PanelDataset, _check_cause, _subject_bounds
 from .errors import ConvergenceError, NumericError
 from .isotonic import StepFunction, _isotonic_baseline
 
@@ -60,6 +60,27 @@ class CauseFit:
     iterations: int = 0
     converged: bool = False
     error: str | None = None
+    # set by `fit` alone: the arrays fitted, and for a converged fit with
+    # covariates the state of its last evaluation (see _FitState)
+    _arrays: PanelArrays | None = field(default=None, init=False, repr=False, compare=False)
+    _state: _FitState | None = field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class _FitState:
+    """What the sandwich estimator reads of a fit's last evaluation, made
+    at `beta` with unit weights: the baseline `values` at every distinct
+    time, w exp(beta'z) per subject `wez`, and from the derivatives at that
+    evaluation the profile Hessian `hess`, the mean of z in each baseline
+    block `block_mean` and the time index each block starts at,
+    `block_start`.  The arrays are views of the fit's own, not copies."""
+
+    beta: np.ndarray
+    values: np.ndarray
+    wez: np.ndarray
+    hess: np.ndarray
+    block_mean: np.ndarray
+    block_start: np.ndarray
 
 
 class _CauseWorkspace:
@@ -90,9 +111,9 @@ class _CauseWorkspace:
     the column's subjects (|z_l| if all share it, 1 if that is 0): the
     unit in which beta_l * z_l is judged.  Every method covers all m
     columns.  `evaluate` serves every Newton loop; its state (baseline
-    values, exposure, w exp(beta'z)) is what `fixed_derivs`, `derivs`
-    and, for the sandwich estimator, `residual_sums` read, so none of
-    them forms exp(beta'z) again.
+    values, exposure, w exp(beta'z)) is what `fixed_derivs` and `derivs`
+    read, so neither forms exp(beta'z) again; `fit_state` keeps a column's
+    share of it for the sandwich estimator.
 
     A scalar `cause` (no weights) makes the one-column view of the full
     data, which also holds 1-D arrays: on the distinct times `times`, `r`,
@@ -109,11 +130,10 @@ class _CauseWorkspace:
         n, r, m = data.n, a.times.size, causes.size
         self.d, self.n, self.Z = data.d, n, a.Z
         self.subj, self.inverse, self.times = a.subj, a.inverse, a.times
-        bounds = np.searchsorted(a.subj, np.arange(n + 1))  # subject i: bounds[i]:bounds[i+1]
-        self.inc_t = csr_array((np.ones(a.subj.size), a.inverse, bounds), shape=(n, r))
+        self.inc_t = _subject_incidence(a, n)
         self.inc = self.inc_t.T  # a CSC view: still adds a time's epochs in subject order
-        self.count_inc = {j: csc_array((a.counts[j - 1], self.inc.indices, self.inc.indptr),
-                                       shape=(r, n)) for j in set(causes.tolist())}
+        self.count_inc = {j: _with_counts(self.inc, a.counts[j - 1])
+                          for j in set(causes.tolist())}
 
         w = np.ones((n, m)) if weights is None else weights
         self.w = np.asarray(w, dtype=float).reshape(n, m)
@@ -247,16 +267,14 @@ class _CauseWorkspace:
                                 np.searchsorted(start, np.arange(0, m * r, r)), axis=0)
         return grad, hess, mean, start
 
-    def residual_sums(self, state, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For the one-column view at the state `evaluate` gives, per
-        subject i: R_i, the sum of its residuals N_ip - v_p exp(beta'z_i)
-        over its epochs p, and M_i (n x d), the same sum with residual p
-        weighted by the row of `x` (r x d) at its epoch's time."""
+    def fit_state(self, c: int, beta: np.ndarray, state, derivs) -> _FitState:
+        """Column c's _FitState at its row of `beta`, from the `state`
+        `evaluate` gives there and what `derivs` gives at that state."""
         values, _, wez = state
-        per_time = np.column_stack([np.ones(self.r), x])
-        resid = self.count_inc[self.causes[0]].T @ per_time
-        resid -= (self.inc_t @ (values[0][:, None] * per_time)) * wez.T
-        return resid[:, 0], resid[:, 1:]
+        _, hess, mean, start = derivs
+        lo, hi = np.searchsorted(start, [c * self.r, (c + 1) * self.r])
+        return _FitState(beta[c], values[c], wez[c], hess[c], mean[lo:hi],
+                         start[lo:hi] - c * self.r)
 
     def cause_fit(self, path: "_Path", c: int) -> CauseFit:
         """Column c of `path` as a CauseFit."""
@@ -271,6 +289,19 @@ class _CauseWorkspace:
             converged=bool(path.converged[c]),
             error=None if error is None else str(error),
         )
+
+
+def _subject_incidence(a: PanelArrays, n: int) -> csr_array:
+    """The n x r subject x time incidence of the epochs: a 1 at each
+    epoch's subject and time."""
+    return csr_array((np.ones(a.subj.size), a.inverse, _subject_bounds(a.subj, n)),
+                     shape=(n, a.times.size))
+
+
+def _with_counts(inc, counts: np.ndarray):
+    """The incidence `inc` (either orientation) with each epoch's count
+    `counts` in place of its 1."""
+    return type(inc)((counts, inc.indices, inc.indptr), shape=inc.shape)
 
 
 def _z_range(Z: np.ndarray, active: np.ndarray | None, m: int) -> np.ndarray:
@@ -315,13 +346,16 @@ def _inverse_information(hess: np.ndarray, z_range: np.ndarray) -> tuple[np.ndar
 @dataclass
 class _Path:
     """Each column's accepted Newton iterates (its objective values, its
-    last beta row and state), whether it converged and why it stopped."""
+    last beta row and state), whether it converged and why it stopped, and
+    the output of the last `derivs` call, which saw every converged column
+    at its last state (None if no call was made)."""
 
     trace: list[list[float]]
     beta: np.ndarray
     state: tuple
     converged: np.ndarray
     error: list
+    derivs: tuple | None = None
 
     def accept(self, took: np.ndarray, beta: np.ndarray, obj: np.ndarray, state) -> None:
         """Accept the rows of beta, obj and state that the mask `took` marks."""
@@ -361,7 +395,8 @@ def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs) -> _Path:
         path.converged[:], run[:] = run, False
     steps = np.zeros(m, dtype=int)
     while run.any():
-        grad, hess = derivs(path.state)[:2]
+        path.derivs = derivs(path.state)
+        grad, hess = path.derivs[:2]
         diverged = run & np.any(np.abs(path.beta) * ws.z_range > _BETA_BOUND, axis=1)
         done = run & ~diverged & (np.linalg.norm(grad / ws.z_range, axis=1) <= _NEWTON_TOL)
         path.converged |= done
@@ -510,11 +545,22 @@ def fit(data: PanelDataset) -> list[CauseFit]:
     objectives), so each is maximized on its own.  A divergence in one
     cause is reported on its CauseFit (error set, converged False) and
     does not stop the others.
+
+    Each CauseFit keeps, by reference, the arrays it was fitted on and, if
+    it converged, its last evaluation and the derivatives of the stop test
+    there (see _FitState), which `sandwich_se` reads instead of forming
+    them again.
     """
     causes = np.arange(1, data.k + 1)
-    return [ws.cause_fit(path, i)
-            for cols, ws, path in _lockstep(data, causes, np.zeros((data.k, data.d)))
-            for i in range(cols.size)]
+    fits = []
+    for cols, ws, path in _lockstep(data, causes, np.zeros((data.k, data.d))):
+        for c in range(cols.size):
+            cf = ws.cause_fit(path, c)
+            cf._arrays = data.arrays
+            if cf.converged and path.derivs is not None:
+                cf._state = ws.fit_state(c, path.beta, path.state, path.derivs)
+            fits.append(cf)
+    return fits
 
 
 def predict_mean(cause_fit: CauseFit, t, z) -> float | np.ndarray:

@@ -7,7 +7,9 @@ the full-data beta, all fitted in lockstep Newton loops; and a plug-in
 sandwich estimator built from empirical analogues of the asymptotic
 covariance pieces.  Both report per-coefficient standard errors and
 two-sided Wald p-values against the normal reference.  The fit's
-workspace makes every sum over epochs and every derivative they use.
+workspace makes every sum over epochs and every derivative they use; the
+sandwich reads those of a fit's last evaluation when the fit still holds
+them.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from scipy import special
 
 from .data import PanelDataset
 from .errors import InferenceError, NumericError
-from .estimator import (_SINGULAR, CauseFit, _CauseWorkspace, _inverse_information, _lockstep,
-                        fit)
+from .estimator import (_SINGULAR, CauseFit, _CauseWorkspace, _FitState, _inverse_information,
+                        _lockstep, _subject_incidence, _with_counts, _z_range, fit)
 
 _DEFAULT_BOOT_REPS = 300
 
@@ -46,8 +48,8 @@ def _wald_p(beta: np.ndarray, se: np.ndarray) -> np.ndarray:
     return np.where(se > 0, p, np.where(beta != 0, 0.0, 1.0))
 
 
-def bootstrap_se(data: PanelDataset, B: int = _DEFAULT_BOOT_REPS,
-                 seed: int = 0) -> list[InferenceResult]:
+def bootstrap_se(data: PanelDataset, B: int = _DEFAULT_BOOT_REPS, seed: int = 0,
+                 fits: list[CauseFit] | None = None) -> list[InferenceResult]:
     """Nonparametric bootstrap over subjects.
 
     Each replicate resamples n subjects with replacement and refits; the
@@ -63,10 +65,20 @@ def bootstrap_se(data: PanelDataset, B: int = _DEFAULT_BOOT_REPS,
     result is reproducible and independent of evaluation order and
     chunking.  Replicates where any cause fails to converge are dropped
     and counted.  With no covariates there is nothing to refit.
+
+    `fits`, if given, are the full-data fits: the list `fit(data)`
+    returned for this `data`, which is then not fitted again.  Fits of
+    other arrays, or not one per cause in order, raise ValueError.
     """
     if B < 2:
         raise ValueError("need at least 2 bootstrap replicates")
-    base = fit(data)
+    if fits is None:
+        base = fit(data)
+    elif ([cf.cause for cf in fits] != list(range(1, data.k + 1))
+          or any(cf._arrays is not data.arrays or np.shape(cf.beta) != (data.d,) for cf in fits)):
+        raise ValueError("fits must be the list fit(data) returned for this dataset")
+    else:
+        base = fits
     for cf in base:
         if cf.error is not None:
             raise InferenceError(f"cause {cf.cause} failed on the original data: {cf.error}")
@@ -122,29 +134,58 @@ def sandwich_se(data: PanelDataset, cause_fit: CauseFit) -> InferenceResult:
     equal fitted baseline values, the PAVA blocks for a fit from `fit`.
     The meat replaces the within-subject count covariances by products of
     observed residuals, covariates centered by their block's mean m_B:
-    subject i's score is z_i R_i - M_i (see residual_sums).  A fit that
-    did not converge has none, nor one whose objective is not finite
-    (some |beta'z| beyond the fit's overflow guard).
+    subject i's score is z_i R_i - M_i (see _sandwich).  A fit that did
+    not converge has none, nor one whose objective is not finite (some
+    |beta'z| beyond the fit's overflow guard).
+
+    A fit that `fit` returned for this `data`, with its beta and baseline
+    as they were made, holds its last evaluation and the derivatives
+    there, and those are used.  Any other fit is evaluated and
+    differentiated again in a workspace: the same numbers, bit for bit,
+    for such a fit.
     """
     if data.d < 1:
         raise ValueError("sandwich covariance needs at least one covariate")
     if not cause_fit.converged:
         raise InferenceError(f"cause {cause_fit.cause} did not converge: "
                              f"{cause_fit.error or 'not converged'}")
-    ws = _CauseWorkspace(data, cause_fit.cause)
-    beta = cause_fit.beta
-    ll, state = ws.evaluate(beta[None], cause_fit.baseline(ws.times)[None])
-    if not np.isfinite(ll[0]):
-        raise NumericError(f"cause {cause_fit.cause}: objective not finite at the fitted "
-                           "beta and baseline")
-    _, hess, block_mean, start = ws.derivs(state)
-    info_inv, singular = _inverse_information(hess, ws.z_range)
+    state = cause_fit._state
+    baseline = cause_fit.baseline
+    if not (cause_fit._arrays is data.arrays and state is not None
+            and _same(cause_fit.beta, state.beta) and _same(baseline.values, state.values)
+            and _same(baseline.knots, data.arrays.times)):
+        ws = _CauseWorkspace(data, cause_fit.cause)
+        beta = cause_fit.beta[None]
+        ll, evaluation = ws.evaluate(beta, baseline(ws.times)[None])
+        if not np.isfinite(ll[0]):
+            raise NumericError(f"cause {cause_fit.cause}: objective not finite at the fitted "
+                               "beta and baseline")
+        state = ws.fit_state(0, beta, evaluation, ws.derivs(evaluation))
+    return _sandwich(data, cause_fit, state)
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether `a` is `b` bit for bit: dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _sandwich(data: PanelDataset, cause_fit: CauseFit, state: _FitState) -> InferenceResult:
+    """The sandwich covariance of `cause_fit` at its evaluation `state`.
+    Per subject i, R_i sums its residuals N_ip - v_p exp(beta'z_i) over its
+    epochs p, and M_i (n x d) the same residuals each times its block's
+    mean m_B, from two products with the subject x time incidence."""
+    a = data.arrays
+    info_inv, singular = _inverse_information(state.hess[None], _z_range(a.Z, None, 1))
     if singular[0]:
         raise NumericError(_SINGULAR)
 
-    block_lengths = np.diff(start, append=ws.r)
-    resid, weighted = ws.residual_sums(state, np.repeat(block_mean, block_lengths, axis=0))
-    score = ws.Z * resid[:, None] - weighted
+    inc_t = _subject_incidence(a, data.n)
+    block_lengths = np.diff(state.block_start, append=a.times.size)
+    per_time = np.column_stack([np.ones(a.times.size),
+                                np.repeat(state.block_mean, block_lengths, axis=0)])
+    resid = _with_counts(inc_t, a.counts[cause_fit.cause - 1]) @ per_time
+    resid -= (inc_t @ (state.values[:, None] * per_time)) * state.wez[:, None]
+    score = a.Z * resid[:, :1] - resid[:, 1:]  # z_i R_i - M_i
     # (I/n)^-1 (S'S/n) (I/n)^-1 / n with I the information, S the scores
     cov = info_inv[0] @ (score.T @ score) @ info_inv[0].T
     se = np.sqrt(np.diag(cov))
@@ -153,5 +194,5 @@ def sandwich_se(data: PanelDataset, cause_fit: CauseFit) -> InferenceResult:
         se=se,
         cov=cov,
         method="sandwich",
-        wald_p=_wald_p(beta, se),
+        wald_p=_wald_p(cause_fit.beta, se),
     )

@@ -8,7 +8,7 @@ import pytest
 
 from panelmean import (SimConfig, bootstrap_se, fit, gen_dataset, parse_panel_csv,
                        write_panel_csv)
-from panelmean import estimator
+from panelmean import estimator, inference
 from panelmean.cli import (_SIM_KEYS, _build_parser, _echo_config, _load_fitted_baselines,
                            _parse_sim_config, main)
 from conftest import table1_config
@@ -108,6 +108,21 @@ class TestCmdFit:
         assert code == 2
         err = capsys.readouterr().err
         assert "line 4" in err and bad in err
+
+    def test_field_beyond_the_csv_limit_exits_2_naming_line(self, tmp_path, capsys):
+        csv_path = tmp_path / "long.csv"
+        csv_path.write_text(f"id,time,n1,z1\na,1,0,1\n{'x' * 200_000},2,1,1\na,x,2,1\n")
+        code = main(["fit", "--input", str(csv_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "line 3: field larger than field limit" in capsys.readouterr().err
+
+    def test_bootstrap_starts_from_the_fits_it_reports(self, fixture_csv, tmp_path,
+                                                       monkeypatch):
+        # the full data is fitted once: bootstrap_se is handed the CLI's fits
+        monkeypatch.setattr(inference, "fit", lambda data: pytest.fail("fitted again"))
+        code = main(["fit", "--input", str(fixture_csv), "--out", str(tmp_path / "o"),
+                     "--boot-reps", "5"])
+        assert code == 0
 
     def test_non_utf8_input_exits_2_naming_line(self, tmp_path, capsys):
         csv_path = tmp_path / "latin1.csv"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from panelmean import (
     InferenceError,
     NumericError,
     PanelDataset,
+    StepFunction,
     Subject,
     bootstrap_se,
     estimator,
@@ -316,3 +319,94 @@ class TestSandwich:
         cf = fit(data)[0]
         with pytest.raises(ValueError, match="covariate"):
             sandwich_se(data, cf)
+
+
+def same_results(a, b):
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+               for name in ("cov", "se", "wald_p"))
+
+
+class TestFitState:
+    """sandwich_se reads a fit's own last evaluation when it still describes
+    the fit and the data, and bootstrap_se starts from given fits: the same
+    numbers, bit for bit, as evaluating or fitting again."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The causes of the workspaces sandwich_se builds."""
+        causes = []
+
+        def counting(data, cause):
+            causes.append(cause)
+            return estimator._CauseWorkspace(data, cause)
+
+        monkeypatch.setattr(inference, "_CauseWorkspace", counting)
+        return causes
+
+    def test_kept_only_for_converged_fits_and_only_arrays(self, table1_dataset_n100):
+        for cf in fit(table1_dataset_n100):
+            assert cf._arrays is table1_dataset_n100.arrays
+            assert all(type(v) is np.ndarray for v in vars(cf._state).values())
+        no_events = [Subject(str(i), [1.0, 2.0, 3.0], [[0, 0, 0] if i % 2 else [1, 1, 2]],
+                             [i % 2]) for i in range(8)]
+        [diverged] = fit(PanelDataset(no_events, k=1, d=1))
+        assert not diverged.converged and diverged._state is None
+        assert replace(fit(table1_dataset_n100)[0])._state is None
+
+    @pytest.mark.parametrize("design", ["continuous", "gridded"])
+    def test_kept_state_gives_the_recomputed_result(self, table1_dataset_n200, design, built):
+        data = table1_dataset_n200
+        if design == "gridded":  # visit gaps are >= 1, so ceil keeps times distinct
+            data = PanelDataset([Subject(s.id, np.ceil(s.times), s.counts, s.covariates)
+                                 for s in data.subjects], k=data.k, d=data.d)
+        for cf in fit(data):
+            kept = sandwich_se(data, cf)
+            assert built == []
+            again = sandwich_se(data, replace(cf))  # replace keeps no state
+            assert built == [cf.cause]
+            built.clear()
+            assert same_results(kept, again)
+
+    def test_edited_or_foreign_fit_is_evaluated_again(self, table1_dataset_n100, built):
+        data = table1_dataset_n100
+
+        def check(data, cf, kept):
+            got = sandwich_se(data, cf)
+            assert built == ([] if kept else [cf.cause])
+            assert same_results(got, sandwich_se(data, replace(cf)))
+            built.clear()
+
+        cf = fit(data)[0]
+        cf.beta = cf.beta.copy()  # new objects, the same bits: the state still holds
+        cf.baseline = StepFunction(cf.baseline.knots.copy(), cf.baseline.values.copy())
+        check(data, cf, kept=True)
+        cf.beta[0] += 1e-3
+        check(data, cf, kept=False)
+        cf = fit(data)[0]
+        cf.baseline.values[-1] *= 1.01
+        check(data, cf, kept=False)
+        cf = fit(data)[0]
+        cf.beta = cf.beta + 1e-3
+        check(data, cf, kept=False)
+        cf = fit(data)[0]
+        check(take(data, np.arange(data.n)[::-1]), cf, kept=False)
+
+    def test_bootstrap_from_given_fits_fits_nothing_again(self, table1_dataset_n100,
+                                                          monkeypatch):
+        data = table1_dataset_n100
+        plain = bootstrap_se(data, B=20, seed=3)
+        fits = fit(data)
+        monkeypatch.setattr(inference, "fit", lambda data: pytest.fail("fitted again"))
+        for a, b in zip(plain, bootstrap_se(data, B=20, seed=3, fits=fits)):
+            assert same_results(a, b)
+            assert (a.replicates, a.failures) == (b.replicates, b.failures)
+
+    @pytest.mark.parametrize("foreign", ["other arrays", "one short", "reordered", "replaced"])
+    def test_foreign_fits_refused(self, table1_dataset_n100, foreign):
+        data = table1_dataset_n100
+        fits = {"other arrays": lambda: fit(take(data, np.arange(data.n))),
+                "one short": lambda: fit(data)[:1],
+                "reordered": lambda: fit(data)[::-1],
+                "replaced": lambda: [replace(cf) for cf in fit(data)]}[foreign]()
+        with pytest.raises(ValueError, match=r"fit\(data\) returned"):
+            bootstrap_se(data, B=5, seed=0, fits=fits)
