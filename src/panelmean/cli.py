@@ -131,7 +131,7 @@ def cmd_fit(cfg: argparse.Namespace) -> int:
     if data.d > 0:
         try:
             if cfg.inference == "bootstrap":
-                results = bootstrap_se(data, B=cfg.boot_reps, seed=cfg.seed, fits=fits)
+                results = bootstrap_se(data, B=cfg.boot_reps, seed=cfg.seed, _fits=fits)
             else:
                 results = [sandwich_se(data, cf) for cf in fits]
         except (InferenceError, NumericError, ConvergenceError) as exc:

@@ -298,6 +298,7 @@ def _read_rows(path: Path) -> PanelDataset:
             header, count_cols, cov_cols = _header(reader, path)
             at = {col: header.index(col) for col in ("id", "time", *count_cols, *cov_cols)}
             sids, lines, t, counts, covs = [], [], [], [], []
+            line = 1  # the last line read
             for line, row in enumerate(reader, start=2):
                 if not any(map(str.strip, row)):
                     continue
@@ -355,11 +356,7 @@ def _dataset(sids, t, counts, Z, lines) -> PanelDataset:
     seen = np.argsort(first_row)  # uniq[seen] are the ids in order of first appearance
     ids = tuple(uniq[seen])
     subj = np.argsort(seen)[inverse]
-    ds, dt = np.diff(subj), np.diff(t)
-    if ((ds > 0) | ((ds == 0) & (dt >= 0))).all():  # the stable sort below is the identity
-        order = slice(None)
-    else:
-        order = np.lexsort((t, subj))  # by subject, then by time
+    order = np.lexsort((t, subj))  # by subject, then by time
     t, subj = t[order], subj[order]
     counts, Z = counts[:, order], Z[order]
     first = np.flatnonzero(np.diff(subj, prepend=-1))  # each subject's earliest epoch

@@ -48,8 +48,8 @@ def _wald_p(beta: np.ndarray, se: np.ndarray) -> np.ndarray:
     return np.where(se > 0, p, np.where(beta != 0, 0.0, 1.0))
 
 
-def bootstrap_se(data: PanelDataset, B: int = _DEFAULT_BOOT_REPS, seed: int = 0,
-                 fits: list[CauseFit] | None = None) -> list[InferenceResult]:
+def bootstrap_se(data: PanelDataset, B: int = _DEFAULT_BOOT_REPS, seed: int = 0, *,
+                 _fits: list[CauseFit] | None = None) -> list[InferenceResult]:
     """Nonparametric bootstrap over subjects.
 
     Each replicate resamples n subjects with replacement and refits; the
@@ -65,20 +65,11 @@ def bootstrap_se(data: PanelDataset, B: int = _DEFAULT_BOOT_REPS, seed: int = 0,
     result is reproducible and independent of evaluation order and
     chunking.  Replicates where any cause fails to converge are dropped
     and counted.  With no covariates there is nothing to refit.
-
-    `fits`, if given, are the full-data fits: the list `fit(data)`
-    returned for this `data`, which is then not fitted again.  Fits of
-    other arrays, or not one per cause in order, raise ValueError.
     """
     if B < 2:
         raise ValueError("need at least 2 bootstrap replicates")
-    if fits is None:
-        base = fit(data)
-    elif ([cf.cause for cf in fits] != list(range(1, data.k + 1))
-          or any(cf._arrays is not data.arrays or np.shape(cf.beta) != (data.d,) for cf in fits)):
-        raise ValueError("fits must be the list fit(data) returned for this dataset")
-    else:
-        base = fits
+    # `panelmean fit` passes the list fit(data) just returned, unchanged
+    base = fit(data) if _fits is None else _fits
     for cf in base:
         if cf.error is not None:
             raise InferenceError(f"cause {cf.cause} failed on the original data: {cf.error}")
