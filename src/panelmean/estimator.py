@@ -20,11 +20,15 @@ its draw) and one starting beta, and one Newton loop steps all columns
 of a call in lockstep, every call covering every column.  _CauseWorkspace
 makes every sum over epochs, as sparse products with the time x subject
 incidence matrix taken for all columns at once, and every derivative of
-l, which reads the state of the evaluation it follows.
+l, which reads the state of the evaluation it follows.  l depends on the
+times only through their order within a dataset, so several datasets fit
+as one stack: their subjects one after another on a shared axis of time
+ranks, each (dataset, cause) a column weighted 0 off its own subjects.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +44,8 @@ _MAX_STEPS = 50  # Newton steps of fit and of beta_step
 _NEWTON_TOL = 1e-8  # norm of gradient / z_range at which Newton stops
 _MAX_CONDITION = 1e12  # of the range-scaled information; beyond it, singular
 _MAX_LP = 600.0  # on |beta'z| at a trial point; e^600 ~ 1e261 leaves sums and ratios room
-_CHUNK_FLOATS = 2**15  # per (subjects or times) x columns array of one lockstep call
+_CHUNK_FLOATS = 2**15  # per (subjects or times) x columns array of one lockstep call,
+                       # and epochs x columns of a stack of several datasets
 
 _SINGULAR = ("singular information matrix: covariates are collinear, "
              "or constant within the baseline's blocks")
@@ -84,8 +89,9 @@ class _FitState:
 
 
 class _CauseWorkspace:
-    """m fit columns over one dataset's flat arrays: the one place their
-    epochs are summed and l is differentiated.
+    """m fit columns over the flat arrays of one dataset or of a stack of
+    datasets: the one place their epochs are summed and l is
+    differentiated.
 
     Column c fits cause `causes[c]` with subject weights `weights[:, c]`
     (default all 1, summed like any other weights: counts are integers,
@@ -93,6 +99,15 @@ class _CauseWorkspace:
     weight, and the distinct times they are observed at (the column's
     used times), take part, so a column is the explicitly resampled data
     with repeats summed.
+
+    A stack is a list of datasets of one k and d.  Its subjects follow one
+    another, dataset by dataset, and each epoch keeps its own dataset's
+    `inverse`, its time's rank within that dataset, so the time axis is as
+    long as the longest dataset's and no two datasets' times are merged.
+    Its columns are its datasets', m / len(stack) each, dataset by dataset:
+    `owner[c]` is column c's dataset, on whose subjects its default
+    weights are 1 (0 elsewhere); `first` gives where each dataset's
+    subjects start.  A single dataset is a stack of one.
 
     Epochs are the pooled (subject, observation) pairs.  They are summed
     through the time x subject incidence `inc` (one 1 per epoch), its
@@ -115,28 +130,45 @@ class _CauseWorkspace:
     read, so neither forms exp(beta'z) again; `fit_state` keeps a column's
     share of it for the sandwich estimator.
 
-    A scalar `cause` (no weights) makes the one-column view of the full
-    data, which also holds 1-D arrays: on the distinct times `times`, `r`,
-    the observation count `n_obs` and the mean count `mean_count`; per
-    subject the count total `count_sum`.  `subj` and `inverse` are the
-    dataset's epoch arrays (see PanelArrays).
+    `times` are a single dataset's distinct times (None for a stack of
+    several, whose axis is ranks), `r` the length of the time axis.  A
+    scalar `cause` (no weights) makes the one-column view of the full data
+    of one dataset, which also holds 1-D arrays: on the distinct times the
+    observation count `n_obs` and the mean count `mean_count`; per subject
+    the count total `count_sum`.  `subj` and `inverse` are the epoch
+    arrays (see PanelArrays).
     """
 
-    def __init__(self, data: PanelDataset, cause, weights: np.ndarray | None = None):
+    def __init__(self, data, cause, weights: np.ndarray | None = None):
+        parts = [data] if isinstance(data, PanelDataset) else list(data)
         self.causes = causes = np.atleast_1d(cause)
         for j in set(causes.tolist()):
-            _check_cause(data, j)
-        a = data.arrays
-        n, r, m = data.n, a.times.size, causes.size
-        self.d, self.n, self.Z = data.d, n, a.Z
-        self.subj, self.inverse, self.times = a.subj, a.inverse, a.times
-        self.inc_t = _subject_incidence(a, n)
+            _check_cause(parts[0], j)
+        n_sub = [p.n for p in parts]
+        self.parts, self.first = parts, np.r_[0, np.cumsum(n_sub)]
+        n, m = int(self.first[-1]), causes.size
+        self.owner = np.repeat(np.arange(len(parts)), m // len(parts))
+        self.d, self.n = parts[0].d, n
+        if len(parts) == 1:
+            a = parts[0].arrays
+            self.times, self.r = a.times, a.times.size
+            self.Z, self.subj, self.inverse, counts = a.Z, a.subj, a.inverse, a.counts
+        else:
+            arrays = [p.arrays for p in parts]
+            self.times, self.r = None, max(a.times.size for a in arrays)
+            self.Z = np.concatenate([a.Z for a in arrays])
+            self.subj = np.concatenate([a.subj + lo for a, lo in zip(arrays, self.first)])
+            self.inverse = np.concatenate([a.inverse for a in arrays])
+            counts = np.concatenate([a.counts for a in arrays], axis=1)
+        r = self.r
+        self.inc_t = _subject_incidence(self.subj, self.inverse, n, r)
         self.inc = self.inc_t.T  # a CSC view: still adds a time's epochs in subject order
-        self.count_inc = {j: _with_counts(self.inc, a.counts[j - 1])
+        self.count_inc = {j: _with_counts(self.inc, counts[j - 1])
                           for j in set(causes.tolist())}
 
-        w = np.ones((n, m)) if weights is None else weights
-        self.w = np.asarray(w, dtype=float).reshape(n, m)
+        if weights is None:
+            weights = np.repeat(np.arange(len(parts)), n_sub)[:, None] == self.owner
+        self.w = np.asarray(weights, dtype=float).reshape(n, m)
         self.active = None if self.w.min() > 0 else self.w > 0
         obs = np.ascontiguousarray((self.inc @ self.w).T)
         self.total = np.empty((m, r))
@@ -144,11 +176,11 @@ class _CauseWorkspace:
         for j, inc_counts in self.count_inc.items():
             col = causes == j
             self.total[col] = (inc_counts @ self.w[:, col]).T
-            count_sum = np.bincount(a.subj, weights=a.counts[j - 1], minlength=n)
+            count_sum = np.bincount(self.subj, weights=counts[j - 1], minlength=n)
             for c in np.flatnonzero(col):  # row by row: one matrix product rounds otherwise
-                self.zcs[c] = a.Z.T @ (self.w[:, c] * count_sum)
+                self.zcs[c] = self.Z.T @ (self.w[:, c] * count_sum)
         self.no_count = (self.total == 0).astype(float)
-        self.z_range = _z_range(a.Z, self.active, m)
+        self.z_range = _z_range(self.Z, self.active, m)
 
         # per column, what its PAVA needs: its used times, for each time the
         # used time at or before it (the first before any), and the
@@ -161,10 +193,6 @@ class _CauseWorkspace:
         if np.ndim(cause) == 0:
             _, _, self.n_obs, self.mean_count = self._pava[0]
             self.count_sum = count_sum  # of the one cause
-
-    @property
-    def r(self) -> int:
-        return self.times.size
 
     def linear_predictor(self, beta: np.ndarray) -> np.ndarray:
         """Per subject and column, beta'z at the column's row of `beta`
@@ -269,21 +297,26 @@ class _CauseWorkspace:
 
     def fit_state(self, c: int, beta: np.ndarray, state, derivs) -> _FitState:
         """Column c's _FitState at its row of `beta`, from the `state`
-        `evaluate` gives there and what `derivs` gives at that state."""
+        `evaluate` gives there and what `derivs` gives at that state, cut
+        to its own dataset's times and subjects."""
         values, _, wez = state
         _, hess, mean, start = derivs
+        j = self.owner[c]
         lo, hi = np.searchsorted(start, [c * self.r, (c + 1) * self.r])
-        return _FitState(beta[c], values[c], wez[c], hess[c], mean[lo:hi],
+        return _FitState(beta[c], values[c, :self.parts[j].arrays.times.size],
+                         wez[c, self.first[j]:self.first[j + 1]], hess[c], mean[lo:hi],
                          start[lo:hi] - c * self.r)
 
     def cause_fit(self, path: "_Path", c: int) -> CauseFit:
-        """Column c of `path` as a CauseFit."""
+        """Column c of `path` as a CauseFit, its knots at its own dataset's
+        times."""
         u = self._pava[c][0]
         error = path.error[c]
         return CauseFit(
             cause=int(self.causes[c]),
             beta=path.beta[c].copy(),
-            baseline=StepFunction(self.times[u], path.state[0][c, u]),
+            baseline=StepFunction(self.parts[self.owner[c]].arrays.times[u],
+                                  path.state[0][c, u]),
             loglik_trace=path.trace[c],
             iterations=max(len(path.trace[c]) - 1, 1),
             converged=bool(path.converged[c]),
@@ -291,11 +324,11 @@ class _CauseWorkspace:
         )
 
 
-def _subject_incidence(a: PanelArrays, n: int) -> csr_array:
-    """The n x r subject x time incidence of the epochs: a 1 at each
-    epoch's subject and time."""
-    return csr_array((np.ones(a.subj.size), a.inverse, _subject_bounds(a.subj, n)),
-                     shape=(n, a.times.size))
+def _subject_incidence(subj: np.ndarray, inverse: np.ndarray, n: int, r: int) -> csr_array:
+    """The n x r subject x time incidence of the epochs, which are grouped
+    by subject `subj` and at time index `inverse`: a 1 at each epoch's
+    subject and time."""
+    return csr_array((np.ones(subj.size), inverse, _subject_bounds(subj, n)), shape=(n, r))
 
 
 def _with_counts(inc, counts: np.ndarray):
@@ -449,18 +482,40 @@ def _diverged(beta: np.ndarray) -> ConvergenceError:
     )
 
 
-def _lockstep(data: PanelDataset, causes: np.ndarray, start: np.ndarray, weights=None):
+def _lockstep(data, causes: np.ndarray, start: np.ndarray, weights=None):
     """Fit column c, cause `causes[c]` from the row `start[c]`, with the
-    subject weights `weights(cols)` gives (n x len(cols); default all 1).
+    subject weights `weights(cols)` gives (n x len(cols); default all 1
+    on the column's own dataset, see _CauseWorkspace).  `data` is a
+    dataset or a stack of them.
 
     Columns run in chunks, so that no array of a chunk holds more than
-    _CHUNK_FLOATS floats per subject or distinct time.  Yields each
-    chunk's column indices, workspace and path."""
-    size = max(1, _CHUNK_FLOATS // max(data.n, data.arrays.times.size))
+    _CHUNK_FLOATS floats per subject or distinct time; a stack of several
+    datasets from _stacks is always one chunk.  Yields each chunk's column
+    indices, workspace and path."""
+    parts = [data] if isinstance(data, PanelDataset) else data
+    n, r = sum(p.n for p in parts), max(p.arrays.times.size for p in parts)
+    size = max(1, _CHUNK_FLOATS // max(n, r))
     for lo in range(0, len(causes), size):
         cols = np.arange(lo, min(lo + size, len(causes)))
         ws = _CauseWorkspace(data, causes[cols], None if weights is None else weights(cols))
         yield cols, ws, _newton(ws, start[cols], ws.evaluate, ws.derivs)
+
+
+def _stacks(datasets):
+    """The datasets of an iterable in stacks of consecutive ones: each as
+    many as keep its epochs times its columns (k per dataset) within
+    _CHUNK_FLOATS, at least one.  Each column's products run over every
+    epoch of its stack, so a stack's cost grows with the square of its
+    size.  Reads one dataset past each stack it yields."""
+    stack, epochs = [], 0
+    for data in datasets:
+        epochs += data.arrays.t.size
+        if stack and epochs * data.k * (len(stack) + 1) > _CHUNK_FLOATS:
+            yield stack
+            stack, epochs = [], data.arrays.t.size
+        stack.append(data)
+    if stack:
+        yield stack
 
 
 def aggregate(data: PanelDataset, cause: int) -> _CauseWorkspace:
@@ -532,34 +587,49 @@ def _assert_ascending(trace: list[float]) -> None:
             raise NumericError("log-likelihood trace decreased")
 
 
-def fit(data: PanelDataset) -> list[CauseFit]:
-    """Fit every recurrence mode independently.
+def fit(data: PanelDataset | Sequence[PanelDataset]) -> list[CauseFit]:
+    """Fit every recurrence mode independently, of one dataset or of each
+    dataset of a sequence with one k and d.
 
     Each cause is a column of one lockstep Newton loop (see _lockstep),
-    with unit weights.  Each fit starts at beta = 0, where the baseline is
-    the plain no-covariate isotonic estimator, and takes Newton steps to
-    the gradient stop; one that reaches _MAX_STEPS steps first is returned
+    with unit weights.  Consecutive datasets of a sequence are fitted
+    together in stacks (see _stacks and _CauseWorkspace): one column per
+    (dataset, cause), weighted 0 off its own dataset, on an axis of time
+    ranks; the knots are each dataset's own times.  A stacked fit sums
+    over zeros a fit alone does not, so its beta and baseline may differ
+    from that fit's in the last bits.  The fits come back as one flat
+    list, dataset by dataset, then cause by cause.
+
+    Each fit starts at beta = 0, where the baseline is the plain
+    no-covariate isotonic estimator, and takes Newton steps to the
+    gradient stop; one that reaches _MAX_STEPS steps first is returned
     with converged False and no error.
 
     Causes are separable (the joint objective is the sum of per-cause
     objectives), so each is maximized on its own.  A divergence in one
     cause is reported on its CauseFit (error set, converged False) and
-    does not stop the others.
+    does not stop the others.  A NumericError raised from the baseline
+    step stops the whole stack.
 
-    Each CauseFit keeps, by reference, the arrays it was fitted on and, if
-    it converged, its last evaluation and the derivatives of the stop test
-    there (see _FitState), which `sandwich_se` reads instead of forming
-    them again.
+    Each CauseFit keeps, by reference, the arrays of the dataset it was
+    fitted on and, if it converged, its last evaluation and the
+    derivatives of the stop test there (see _FitState), which
+    `sandwich_se` reads instead of forming them again.
     """
-    causes = np.arange(1, data.k + 1)
+    datasets = [data] if isinstance(data, PanelDataset) else list(data)
+    if len({(d.k, d.d) for d in datasets}) > 1:
+        raise ValueError("datasets fitted together need the same numbers of causes and covariates")
     fits = []
-    for cols, ws, path in _lockstep(data, causes, np.zeros((data.k, data.d))):
-        for c in range(cols.size):
-            cf = ws.cause_fit(path, c)
-            cf._arrays = data.arrays
-            if cf.converged and path.derivs is not None:
-                cf._state = ws.fit_state(c, path.beta, path.state, path.derivs)
-            fits.append(cf)
+    for stack in _stacks(datasets):
+        k, d = stack[0].k, stack[0].d
+        for cols, ws, path in _lockstep(stack, np.tile(np.arange(1, k + 1), len(stack)),
+                                        np.zeros((len(stack) * k, d))):
+            for c in range(cols.size):
+                cf = ws.cause_fit(path, c)
+                cf._arrays = ws.parts[ws.owner[c]].arrays
+                if cf.converged and path.derivs is not None:
+                    cf._state = ws.fit_state(c, path.beta, path.state, path.derivs)
+                fits.append(cf)
     return fits
 
 

@@ -170,7 +170,7 @@ def _sandwich(data: PanelDataset, cause_fit: CauseFit, state: _FitState) -> Infe
     if singular[0]:
         raise NumericError(_SINGULAR)
 
-    inc_t = _subject_incidence(a, data.n)
+    inc_t = _subject_incidence(a.subj, a.inverse, data.n, a.times.size)
     block_lengths = np.diff(state.block_start, append=a.times.size)
     per_time = np.column_stack([np.ones(a.times.size),
                                 np.repeat(state.block_mean, block_lengths, axis=0)])

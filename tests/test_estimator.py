@@ -18,9 +18,10 @@ from panelmean import (
     log_pseudo_likelihood,
     predict_mean,
     aggregate,
+    sandwich_se,
     weighted_isotonic,
 )
-from panelmean import estimator
+from panelmean import estimator, inference
 from panelmean.data import PanelArrays
 from panelmean.estimator import (_NEWTON_TOL, _assert_ascending, _CauseWorkspace, _lockstep,
                                   _profile_grad_hess)
@@ -472,6 +473,73 @@ class TestFit:
         monkeypatch.setattr(estimator, "_MAX_STEPS", 2)
         cf = fit(data)[0]
         assert not cf.converged and cf.iterations == 2 and cf.error is None
+
+
+class TestStackedFit:
+    # fit(sequence) fits consecutive datasets as columns of one workspace
+    # on an axis of time ranks: the fits of each dataset alone, up to the
+    # order of the additions
+    @staticmethod
+    def assert_same_fits(stacked, alone, datasets):
+        assert len(stacked) == len(alone) == sum(d.k for d in datasets)
+        owners = [d for d in datasets for _ in range(d.k)]
+        for s, a, data in zip(stacked, alone, owners):
+            assert (s.cause, s.iterations, s.converged, s.error) == \
+                (a.cause, a.iterations, a.converged, a.error)
+            np.testing.assert_array_equal(s.baseline.knots, a.baseline.knots)
+            np.testing.assert_allclose(s.beta, a.beta, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(s.baseline.values, a.baseline.values, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(s.loglik_trace, a.loglik_trace, rtol=1e-12, atol=0)
+            assert s._arrays is data.arrays
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    @pytest.mark.parametrize("n", [20, 37, 101, 200, 333])
+    def test_stack_of_five_matches_each_fit_alone(self, monkeypatch, n, seed):
+        cfg = table1_config(n=n, seed=seed)
+        datasets = [gen_dataset(cfg, np.random.default_rng([seed, rep])) for rep in range(5)]
+        alone = [cf for data in datasets for cf in fit(data)]
+        monkeypatch.setattr(estimator, "_CHUNK_FLOATS", 2**20)  # the five in one stack
+        assert [len(stack) for stack in estimator._stacks(datasets)] == [5]
+        stacked = fit(datasets)
+        self.assert_same_fits(stacked, alone, datasets)
+        owners = [d for d in datasets for _ in range(2)]
+        alone_cov = [sandwich_se(data, a).cov if a.converged else None
+                     for a, data in zip(alone, owners)]
+        # the stacked fits' sandwich reads their own last evaluation, cut to
+        # their dataset: it builds no workspace
+        monkeypatch.setattr(inference, "_CauseWorkspace", None)
+        for s, cov, data in zip(stacked, alone_cov, owners):
+            if cov is not None:
+                np.testing.assert_allclose(sandwich_se(data, s).cov, cov, rtol=1e-11, atol=0)
+
+    def test_sequence_of_one_is_the_dataset(self, table1_dataset_n100):
+        # a stack of one is the single-dataset fit, bit for bit
+        for s, a in zip(fit([table1_dataset_n100]), fit(table1_dataset_n100)):
+            assert s.beta.tobytes() == a.beta.tobytes()
+            assert s.baseline.values.tobytes() == a.baseline.values.tobytes()
+            assert s.loglik_trace == a.loglik_trace
+        assert fit([]) == []
+
+    def test_diverging_dataset_fails_alone_in_its_stack(self):
+        # no cause-1 events where z1 = 1 in the middle dataset: its cause-1
+        # beta diverges, and every other column fits as it does alone
+        cfg = table1_config(n=40, seed=12)
+        datasets = [gen_dataset(cfg, np.random.default_rng([12, rep])) for rep in range(3)]
+        datasets[1] = PanelDataset(
+            [Subject(s.id, s.times, np.vstack([s.counts[0] * (s.covariates[0] == 0), s.counts[1]]),
+                     s.covariates) for s in datasets[1].subjects], k=2, d=2)
+        assert [len(stack) for stack in estimator._stacks(datasets)] == [3]
+        alone = [cf for data in datasets for cf in fit(data)]
+        stacked = fit(datasets)
+        self.assert_same_fits(stacked, alone, datasets)
+        assert [cf.error is None for cf in stacked] == [True, True, False, True, True, True]
+        assert stacked[2].error.startswith("beta diverged")
+
+    @pytest.mark.parametrize("k, d", [(1, 2), (2, 1)])
+    def test_mixed_causes_or_covariates_rejected(self, table1_dataset_n100, k, d):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="same numbers of causes and covariates"):
+            fit([table1_dataset_n100, random_small_dataset(rng, n=6, k=k, d=d)])
 
 
 @st.composite

@@ -9,6 +9,8 @@ from panelmean import (
     PanelDataset,
     SimConfig,
     StudyError,
+    aggregate,
+    estimator,
     fit,
     gen_bivpois,
     gen_dataset,
@@ -306,17 +308,80 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("error", [ConvergenceError("no step"), NumericError("singular")])
     def test_fit_errors_count_as_failed_replications(self, monkeypatch, error):
-        calls = []
+        # fit raises on every tenth replicate, in a stack or alone
+        made = []
+        monkeypatch.setattr(simulate, "gen_dataset",
+                            lambda *args: made.append(gen_dataset(*args)) or made[-1])
 
         def every_tenth_fails(data):
-            calls.append(data)
-            if len(calls) % 10 == 0:
+            stack = [data] if isinstance(data, PanelDataset) else data
+            if any(made.index(d) % 10 == 9 for d in stack):
                 raise error
             return fit(data)
 
         monkeypatch.setattr(simulate, "fit", every_tenth_fails)
         result = run_study(table1_config(n=40, replications=20, seed=6))  # 10%: no abort
         assert (result.failures, result.replications_used) == (2, 18)
+
+    @staticmethod
+    def stack_sizes(monkeypatch):
+        """Record the number of replicates of each call of simulate.fit."""
+        sizes = []
+
+        def recording(data):
+            sizes.append(1 if isinstance(data, PanelDataset) else len(data))
+            return fit(data)
+
+        monkeypatch.setattr(simulate, "fit", recording)
+        return sizes
+
+    @pytest.mark.parametrize("size", [1, 2, "all"])
+    def test_stack_size_leaves_the_study_as_it_is(self, monkeypatch, size):
+        # n = 6 makes 3 of the 30 replicates fail, and clamps rho 3 times
+        cfg = table1_config(n=6, replications=30, seed=0)
+        reference = run_study(cfg)
+        epochs = [gen_dataset(cfg, np.random.default_rng([0, rep])).arrays.t.size
+                  for rep in range(30)]
+        # epochs x columns (2 causes per replicate) of each run of 2 and of 3
+        pairs = [(a + b) * 2 * 2 for a, b in zip(epochs, epochs[1:])]
+        triples = [(a + b + c) * 2 * 3 for a, b, c in zip(epochs, epochs[1:], epochs[2:])]
+        assert max(pairs) < min(triples)  # so one bound makes every stack a pair
+        bound = {1: 0, 2: max(pairs), "all": 2**30}[size]
+        monkeypatch.setattr(estimator, "_CHUNK_FLOATS", bound)
+        sizes = self.stack_sizes(monkeypatch)
+        result = run_study(cfg)
+        assert sizes == {1: [1] * 30, 2: [2] * 15, "all": [30]}[size]
+        assert (result.replications_used, result.failures, result.rho_clamps) == \
+            (reference.replications_used, reference.failures, reference.rho_clamps) == (27, 3, 3)
+        np.testing.assert_allclose(result.bias, reference.bias, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(result.mse, reference.mse, rtol=1e-12, atol=0)
+
+    def test_raising_stack_loses_only_the_replicate_that_raises_alone(self, monkeypatch):
+        # the baseline step raises NumericError on replicate 7's cause 1,
+        # stacked or alone: its stack is fitted again one replicate at a time
+        cfg = table1_config(n=40, replications=12, seed=6)
+        datasets = [gen_dataset(cfg, np.random.default_rng([6, rep])) for rep in range(12)]
+        poison = aggregate(datasets[7], 1).mean_count
+        isotonic_baseline = estimator._isotonic_baseline
+
+        def raising(mean_count, n_obs, exposure):
+            if mean_count.shape == poison.shape and np.array_equal(mean_count, poison):
+                raise NumericError("exposure must be finite and strictly positive")
+            return isotonic_baseline(mean_count, n_obs, exposure)
+
+        monkeypatch.setattr(estimator, "_isotonic_baseline", raising)
+        monkeypatch.setattr(estimator, "_CHUNK_FLOATS", 2**30)  # the 12 in one stack
+        sizes = self.stack_sizes(monkeypatch)
+        result = run_study(cfg)
+        assert sizes == [12] + [1] * 12
+        assert (result.failures, result.replications_used) == (1, 11)
+        kept = np.array([[cf.beta for cf in fit(data)]
+                         for rep, data in enumerate(datasets) if rep != 7])
+        truth = np.vstack([cfg.beta1, cfg.beta2])
+        np.testing.assert_allclose(result.bias, np.abs(kept.mean(axis=0) - truth),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(result.mse, ((kept - truth) ** 2).mean(axis=0),
+                                   rtol=1e-12, atol=0)
 
     def test_replicate_value_error_propagates(self, monkeypatch):
         def fail(data):
