@@ -20,10 +20,10 @@ its draw) and one starting beta, and one Newton loop steps all columns
 of a call in lockstep, every call covering every column.  _CauseWorkspace
 makes every sum over epochs, as sparse products with the time x subject
 incidence matrix taken for all columns at once, and every derivative of
-l, which reads the state of the evaluation it follows.  l depends on the
-times only through their order within a dataset, so several datasets fit
-as one stack: their subjects one after another on a shared axis of time
-ranks, each (dataset, cause) a column weighted 0 off its own subjects.
+l, which reads the state of the evaluation it follows.  Several datasets
+fit as one stack: their subjects and their times one after another, each
+(dataset, cause) a column that sums and multiplies over its own dataset
+only.
 """
 
 from __future__ import annotations
@@ -89,36 +89,36 @@ class _FitState:
 
 
 class _CauseWorkspace:
-    """m fit columns over the flat arrays of one dataset or of a stack of
+    """Fit columns over the flat arrays of one dataset or of a stack of
     datasets: the one place their epochs are summed and l is
     differentiated.
 
-    Column c fits cause `causes[c]` with subject weights `weights[:, c]`
-    (default all 1, summed like any other weights: counts are integers,
-    so their sums are exact in any order).  Only subjects of positive
-    weight, and the distinct times they are observed at (the column's
-    used times), take part, so a column is the explicitly resampled data
-    with repeats summed.
+    A stack is a list of datasets of one k and d; a single dataset is a
+    stack of one.  Every dataset has the same `kk` columns: column
+    c = j * kk + i, column i of dataset j = `owner[c]`, fits cause
+    `causes[i]` with the subject weights `weights[:, i]` on that dataset's
+    subjects (default all 1, summed like any other weights: counts are
+    integers, so their sums are exact in any order).  Only subjects of
+    positive weight, and the distinct times they are observed at (the
+    column's used times), take part, so a column is the explicitly
+    resampled data with repeats summed.
 
-    A stack is a list of datasets of one k and d.  Its subjects follow one
-    another, dataset by dataset, and each epoch keeps its own dataset's
-    `inverse`, its time's rank within that dataset, so the time axis is as
-    long as the longest dataset's and no two datasets' times are merged.
-    Its columns are its datasets', m / len(stack) each, dataset by dataset:
-    `owner[c]` is column c's dataset, on whose subjects its default
-    weights are 1 (0 elsewhere); `first` gives where each dataset's
-    subjects start.  A single dataset is a stack of one.
-
-    Epochs are the pooled (subject, observation) pairs.  They are summed
-    through the time x subject incidence `inc` (one 1 per epoch), its
-    transpose `inc_t` and, for counts, each cause's `count_inc` (the
-    epoch's count in place of the 1): per-time sums of per-subject values
-    X (n x m) are `inc @ X`, and per-subject sums of per-time values V
-    (r x m) are `inc_t @ V`.  Per-time and per-subject results are kept
-    with one row per column, so sums over times run along rows, and the
+    The stack's subjects follow one another, dataset by dataset, from
+    `first[j]`, and so do its distinct times, from `tfirst[j]`, on a time
+    axis of `r` rows, one per (dataset, time) pair.  Per-subject arrays
+    are n x kk and per-time arrays kk x r, so column c reads and writes
+    only dataset j's part of column (or row) i.  Epochs are the pooled
+    (subject, observation) pairs.  They are summed through the time x
+    subject incidence `inc` (one 1 per epoch), its transpose `inc_t` and,
+    for counts, each cause's `count_inc` (the epoch's count in place of
+    the 1): per-time sums of per-subject values X (n x kk) are `inc @ X`,
+    and per-subject sums of per-time values V (r x kk) are `inc_t @ V`.
+    Sums over a column's times run over its own rows only, and the
     products with Z (linear predictors, gradients, Hessians) are made
-    column by column.  Each sum adds a column's terms in a fixed order,
-    so no column's numbers depend on the other columns of the call.
+    column by column with its own dataset's Z.  Each sum adds a column's
+    terms in a fixed order, so no column's numbers depend on the other
+    columns of the call or the other datasets of its stack: a stacked fit
+    is its dataset's fit alone, bit for bit.
 
     Per column and time, `total` holds the weighted count total C_q; per
     column, `zcs` holds Z' times the weighted per-subject count totals
@@ -131,73 +131,88 @@ class _CauseWorkspace:
     share of it for the sandwich estimator.
 
     `times` are a single dataset's distinct times (None for a stack of
-    several, whose axis is ranks), `r` the length of the time axis.  A
-    scalar `cause` (no weights) makes the one-column view of the full data
-    of one dataset, which also holds 1-D arrays: on the distinct times the
-    observation count `n_obs` and the mean count `mean_count`; per subject
-    the count total `count_sum`.  `subj` and `inverse` are the epoch
-    arrays (see PanelArrays).
+    several).  A scalar `cause` (no weights) makes the one-column view of
+    the full data of one dataset, which also holds 1-D arrays: on the
+    distinct times the observation count `n_obs` and the mean count
+    `mean_count`; per subject the count total `count_sum`.  `Z`, `subj`
+    and `inverse` (each epoch's time row) are the stack's (see
+    PanelArrays).
     """
 
     def __init__(self, data, cause, weights: np.ndarray | None = None):
         parts = [data] if isinstance(data, PanelDataset) else list(data)
+        arrays = [p.arrays for p in parts]
         self.causes = causes = np.atleast_1d(cause)
         for j in set(causes.tolist()):
             _check_cause(parts[0], j)
-        n_sub = [p.n for p in parts]
-        self.parts, self.first = parts, np.r_[0, np.cumsum(n_sub)]
-        n, m = int(self.first[-1]), causes.size
-        self.owner = np.repeat(np.arange(len(parts)), m // len(parts))
-        self.d, self.n = parts[0].d, n
-        if len(parts) == 1:
-            a = parts[0].arrays
-            self.times, self.r = a.times, a.times.size
-            self.Z, self.subj, self.inverse, counts = a.Z, a.subj, a.inverse, a.counts
-        else:
-            arrays = [p.arrays for p in parts]
-            self.times, self.r = None, max(a.times.size for a in arrays)
-            self.Z = np.concatenate([a.Z for a in arrays])
-            self.subj = np.concatenate([a.subj + lo for a, lo in zip(arrays, self.first)])
-            self.inverse = np.concatenate([a.inverse for a in arrays])
-            counts = np.concatenate([a.counts for a in arrays], axis=1)
-        r = self.r
+        kk = causes.size
+        self.parts, self.kk, self.d = parts, kk, parts[0].d
+        self.first = np.r_[0, np.cumsum([p.n for p in parts])]
+        self.tfirst = np.r_[0, np.cumsum([a.times.size for a in arrays])]
+        self.n, self.r = n, r = int(self.first[-1]), int(self.tfirst[-1])
+        self.times = arrays[0].times if len(parts) == 1 else None
+        self.owner = np.repeat(np.arange(len(parts)), kk)
+        self.Z = _joined([a.Z for a in arrays])
+        self.subj = _joined([a.subj for a in arrays], self.first)
+        self.inverse = _joined([a.inverse for a in arrays], self.tfirst)
+        counts = _joined([a.counts for a in arrays], axis=1)
         self.inc_t = _subject_incidence(self.subj, self.inverse, n, r)
         self.inc = self.inc_t.T  # a CSC view: still adds a time's epochs in subject order
-        self.count_inc = {j: _with_counts(self.inc, counts[j - 1])
-                          for j in set(causes.tolist())}
+        self.count_inc = {j: _with_counts(self.inc, counts[j - 1]) for j in set(causes.tolist())}
+        # per dataset, its time rows, its subjects and its Z; per column, its
+        # index i and its dataset's
+        self._spans = [(slice(*self.tfirst[j:j + 2]), slice(*self.first[j:j + 2]), a.Z)
+                       for j, a in enumerate(arrays)]
+        self._cols = [(i, *span) for span in self._spans for i in range(kk)]
 
-        if weights is None:
-            weights = np.repeat(np.arange(len(parts)), n_sub)[:, None] == self.owner
-        self.w = np.asarray(weights, dtype=float).reshape(n, m)
+        self.w = np.ones((n, kk)) if weights is None else \
+            np.asarray(weights, dtype=float).reshape(n, kk)
         self.active = None if self.w.min() > 0 else self.w > 0
         obs = np.ascontiguousarray((self.inc @ self.w).T)
-        self.total = np.empty((m, r))
-        self.zcs = np.empty((m, self.d))
+        self.total = np.empty((kk, r))
+        count_sum = {}
         for j, inc_counts in self.count_inc.items():
             col = causes == j
             self.total[col] = (inc_counts @ self.w[:, col]).T
-            count_sum = np.bincount(self.subj, weights=counts[j - 1], minlength=n)
-            for c in np.flatnonzero(col):  # row by row: one matrix product rounds otherwise
-                self.zcs[c] = self.Z.T @ (self.w[:, c] * count_sum)
+            count_sum[j] = np.bincount(self.subj, weights=counts[j - 1], minlength=n)
+        self.zcs = np.array([Z.T @ (self.w[s, i] * count_sum[causes[i]][s])
+                             for i, _, s, Z in self._cols]).reshape(len(self._cols), self.d)
         self.no_count = (self.total == 0).astype(float)
-        self.z_range = _z_range(self.Z, self.active, m)
+        self.z_range = np.concatenate([
+            _z_range(Z, None if self.active is None else self.active[s], kk)
+            for _, s, Z in self._spans])
 
-        # per column, what its PAVA needs: its used times, for each time the
-        # used time at or before it (the first before any), and the
-        # observation counts and mean counts there
+        # per column, what its PAVA needs: its used times (within its
+        # dataset's), for each of its times the used time at or before it
+        # (the first before any), and the observation counts and mean
+        # counts at its used times
         used = obs > 0
-        fill = np.maximum(np.cumsum(used, axis=1) - 1, 0)
-        self._pava = [(u, fill[c], obs[c, u], self.total[c, u] / obs[c, u])
-                      for c, u in enumerate(map(np.flatnonzero, used))]
+        fill = np.cumsum(used, axis=1)  # restarted at each dataset's first time
+        starts = self.tfirst[:-1]
+        fill -= np.repeat(fill[:, starts] - used[:, starts] + 1, np.diff(self.tfirst), axis=1)
+        np.maximum(fill, 0, out=fill)
+        self._pava = []
+        for i, t, _, _ in self._cols:
+            u = np.flatnonzero(used[i, t])
+            self._pava.append((u, fill[i, t], obs[i, t][u], self.total[i, t][u] / obs[i, t][u]))
 
         if np.ndim(cause) == 0:
             _, _, self.n_obs, self.mean_count = self._pava[0]
-            self.count_sum = count_sum  # of the one cause
+            self.count_sum = count_sum[int(cause)]
+
+    def _cells(self, columns: np.ndarray):
+        """The per-time (kk x r) and per-subject (n x kk) cells of the
+        columns the mask `columns` (m) marks."""
+        mask = columns.reshape(-1, self.kk)
+        return mask.T.repeat(np.diff(self.tfirst), axis=1), mask.repeat(np.diff(self.first), axis=0)
 
     def linear_predictor(self, beta: np.ndarray) -> np.ndarray:
-        """Per subject and column, beta'z at the column's row of `beta`
-        (m x d); 0 off the column's subjects."""
-        lp = np.array([self.Z @ b for b in beta]).reshape(-1, self.n).T.copy()
+        """Per subject and column i of each dataset (n x kk), beta'z at the
+        row of `beta` (m x d) of its column; 0 off the column's subjects."""
+        lp = np.empty((self.kk, self.n))
+        for (i, _, s, Z), b in zip(self._cols, beta):
+            lp[i, s] = Z @ b
+        lp = lp.T.copy()
         if self.active is not None:
             lp *= self.active
         return lp
@@ -209,19 +224,20 @@ class _CauseWorkspace:
         return e
 
     def exposure(self, beta: np.ndarray) -> np.ndarray:
-        """Per column and time, S_q: the weighted sum of exp(beta'z) over its epochs."""
+        """Per column i of each dataset and time, S_q: the weighted sum of
+        exp(beta'z) over its epochs."""
         return self._exposure(self._weighted_exp(self.linear_predictor(beta)))
 
     def _exposure(self, wez: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray((self.inc @ wez).T)
 
     def baseline_values(self, exposure: np.ndarray) -> np.ndarray:
-        """Per column and time, the isotonic baseline at fixed beta, given
-        `exposure` = `self.exposure(beta)`; one PAVA per column on its
-        used times, whose values the unused times repeat."""
+        """Per column i of each dataset and time, the isotonic baseline at
+        fixed beta, given `exposure` = `self.exposure(beta)`; one PAVA per
+        column on its used times, whose values its other times repeat."""
         values = np.empty_like(exposure)
-        for c, (u, fill, n_obs, mean_count) in enumerate(self._pava):
-            values[c] = _isotonic_baseline(mean_count, n_obs, exposure[c, u] / n_obs)[fill]
+        for (i, t, _, _), (u, fill, n_obs, mean_count) in zip(self._cols, self._pava):
+            values[i, t] = _isotonic_baseline(mean_count, n_obs, exposure[i, t][u] / n_obs)[fill]
         return values
 
     def loglik(self, beta: np.ndarray, values: np.ndarray, exposure: np.ndarray) -> np.ndarray:
@@ -233,19 +249,21 @@ class _CauseWorkspace:
             np.log(terms, out=terms)
         terms *= self.total
         terms -= exposure * values
-        return terms.sum(axis=1) + (beta * self.zcs).sum(axis=1)
+        sums = np.array([terms[:, t].sum(axis=1) for t, _, _ in self._spans])
+        return sums.ravel() + (beta * self.zcs).sum(axis=1)
 
     def evaluate(self, beta: np.ndarray, values: np.ndarray | None = None):
         """l_p of each column at its row of `beta`, or l at its row of
         fixed baseline `values` if given (-inf where some |beta'z| >
         _MAX_LP, see _newton), and the state its derivatives read: the
-        baseline values, the exposure and w exp(beta'z) (one row per
-        column; at beta'z = 0 where -inf, so it stays finite)."""
+        baseline values, the exposure and w exp(beta'z) (kk x r, kk x r
+        and kk x n; at beta'z = 0 where -inf, so it stays finite)."""
         lp = self.linear_predictor(beta)
         over = np.zeros(beta.shape[0], dtype=bool)
         if not (lp.max(initial=0.0) <= _MAX_LP and -lp.min(initial=0.0) <= _MAX_LP):  # rare
-            over = ~(np.abs(lp).max(axis=0) <= _MAX_LP)  # or not a number
-            lp[:, over] = 0.0
+            over = ~(np.maximum.reduceat(np.abs(lp), self.first[:-1]).ravel()  # or not a number
+                     <= _MAX_LP)
+            lp[self._cells(over)[1]] = 0.0
         wez = self._weighted_exp(lp)
         exposure = self._exposure(wez)
         if values is None:
@@ -254,14 +272,23 @@ class _CauseWorkspace:
         ll[over] = -np.inf
         return ll, (values, exposure, wez.T)
 
+    def accept(self, state, new, columns: np.ndarray) -> None:
+        """Copy into the arrays of the evaluation `state` the cells of
+        those of `new` of the columns the mask `columns` marks."""
+        times, subjects = self._cells(columns)
+        for full, part, cells in zip(state, new, (times, times, subjects.T)):
+            np.copyto(full, part, where=cells)
+
     def _fixed_grad_hess(self, wez: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient (rows) and Hessian of l in beta at a fixed baseline for
-        each column, from w exp(beta'z) `wez` and `lam`, per column (rows)
-        and subject the sum of the baseline's values at its epochs."""
+        each column, from w exp(beta'z) `wez` and `lam`, per column i of
+        each dataset (rows) and subject the sum of the baseline's values
+        at its epochs."""
         mu = lam * wez
-        m, d = mu.shape[0], self.d
-        grad = self.zcs - np.array([self.Z.T @ row for row in mu]).reshape(m, d)
-        hess = -np.array([(self.Z * row[:, None]).T @ self.Z for row in mu]).reshape(m, d, d)
+        rows = [(Z, mu[i, s]) for i, _, s, Z in self._cols]
+        m, d = len(rows), self.d
+        grad = self.zcs - np.array([Z.T @ row for Z, row in rows]).reshape(m, d)
+        hess = -np.array([(Z * row[:, None]).T @ Z for Z, row in rows]).reshape(m, d, d)
         return grad, hess
 
     def fixed_derivs(self, state) -> tuple[np.ndarray, np.ndarray]:
@@ -274,25 +301,30 @@ class _CauseWorkspace:
     def derivs(self, state):
         """Gradient (rows) and Hessian of l_p of each column at the state
         `evaluate` gives; per block B, a run of equal `values` (each
-        N_B / E_B for the isotonic baseline at beta), the exp(beta'z)-
-        weighted mean m_B of z over its epochs; and where each block
-        starts, as a flat index into the (column, time) cells.  By the
-        envelope theorem the gradient is the fixed-baseline one; the
-        Hessian is the fixed-baseline one plus sum_B N_B m_B m_B'."""
+        N_B / E_B for the isotonic baseline at beta) within a column's
+        times, the exp(beta'z)-weighted mean m_B of z over its epochs; and
+        where each block starts, as a flat index into the kk x r cells.
+        By the envelope theorem the gradient is the fixed-baseline one;
+        the Hessian is the fixed-baseline one plus sum_B N_B m_B m_B'."""
         values, exposure, wez = state
-        m, r, d = values.shape[0], values.shape[1], self.d
+        kk, r, d = self.kk, self.r, self.d
         grad, hess = self.fixed_derivs(state)
-        # blocks in (column, time) order: each column's first at its first time
-        new = np.ones((m, r), dtype=bool)
+        # blocks in cell order: each column's first at its first time
+        new = np.ones((kk, r), dtype=bool)
         np.greater(values[:, 1:], values[:, :-1], out=new[:, 1:])
+        new[:, self.tfirst[:-1]] = True
         start = np.flatnonzero(new)
         mean = np.empty((start.size, d))
         for l, z in enumerate(self.Z.T):  # per block, sum of w exp(beta'z) z_l over its epochs
             mean[:, l] = np.add.reduceat((self.inc @ (wez.T * z[:, None])).T.ravel(), start)
         mean /= np.add.reduceat(exposure.ravel(), start)[:, None]
         count = np.add.reduceat(self.total.ravel(), start)
-        hess += np.add.reduceat(count[:, None, None] * mean[:, :, None] * mean[:, None, :],
-                                np.searchsorted(start, np.arange(0, m * r, r)), axis=0)
+        # each column's blocks summed, in cell order (column i of every
+        # dataset, then i + 1), then put in column order
+        firsts = np.add.outer(np.arange(0, kk * r, r), self.tfirst[:-1]).ravel()
+        blocks = np.add.reduceat(count[:, None, None] * mean[:, :, None] * mean[:, None, :],
+                                 np.searchsorted(start, firsts), axis=0)
+        hess += blocks.reshape(kk, -1, d, d).swapaxes(0, 1).reshape(hess.shape)
         return grad, hess, mean, start
 
     def fit_state(self, c: int, beta: np.ndarray, state, derivs) -> _FitState:
@@ -301,27 +333,39 @@ class _CauseWorkspace:
         to its own dataset's times and subjects."""
         values, _, wez = state
         _, hess, mean, start = derivs
-        j = self.owner[c]
-        lo, hi = np.searchsorted(start, [c * self.r, (c + 1) * self.r])
-        return _FitState(beta[c], values[c, :self.parts[j].arrays.times.size],
-                         wez[c, self.first[j]:self.first[j + 1]], hess[c], mean[lo:hi],
-                         start[lo:hi] - c * self.r)
+        i, t, s, _ = self._cols[c]
+        cell = i * self.r + t.start
+        lo, hi = np.searchsorted(start, [cell, cell + t.stop - t.start])
+        return _FitState(beta[c], values[i, t], wez[i, s], hess[c], mean[lo:hi],
+                         start[lo:hi] - cell)
 
     def cause_fit(self, path: "_Path", c: int) -> CauseFit:
         """Column c of `path` as a CauseFit, its knots at its own dataset's
         times."""
+        i, t, _, _ = self._cols[c]
         u = self._pava[c][0]
         error = path.error[c]
         return CauseFit(
-            cause=int(self.causes[c]),
+            cause=int(self.causes[i]),
             beta=path.beta[c].copy(),
             baseline=StepFunction(self.parts[self.owner[c]].arrays.times[u],
-                                  path.state[0][c, u]),
+                                  path.state[0][i, t][u]),
             loglik_trace=path.trace[c],
             iterations=max(len(path.trace[c]) - 1, 1),
             converged=bool(path.converged[c]),
             error=None if error is None else str(error),
         )
+
+
+def _joined(pieces: list[np.ndarray], starts=None, axis: int = 0) -> np.ndarray:
+    """The arrays `pieces` one after another along `axis`, each index
+    array plus its piece's entry of `starts` if given; a single piece as
+    it is, so a dataset's own workspace holds its arrays, not copies."""
+    if len(pieces) == 1:
+        return pieces[0]
+    if starts is not None:
+        pieces = [p + lo for p, lo in zip(pieces, starts)]
+    return np.concatenate(pieces, axis=axis)
 
 
 def _subject_incidence(subj: np.ndarray, inverse: np.ndarray, n: int, r: int) -> csr_array:
@@ -390,11 +434,11 @@ class _Path:
     error: list
     derivs: tuple | None = None
 
-    def accept(self, took: np.ndarray, beta: np.ndarray, obj: np.ndarray, state) -> None:
-        """Accept the rows of beta, obj and state that the mask `took` marks."""
+    def accept(self, ws: _CauseWorkspace, took: np.ndarray, beta: np.ndarray, obj: np.ndarray,
+               state) -> None:
+        """Accept the columns of beta, obj and state that the mask `took` marks."""
         self.beta[took] = beta[took]
-        for full, part in zip(self.state, state):
-            full[took] = part[took]
+        ws.accept(self.state, state, took)
         for c, o in zip(np.flatnonzero(took), obj[took].tolist()):
             self.trace[c].append(o)
 
@@ -406,7 +450,7 @@ def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs) -> _Path:
     `beta` holds a starting row per column.  `evaluate(beta)` gives the
     objective of every column at its row of beta (-inf, unevaluated, where
     some |beta'z| > _MAX_LP, so exp(beta'z) stays inside the float range),
-    and a state: a tuple of arrays with a row per column.  `derivs(state)`
+    and a state: the arrays `ws.evaluate` gives.  `derivs(state)`
     gives their gradients (rows) and Hessians.  Every call covers every
     column; a column that has stopped is evaluated at its last iterate and
     the result dropped.  A column's steps halve until its objective does
@@ -452,7 +496,7 @@ def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs) -> _Path:
             cand = np.where(pending[:, None], path.beta + 0.5 ** halving * step, path.beta)
             obj, state = evaluate(cand)
             took = pending & (obj >= floor)
-            path.accept(took, cand, obj, state)
+            path.accept(ws, took, cand, obj, state)
             pending &= ~took
         run = stepping & ~singular & ~pending
         steps += run
@@ -483,30 +527,36 @@ def _diverged(beta: np.ndarray) -> ConvergenceError:
 
 
 def _lockstep(data, causes: np.ndarray, start: np.ndarray, weights=None):
-    """Fit column c, cause `causes[c]` from the row `start[c]`, with the
-    subject weights `weights(cols)` gives (n x len(cols); default all 1
-    on the column's own dataset, see _CauseWorkspace).  `data` is a
-    dataset or a stack of them.
+    """Fit column i of each dataset of `data` (a dataset or a stack of
+    them, see _CauseWorkspace), cause `causes[i]` with the subject weights
+    `weights(cols)` gives (n x len(cols) for the columns `cols` of every
+    dataset; default all 1), column c = j * len(causes) + i of dataset j
+    from the row `start[c]`.
 
-    Columns run in chunks, so that no array of a chunk holds more than
-    _CHUNK_FLOATS floats per subject or distinct time; a stack of several
-    datasets from _stacks is always one chunk.  Yields each chunk's column
-    indices, workspace and path."""
+    Columns run in chunks, the same columns of every dataset in one, so
+    that no array of a chunk holds more than _CHUNK_FLOATS floats per
+    subject or time row; a stack of several datasets from _stacks is
+    always one chunk.  Yields each chunk's column indices, workspace and
+    path."""
     parts = [data] if isinstance(data, PanelDataset) else data
-    n, r = sum(p.n for p in parts), max(p.arrays.times.size for p in parts)
+    n, r = sum(p.n for p in parts), sum(p.arrays.times.size for p in parts)
     size = max(1, _CHUNK_FLOATS // max(n, r))
     for lo in range(0, len(causes), size):
-        cols = np.arange(lo, min(lo + size, len(causes)))
-        ws = _CauseWorkspace(data, causes[cols], None if weights is None else weights(cols))
+        own = np.arange(lo, min(lo + size, len(causes)))
+        cols = (np.arange(len(parts))[:, None] * len(causes) + own).ravel()
+        ws = _CauseWorkspace(data, causes[own], None if weights is None else weights(own))
         yield cols, ws, _newton(ws, start[cols], ws.evaluate, ws.derivs)
 
 
 def _stacks(datasets):
     """The datasets of an iterable in stacks of consecutive ones: each as
     many as keep its epochs times its columns (k per dataset) within
-    _CHUNK_FLOATS, at least one.  Each column's products run over every
-    epoch of its stack, so a stack's cost grows with the square of its
-    size.  Reads one dataset past each stack it yields."""
+    _CHUNK_FLOATS, at least one (five Table-1 datasets at n = 200).  A
+    column sums and multiplies over its own dataset only, so a stack's
+    cost and memory grow linearly with its size; this bound, which shrinks
+    stacks faster than their datasets grow, stops them where a larger
+    stack would add more to the peak memory than it saves in time.  Reads
+    one dataset past each stack it yields."""
     stack, epochs = [], 0
     for data in datasets:
         epochs += data.arrays.t.size
@@ -594,11 +644,9 @@ def fit(data: PanelDataset | Sequence[PanelDataset]) -> list[CauseFit]:
     Each cause is a column of one lockstep Newton loop (see _lockstep),
     with unit weights.  Consecutive datasets of a sequence are fitted
     together in stacks (see _stacks and _CauseWorkspace): one column per
-    (dataset, cause), weighted 0 off its own dataset, on an axis of time
-    ranks; the knots are each dataset's own times.  A stacked fit sums
-    over zeros a fit alone does not, so its beta and baseline may differ
-    from that fit's in the last bits.  The fits come back as one flat
-    list, dataset by dataset, then cause by cause.
+    (dataset, cause), over that dataset's subjects and times only, so a
+    stacked fit is the dataset's fit alone, bit for bit.  The fits come
+    back as one flat list, dataset by dataset, then cause by cause.
 
     Each fit starts at beta = 0, where the baseline is the plain
     no-covariate isotonic estimator, and takes Newton steps to the
@@ -622,8 +670,7 @@ def fit(data: PanelDataset | Sequence[PanelDataset]) -> list[CauseFit]:
     fits = []
     for stack in _stacks(datasets):
         k, d = stack[0].k, stack[0].d
-        for cols, ws, path in _lockstep(stack, np.tile(np.arange(1, k + 1), len(stack)),
-                                        np.zeros((len(stack) * k, d))):
+        for cols, ws, path in _lockstep(stack, np.arange(1, k + 1), np.zeros((len(stack) * k, d))):
             for c in range(cols.size):
                 cf = ws.cause_fit(path, c)
                 cf._arrays = ws.parts[ws.owner[c]].arrays

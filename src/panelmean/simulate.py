@@ -192,8 +192,7 @@ def run_study(cfg: SimConfig) -> StudyResult:
     so results do not depend on execution order.  They are generated and
     fitted one stack at a time (see estimator._stacks), a stack of
     consecutive replicates in one call of `fit`, and only their betas are
-    kept.  A stacked fit sums over zeros a fit alone does not, so a
-    replicate's beta may differ from fitting it alone in the last bits.
+    kept; a replicate's beta is that of fitting it alone, bit for bit.
     Replicates where any cause fails to converge are dropped; a stack
     whose fit raises ConvergenceError or NumericError is fitted again one
     replicate at a time, so only a replicate that raises alone is dropped.

@@ -476,9 +476,9 @@ class TestFit:
 
 
 class TestStackedFit:
-    # fit(sequence) fits consecutive datasets as columns of one workspace
-    # on an axis of time ranks: the fits of each dataset alone, up to the
-    # order of the additions
+    # fit(sequence) fits consecutive datasets as columns of one workspace,
+    # each over its own dataset's subjects and times only: the fits of
+    # each dataset alone, bit for bit
     @staticmethod
     def assert_same_fits(stacked, alone, datasets):
         assert len(stacked) == len(alone) == sum(d.k for d in datasets)
@@ -486,23 +486,17 @@ class TestStackedFit:
         for s, a, data in zip(stacked, alone, owners):
             assert (s.cause, s.iterations, s.converged, s.error) == \
                 (a.cause, a.iterations, a.converged, a.error)
-            np.testing.assert_array_equal(s.baseline.knots, a.baseline.knots)
-            np.testing.assert_allclose(s.beta, a.beta, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(s.baseline.values, a.baseline.values, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(s.loglik_trace, a.loglik_trace, rtol=1e-12, atol=0)
+            assert s.baseline.knots.tobytes() == a.baseline.knots.tobytes()
+            assert s.beta.tobytes() == a.beta.tobytes()
+            assert s.baseline.values.tobytes() == a.baseline.values.tobytes()
+            assert s.loglik_trace == a.loglik_trace
             assert s._arrays is data.arrays
 
-    @pytest.mark.parametrize("seed", [3, 11, 29])
-    @pytest.mark.parametrize("n", [20, 37, 101, 200, 333])
-    def test_stack_of_five_matches_each_fit_alone(self, monkeypatch, n, seed):
-        cfg = table1_config(n=n, seed=seed)
-        datasets = [gen_dataset(cfg, np.random.default_rng([seed, rep])) for rep in range(5)]
+    def assert_stack_fits_alone(self, monkeypatch, datasets):
         alone = [cf for data in datasets for cf in fit(data)]
-        monkeypatch.setattr(estimator, "_CHUNK_FLOATS", 2**20)  # the five in one stack
-        assert [len(stack) for stack in estimator._stacks(datasets)] == [5]
         stacked = fit(datasets)
         self.assert_same_fits(stacked, alone, datasets)
-        owners = [d for d in datasets for _ in range(2)]
+        owners = [d for d in datasets for _ in range(d.k)]
         alone_cov = [sandwich_se(data, a).cov if a.converged else None
                      for a, data in zip(alone, owners)]
         # the stacked fits' sandwich reads their own last evaluation, cut to
@@ -510,7 +504,48 @@ class TestStackedFit:
         monkeypatch.setattr(inference, "_CauseWorkspace", None)
         for s, cov, data in zip(stacked, alone_cov, owners):
             if cov is not None:
-                np.testing.assert_allclose(sandwich_se(data, s).cov, cov, rtol=1e-11, atol=0)
+                assert sandwich_se(data, s).cov.tobytes() == cov.tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    @pytest.mark.parametrize("n", [20, 37, 101, 200, 333])
+    def test_stack_of_five_matches_each_fit_alone(self, monkeypatch, n, seed):
+        cfg = table1_config(n=n, seed=seed)
+        datasets = [gen_dataset(cfg, np.random.default_rng([seed, rep])) for rep in range(5)]
+        monkeypatch.setattr(estimator, "_CHUNK_FLOATS", 2**20)  # the five in one stack
+        assert [len(stack) for stack in estimator._stacks(datasets)] == [5]
+        self.assert_stack_fits_alone(monkeypatch, datasets)
+
+    def test_largest_stack_matches_each_fit_alone(self, monkeypatch):
+        # at n = 20 the default bound makes the largest stacks
+        cfg = table1_config(n=20, seed=4)
+        datasets = [gen_dataset(cfg, np.random.default_rng([4, rep])) for rep in range(40)]
+        sizes = [len(stack) for stack in estimator._stacks(datasets)]
+        assert len(sizes) > 1 and sizes[0] >= 12
+        stack = datasets[:sizes[0]]
+        # _lockstep does not split it: its columns are one chunk
+        chunks = estimator._lockstep(stack, np.arange(1, 3), np.zeros((2 * len(stack), 2)))
+        assert [cols.size for cols, _, _ in chunks] == [2 * len(stack)]
+        self.assert_stack_fits_alone(monkeypatch, stack)
+
+    def test_stack_of_mixed_sizes_matches_each_fit_alone(self, monkeypatch):
+        # n = 20 and n = 333 in turn: the datasets' time axes differ
+        # about 17-fold in length
+        datasets = [gen_dataset(table1_config(n=n, seed=6), np.random.default_rng([6, rep]))
+                    for rep, n in enumerate([20, 333] * 3)]
+        monkeypatch.setattr(estimator, "_CHUNK_FLOATS", 2**20)  # the six in one stack
+        assert [len(stack) for stack in estimator._stacks(datasets)] == [6]
+        self.assert_stack_fits_alone(monkeypatch, datasets)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_column_does_not_depend_on_its_stack_mates(self, seed):
+        a, b, c = (gen_dataset(table1_config(n=n, seed=seed), np.random.default_rng([seed, n]))
+                   for n in (200, 20, 333))
+        assert [len(stack) for stack in estimator._stacks([c, a])] == [2]
+        beside_b, beside_c = fit([b, a])[2:], fit([c, a])[2:]
+        for x, y in zip(beside_b, beside_c):
+            assert x.beta.tobytes() == y.beta.tobytes()
+            assert x.baseline.values.tobytes() == y.baseline.values.tobytes()
+            assert x.loglik_trace == y.loglik_trace
 
     def test_sequence_of_one_is_the_dataset(self, table1_dataset_n100):
         # a stack of one is the single-dataset fit, bit for bit
