@@ -122,7 +122,12 @@ class PanelDataset:
     def __init__(self, subjects: list[Subject], k: int, d: int):
         if not subjects:
             raise ValidationError("dataset needs at least one subject")
-        for s in subjects:
+        seen = set()
+        for s in subjects:  # ids that write_panel_csv and parse_panel_csv keep as they are
+            if not isinstance(s.id, str) or s.id in seen or not s.id or s.id != s.id.strip():
+                raise ValidationError(f"subject {s.id!r}: ids must be distinct, non-empty "
+                                      "strings without leading or trailing whitespace")
+            seen.add(s.id)
             if s.k != k:
                 raise ValidationError(f"subject {s.id!r}: has {s.k} causes, dataset declares {k}")
             if s.d != d:

@@ -36,7 +36,7 @@ from scipy.sparse import csr_array
 
 from .data import PanelArrays, PanelDataset, _check_cause, _subject_bounds
 from .errors import ConvergenceError, NumericError
-from .isotonic import StepFunction, _isotonic_baseline
+from .isotonic import StepFunction, _pava
 
 _MAX_HALVINGS = 30
 _BETA_BOUND = 15.0  # on |beta_l| * z_range_l, see _newton
@@ -120,23 +120,26 @@ class _CauseWorkspace:
     columns of the call or the other datasets of its stack: a stacked fit
     is its dataset's fit alone, bit for bit.
 
-    Per column and time, `total` holds the weighted count total C_q; per
-    column, `zcs` holds Z' times the weighted per-subject count totals
-    (the beta-linear part of l) and `z_range` each covariate's range over
-    the column's subjects (|z_l| if all share it, 1 if that is 0): the
-    unit in which beta_l * z_l is judged.  Every method covers all m
-    columns.  `evaluate` serves every Newton loop; its state (baseline
-    values, exposure, w exp(beta'z)) is what `fixed_derivs` and `derivs`
-    read, so neither forms exp(beta'z) again; `fit_state` keeps a column's
-    share of it for the sandwich estimator.
+    Per column and time, `total` holds the weighted count total C_q and
+    `obs` the weighted observation count; `n_obs` and `mean_count` (C_q /
+    obs) hold them at the used cells only, in cell order, so a column's
+    `_pava` record is its run of them and, per time, the used time whose
+    baseline value the time takes (the last at or before it, else the
+    first; the whole run if the column uses every time).  Per column, `zcs`
+    holds Z' times the weighted per-subject count totals (the beta-linear
+    part of l) and `z_range` each covariate's range over the column's
+    subjects (|z_l| if all share it, 1 if that is 0): the unit in which
+    beta_l * z_l is judged.  Every method covers all m columns.  `evaluate`
+    serves every Newton loop; its state (baseline values, exposure, w
+    exp(beta'z)) is what `fixed_derivs` and `derivs` read, so neither forms
+    exp(beta'z) again; `fit_state` keeps a column's share of it for the
+    sandwich estimator.
 
     `times` are a single dataset's distinct times (None for a stack of
     several).  A scalar `cause` (no weights) makes the one-column view of
-    the full data of one dataset, which also holds 1-D arrays: on the
-    distinct times the observation count `n_obs` and the mean count
-    `mean_count`; per subject the count total `count_sum`.  `Z`, `subj`
-    and `inverse` (each epoch's time row) are the stack's (see
-    PanelArrays).
+    one dataset's full data: `n_obs` and `mean_count` per distinct time,
+    and `count_sum` per subject.  `Z`, `subj` and `inverse` (each epoch's
+    time row) are the stack's (see PanelArrays).
     """
 
     def __init__(self, data, cause, weights: np.ndarray | None = None):
@@ -168,7 +171,7 @@ class _CauseWorkspace:
         self.w = np.ones((n, kk)) if weights is None else \
             np.asarray(weights, dtype=float).reshape(n, kk)
         self.active = None if self.w.min() > 0 else self.w > 0
-        obs = np.ascontiguousarray((self.inc @ self.w).T)
+        self.obs = obs = np.ascontiguousarray((self.inc @ self.w).T)
         self.total = np.empty((kk, r))
         count_sum = {}
         for j, inc_counts in self.count_inc.items():
@@ -182,22 +185,18 @@ class _CauseWorkspace:
             _z_range(Z, None if self.active is None else self.active[s], kk)
             for _, s, Z in self._spans])
 
-        # per column, what its PAVA needs: its used times (within its
-        # dataset's), for each of its times the used time at or before it
-        # (the first before any), and the observation counts and mean
-        # counts at its used times
         used = obs > 0
-        fill = np.cumsum(used, axis=1)  # restarted at each dataset's first time
-        starts = self.tfirst[:-1]
-        fill -= np.repeat(fill[:, starts] - used[:, starts] + 1, np.diff(self.tfirst), axis=1)
-        np.maximum(fill, 0, out=fill)
+        self._used = slice(None) if used.all() else np.flatnonzero(used)  # a view if all are
+        self.n_obs = obs.ravel()[self._used]
+        self.mean_count = self.total.ravel()[self._used] / self.n_obs
+        runs = np.r_[0, np.cumsum(used)]
         self._pava = []
         for i, t, _, _ in self._cols:
-            u = np.flatnonzero(used[i, t])
-            self._pava.append((u, fill[i, t], obs[i, t][u], self.total[i, t][u] / obs[i, t][u]))
+            u = used[i, t]
+            fill = slice(None) if u.all() else np.maximum(np.cumsum(u) - 1, 0)
+            self._pava.append((slice(runs[i * r + t.start], runs[i * r + t.stop]), fill))
 
         if np.ndim(cause) == 0:
-            _, _, self.n_obs, self.mean_count = self._pava[0]
             self.count_sum = count_sum[int(cause)]
 
     def _cells(self, columns: np.ndarray):
@@ -233,11 +232,17 @@ class _CauseWorkspace:
 
     def baseline_values(self, exposure: np.ndarray) -> np.ndarray:
         """Per column i of each dataset and time, the isotonic baseline at
-        fixed beta, given `exposure` = `self.exposure(beta)`; one PAVA per
-        column on its used times, whose values its other times repeat."""
+        fixed beta, given `exposure` = `self.exposure(beta)`: with e the
+        exposure per observation at the used cells, checked once, the PAVA
+        of mean_count / e weighted by n_obs * e over each column's run,
+        whose values its other times repeat."""
+        e = exposure.ravel()[self._used] / self.n_obs
+        if not ((e > 0) & (e < np.inf)).all():
+            raise NumericError("exposure must be finite and strictly positive")
+        y, w = self.mean_count / e, self.n_obs * e
         values = np.empty_like(exposure)
-        for (i, t, _, _), (u, fill, n_obs, mean_count) in zip(self._cols, self._pava):
-            values[i, t] = _isotonic_baseline(mean_count, n_obs, exposure[i, t][u] / n_obs)[fill]
+        for (i, t, _, _), (run, fill) in zip(self._cols, self._pava):
+            values[i, t] = _pava(y[run], w[run])[fill]
         return values
 
     def loglik(self, beta: np.ndarray, values: np.ndarray, exposure: np.ndarray) -> np.ndarray:
@@ -343,17 +348,16 @@ class _CauseWorkspace:
         """Column c of `path` as a CauseFit, its knots at its own dataset's
         times."""
         i, t, _, _ = self._cols[c]
-        u = self._pava[c][0]
-        error = path.error[c]
+        used = self.obs[i, t] > 0
         return CauseFit(
             cause=int(self.causes[i]),
             beta=path.beta[c].copy(),
-            baseline=StepFunction(self.parts[self.owner[c]].arrays.times[u],
-                                  path.state[0][i, t][u]),
+            baseline=StepFunction(self.parts[self.owner[c]].arrays.times[used],
+                                  path.state[0][i, t][used]),
             loglik_trace=path.trace[c],
             iterations=max(len(path.trace[c]) - 1, 1),
             converged=bool(path.converged[c]),
-            error=None if error is None else str(error),
+            error=None if path.error[c] is None else str(path.error[c]),
         )
 
 

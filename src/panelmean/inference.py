@@ -66,8 +66,8 @@ def bootstrap_se(data: PanelDataset, B: int = _DEFAULT_BOOT_REPS, seed: int = 0,
     chunking.  Replicates where any cause fails to converge are dropped
     and counted.  With no covariates there is nothing to refit.
     """
-    if B < 2:
-        raise ValueError("need at least 2 bootstrap replicates")
+    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 2:
+        raise ValueError(f"need an integer B of at least 2 bootstrap replicates, got {B!r}")
     # `panelmean fit` passes the list fit(data) just returned, unchanged
     base = fit(data) if _fits is None else _fits
     for cf in base:

@@ -1,14 +1,12 @@
-"""Weighted isotonic regression and the monotone baseline solver.
+"""Weighted isotonic regression: the solver of the baseline step.
 
-The baseline cumulative mean profile problem — maximize, over monotone
-non-decreasing values at the distinct observation times,
-
-    sum_q  n_obs_q * (mean_count_q * log v_q - exposure_q * v_q)
-
-— reduces to a weighted least-squares isotonic regression of
-mean_count/exposure with weights n_obs*exposure.  Pooled block means
-solve both problems, so SciPy's pool-adjacent-violators solver
-(scipy.optimize.isotonic_regression) gives the exact maximizer.
+At fixed beta the baseline maximizes, over non-decreasing values v at
+the distinct observation times, sum_q n_obs_q * (mean_count_q * log v_q -
+exposure_q * v_q): the weighted least-squares isotonic regression of
+mean_count/exposure with weights n_obs*exposure, whose pooled block
+means scipy.optimize.isotonic_regression (pool adjacent violators)
+gives exactly.  `estimator._CauseWorkspace.baseline_values` forms those
+inputs for all its columns at once, and `_pava` solves each column's.
 """
 
 from __future__ import annotations
@@ -90,11 +88,3 @@ def _check_non_decreasing(x: np.ndarray) -> None:
     if (x[1:] < x[:-1]).any():
         raise NumericError("isotonic output must be non-decreasing")
 
-
-def _isotonic_baseline(mean_count: np.ndarray, n_obs: np.ndarray,
-                       exposure: np.ndarray) -> np.ndarray:
-    """Baseline values at the distinct times maximizing the profile
-    objective for the given per-time exposure."""
-    if not (exposure > 0).all() or not np.isfinite(exposure).all():
-        raise NumericError("exposure must be finite and strictly positive")
-    return np.maximum(_pava(mean_count / exposure, n_obs * exposure), 0.0)

@@ -2,9 +2,11 @@
 
 Everything here is written the slow, obvious way on purpose: plain
 double loops, exhaustive enumeration, no reuse of the library's
-vectorized paths.  Two exceptions: `alternating_fit` is a different
-algorithm built from the library's exact coordinate steps, and `take`
-gathers an explicit resample from a dataset's flat arrays.
+vectorized paths.  Three exceptions: `alternating_fit` is a different
+algorithm built from the library's exact coordinate steps, `take`
+gathers an explicit resample from a dataset's flat arrays, and
+`isotonic_baseline` calls the library's PAVA, so that the per-column
+baseline it gives must match the workspace's bit for bit.
 """
 
 import csv
@@ -15,6 +17,7 @@ import math
 import numpy as np
 
 from panelmean import (
+    NumericError,
     PanelDataset,
     ParseError,
     Subject,
@@ -24,6 +27,7 @@ from panelmean import (
     log_pseudo_likelihood,
 )
 from panelmean.data import PanelArrays
+from panelmean.isotonic import _pava
 
 
 def isotonic_maxmin(y, w):
@@ -43,6 +47,36 @@ def isotonic_maxmin(y, w):
             best = max(best, worst)
         out.append(best)
     return np.array(out)
+
+
+def isotonic_baseline(mean_count, n_obs, exposure):
+    """The isotonic baseline of one column at its used times, given the
+    exposure per observation: the PAVA of mean_count / exposure with
+    weights n_obs * exposure, clamped at 0, checked and solved column by
+    column."""
+    if not (exposure > 0).all() or not np.isfinite(exposure).all():
+        raise NumericError("exposure must be finite and strictly positive")
+    return np.maximum(_pava(mean_count / exposure, n_obs * exposure), 0.0)
+
+
+def baseline_values_by_column(ws, exposure):
+    """What `ws.baseline_values(exposure)` must give, column by column:
+    each column's weighted observations and count totals per time summed
+    here with bincount, `isotonic_baseline` at its used times, and at
+    each other time the value of the last used time before it (of the
+    first after it, before any)."""
+    counts = np.concatenate([p.arrays.counts for p in ws.parts], axis=1)
+    values = np.empty_like(exposure)
+    for i, t, _, _ in ws._cols:
+        w = ws.w[ws.subj, i]
+        obs = np.bincount(ws.inverse, weights=w, minlength=ws.r)[t]
+        total = np.bincount(ws.inverse, weights=w * counts[ws.causes[i] - 1], minlength=ws.r)[t]
+        used = np.flatnonzero(obs > 0)
+        fill = np.maximum(np.searchsorted(used, np.arange(obs.size), side="right") - 1, 0)
+        n_obs = obs[used]
+        e = exposure[i, t][used] / n_obs
+        values[i, t] = isotonic_baseline(total[used] / n_obs, n_obs, e)[fill]
+    return values
 
 
 def baseline_profile_objective(n_obs, mean_count, exposure, values):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,6 +210,29 @@ class TestSubjectInvariants:
         b = Subject("b", [1.0], [[1], [2]], [1.0])
         with pytest.raises(ValidationError, match="causes"):
             PanelDataset([a, b], k=1, d=1)
+
+    # a dataset's ids are what write_panel_csv writes and parse_panel_csv
+    # reads back: distinct, non-empty strings without outer whitespace
+    @staticmethod
+    def rejected(subjects, sid):
+        message = re.escape(f"subject {sid!r}: ids must be distinct, non-empty strings")
+        with pytest.raises(ValidationError, match=message):
+            PanelDataset(subjects, k=1, d=subjects[0].d)
+
+    def test_duplicate_id_rejected(self):
+        # written, the two would read back as one subject whose covariates vary
+        self.rejected([Subject("a", [1.0], [[1]], [0.0]), Subject("a", [2.0], [[1]], [1.0])], "a")
+
+    def test_empty_id_rejected(self):
+        self.rejected([Subject("", [1.0], [[1]], [])], "")
+
+    @pytest.mark.parametrize("sid", [" a", "a ", "a\t", " "])
+    def test_whitespace_padded_id_rejected(self, sid):
+        self.rejected([Subject("b", [1.0], [[1]], []), Subject(sid, [1.0], [[1]], [])], sid)
+
+    @pytest.mark.parametrize("sid", [1, None, b"a"])
+    def test_id_not_a_string_rejected(self, sid):
+        self.rejected([Subject(sid, [1.0], [[1]], [])], sid)
 
 
 class TestRoundTrip:

@@ -29,6 +29,7 @@ from panelmean.estimator import (_NEWTON_TOL, _assert_ascending, _CauseWorkspace
 from _oracles import (
     alternating_fit,
     baseline_profile_objective,
+    baseline_values_by_column,
     best_monotone_grid,
     grouped_loglik,
     naive_loglik,
@@ -224,6 +225,53 @@ class TestBaselineStep:
             )
             best = best_monotone_grid(stats.n_obs, stats.mean_count, exposure)
             assert ours >= best - 1e-6
+
+
+class TestBaselineValues:
+    # the workspace forms every column's PAVA inputs as whole arrays and
+    # checks them once: each column's baseline is the one solved column by
+    # column, bit for bit
+    @staticmethod
+    def assert_by_column(ws, seed):
+        beta = np.random.default_rng(seed).normal(0, 0.5, size=(len(ws._cols), ws.d))
+        exposure = ws.exposure(beta)
+        values = ws.baseline_values(exposure)
+        assert values.tobytes() == baseline_values_by_column(ws, exposure).tobytes()
+
+    def test_stack_of_mixed_sizes(self):
+        datasets = [gen_dataset(table1_config(n=n, seed=6), np.random.default_rng([6, rep]))
+                    for rep, n in enumerate([20, 333] * 2)]
+        self.assert_by_column(_CauseWorkspace(datasets, np.arange(1, 3)), 0)
+
+    @staticmethod
+    def weighted_chunk(data):
+        """Eight bootstrap-like replicates of both causes, in which about a
+        third of the subjects, the first time's among them, weigh 0."""
+        W = np.random.default_rng(1).integers(0, 3, size=(data.n, 8)).astype(float)
+        W[data.arrays.subj[data.arrays.inverse == 0]] = 0
+        return _CauseWorkspace(data, np.tile([1, 2], 8), np.repeat(W, 2, axis=1))
+
+    def test_weighted_chunk_with_zero_weight_subjects(self, table1_dataset_n100):
+        ws = self.weighted_chunk(table1_dataset_n100)
+        assert (ws.obs[:, 0] == 0).all() and (ws.obs > 0).any(axis=1).all()
+        self.assert_by_column(ws, 1)
+
+    def test_single_dataset(self, table1_dataset_n200):
+        self.assert_by_column(_CauseWorkspace(table1_dataset_n200, np.arange(1, 3)), 2)
+
+    @pytest.mark.parametrize("bad", [0.0, np.inf, -np.inf, np.nan])
+    def test_exposure_checked_at_used_times_only(self, table1_dataset_n100, bad):
+        ws = self.weighted_chunk(table1_dataset_n100)
+        exposure = ws.exposure(np.zeros((16, 2)))
+        values = ws.baseline_values(exposure)
+        unused, used = np.flatnonzero(ws.obs[3] == 0)[-1], np.flatnonzero(ws.obs[3] > 0)[-1]
+        at_unused = exposure.copy()
+        at_unused[3, unused] = bad
+        assert ws.baseline_values(at_unused).tobytes() == values.tobytes()
+        at_used = exposure.copy()
+        at_used[3, used] = bad
+        with pytest.raises(NumericError, match="exposure must be finite and strictly positive"):
+            ws.baseline_values(at_used)
 
 
 def hessian_draws(rng):
@@ -716,7 +764,8 @@ class TestSubjectWeights:
         resample = take(data, idx)
         columns = _CauseWorkspace(data, np.arange(1, k + 1), np.repeat(w[:, None], k, axis=1))
         for cause in range(1, k + 1):
-            used, _, n_obs, _ = columns._pava[cause - 1]
+            n_obs = columns.obs[cause - 1]  # weighted observations per time
+            used = n_obs > 0
             per_time = {}  # time -> (observations, count total)
             count_sum = np.zeros(data.n)  # per subject, over its repeats
             for i, s in zip(idx, resample.subjects):
@@ -726,10 +775,10 @@ class TestSubjectWeights:
                     count_sum[i] += c
             times = sorted(per_time)
             np.testing.assert_array_equal(columns.times[used], times)
-            np.testing.assert_array_equal(n_obs, [per_time[t][0] for t in times])
+            np.testing.assert_array_equal(n_obs[used], [per_time[t][0] for t in times])
             np.testing.assert_array_equal(columns.total[cause - 1, used],
                                           [per_time[t][1] for t in times])
-            np.testing.assert_array_equal(np.delete(columns.total[cause - 1], used), 0)
+            np.testing.assert_array_equal(columns.total[cause - 1, ~used], 0)
             # Z' times the per-subject count sums, 0 at weight 0
             np.testing.assert_array_equal(columns.zcs[cause - 1], data.arrays.Z.T @ count_sum)
 

@@ -81,7 +81,12 @@ class TestBootstrap:
             data = random_small_dataset(np.random.default_rng(seed), n=12, k=2)
         idx = np.random.default_rng([seed, b]).integers(0, data.n, size=data.n)
         gathered = take(data, idx)
-        explicit = PanelDataset([data.subjects[i] for i in idx], k=data.k, d=data.d)
+        # built from the drawn subjects under distinct ids, as PanelDataset
+        # requires, then given the drawn subjects' ids, repeats and all
+        drawn = [data.subjects[i] for i in idx]
+        renamed = [Subject(str(j), s.times, s.counts, s.covariates) for j, s in enumerate(drawn)]
+        explicit = PanelDataset._from_arrays(
+            tuple(s.id for s in drawn), PanelDataset(renamed, k=data.k, d=data.d).arrays)
         assert gathered.ids == explicit.ids
         for name, value in vars(explicit.arrays).items():
             assert np.array_equal(getattr(gathered.arrays, name), value), name
@@ -120,6 +125,17 @@ class TestBootstrap:
     def test_too_few_replicates_rejected(self, table1_dataset_n100):
         with pytest.raises(ValueError, match="at least 2"):
             bootstrap_se(table1_dataset_n100, B=1, seed=0)
+
+    @pytest.mark.parametrize("B", [3.0, 2.5, True, np.True_, "3", None])
+    def test_replicate_count_not_an_integer_rejected(self, table1_dataset_n100, B):
+        with pytest.raises(ValueError, match="need an integer B"):
+            bootstrap_se(table1_dataset_n100, B=B, seed=0)
+
+    def test_numpy_integer_replicate_count_accepted(self, table1_dataset_n100):
+        plain = bootstrap_se(table1_dataset_n100, B=3, seed=0)
+        for B in (np.int64(3), np.int32(3)):
+            for a, b in zip(bootstrap_se(table1_dataset_n100, B=B, seed=0), plain):
+                assert a.cov.tobytes() == b.cov.tobytes()
 
     def test_original_data_failure_raises(self):
         # events only at z=0: the fit itself diverges, nothing to bootstrap

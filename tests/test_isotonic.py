@@ -9,7 +9,7 @@ from panelmean import (
     aggregate,
     weighted_isotonic,
 )
-from panelmean.isotonic import _check_non_decreasing, _isotonic_baseline
+from panelmean.isotonic import _check_non_decreasing
 
 from _oracles import (
     baseline_profile_objective,
@@ -129,19 +129,25 @@ class TestStepFunction:
             StepFunction([1.0, np.nan], [0.5, 1.0])
 
 
+def solve(stats, exposure):
+    """The baseline the workspace `stats` solves at the exposure per
+    observation `exposure` (its one column's exposure is n_obs times it)."""
+    return stats.baseline_values((stats.n_obs * exposure)[None])[0]
+
+
 class TestSolveBaseline:
     def test_unit_exposure_monotone_means_identity(self):
         a = Subject("a", [1.0, 2.0, 3.0], [[1, 2, 4]], [])
         data = PanelDataset([a], k=1, d=0)
         stats = aggregate(data, 1)
-        values = _isotonic_baseline(stats.mean_count, stats.n_obs, np.ones(3))
+        values = solve(stats, np.ones(3))
         np.testing.assert_allclose(values, stats.mean_count)
 
     def test_all_zero_counts_gives_zero_baseline(self):
         a = Subject("a", [1.0, 4.0], [[0, 0]], [])
         b = Subject("b", [2.0], [[0]], [])
         stats = aggregate(PanelDataset([a, b], k=1, d=0), 1)
-        values = _isotonic_baseline(stats.mean_count, stats.n_obs, np.ones(3))
+        values = solve(stats, np.ones(3))
         np.testing.assert_array_equal(values, [0.0, 0.0, 0.0])
 
     def test_beats_monotone_grid_small_instances(self):
@@ -149,7 +155,7 @@ class TestSolveBaseline:
         for _ in range(30):
             r = int(rng.integers(1, 5))
             stats, exposure = random_grouped(rng, r)
-            values = _isotonic_baseline(stats.mean_count, stats.n_obs, exposure)
+            values = solve(stats, exposure)
             ours = baseline_profile_objective(
                 stats.n_obs, stats.mean_count, exposure, values
             )
@@ -162,7 +168,7 @@ class TestSolveBaseline:
         b = Subject("b", [1.0, 2.0, 3.0], [[2, 2, 5]], [])
         stats = aggregate(PanelDataset([a, b], k=1, d=0), 1)
         exposure = np.array([1.0, 2.0, 1.0])
-        values = _isotonic_baseline(stats.mean_count, stats.n_obs, exposure)
+        values = solve(stats, exposure)
         ours = baseline_profile_objective(
             stats.n_obs, stats.mean_count, exposure, values
         )
@@ -174,4 +180,4 @@ class TestSolveBaseline:
         a = Subject("a", [1.0], [[1]], [])
         stats = aggregate(PanelDataset([a], k=1, d=0), 1)
         with pytest.raises(NumericError):
-            _isotonic_baseline(stats.mean_count, stats.n_obs, np.array([0.0]))
+            solve(stats, np.array([0.0]))
