@@ -1,10 +1,10 @@
 """Command-line surface: fit CSV datasets, run simulation studies, export
 baseline curves.
 
-Exit codes: 0 success, 2 input/validation problem, 3 estimation did not
-converge, 4 simulation study aborted.  All artifacts are plain CSV/JSON,
-deterministic under a fixed --seed (fit and simulate; baseline draws
-nothing at random).  baseline_cause<j>.csv holds the steps of the fitted
+Exit codes: 0 success, 2 input/validation problem, 3 estimation failed or
+did not converge, 4 simulation study aborted.  All artifacts are plain
+CSV/JSON, deterministic under a fixed --seed (fit and simulate; baseline
+draws nothing at random).  baseline_cause<j>.csv holds the steps of the fitted
 baseline: a row at its first knot, at each knot where its value changes
 and at its last knot (the last observation time); knots and times are
 written exactly, values with 6 significant digits.  No option tunes the
@@ -27,14 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import parse_panel_csv
-from .errors import (
-    ConvergenceError,
-    InferenceError,
-    NumericError,
-    ParseError,
-    StudyError,
-    ValidationError,
-)
+from .errors import InferenceError, NumericError, ParseError, StudyError, ValidationError
 from .estimator import CauseFit, fit
 from .inference import _DEFAULT_BOOT_REPS, bootstrap_se, sandwich_se
 from .isotonic import StepFunction
@@ -114,8 +107,11 @@ def cmd_fit(cfg: argparse.Namespace) -> int:
     except (ParseError, ValidationError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
+    try:
+        fits = fit(data)
+    except NumericError as exc:
+        return _fail(f"fit failed: {exc}", EXIT_CONVERGENCE)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    fits = fit(data)
     _write_fit_report(cfg, (data.n, data.k, data.d), fits)
     for cf in fits:
         if cf.error is None:
@@ -134,7 +130,7 @@ def cmd_fit(cfg: argparse.Namespace) -> int:
                 results = bootstrap_se(data, B=cfg.boot_reps, seed=cfg.seed, _fits=fits)
             else:
                 results = [sandwich_se(data, cf) for cf in fits]
-        except (InferenceError, NumericError, ConvergenceError) as exc:
+        except (InferenceError, NumericError) as exc:
             return _fail(f"inference failed: {exc}; partial report written",
                          EXIT_CONVERGENCE)
         for cf, res in zip(fits, results):
@@ -227,6 +223,8 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
             result = run_study(sim_cfg)
         except StudyError as exc:
             return _fail(str(exc), EXIT_STUDY)
+        except NumericError as exc:
+            return _fail(f"study aborted: fit failed: {exc}", EXIT_STUDY)
         rows.append(
             [str(sim_cfg.n)]
             + [_fmt(v) for v in result.table_row()]
@@ -294,7 +292,10 @@ def cmd_baseline(cfg: argparse.Namespace) -> int:
             data = parse_panel_csv(cfg.input)
         except (ParseError, ValidationError, OSError) as exc:
             return _fail(str(exc), EXIT_INPUT)
-        fits = fit(data)
+        try:
+            fits = fit(data)
+        except NumericError as exc:
+            return _fail(f"fit failed: {exc}", EXIT_CONVERGENCE)
         reasons = _unconverged(fits)
         if reasons:
             return _fail(f"fit did not converge ({reasons})", EXIT_CONVERGENCE)

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Error categories map onto CLI exit codes: data problems (parse and
-validation) exit with 2, estimation convergence failures with 3, and
-simulation-study failures with 4.
+validation) exit with 2, estimation failures (no convergence, or a
+numerical failure) with 3, and simulation-study failures with 4.
 """
 
 

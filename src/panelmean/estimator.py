@@ -660,8 +660,9 @@ def fit(data: PanelDataset | Sequence[PanelDataset]) -> list[CauseFit]:
     Causes are separable (the joint objective is the sum of per-cause
     objectives), so each is maximized on its own.  A divergence in one
     cause is reported on its CauseFit (error set, converged False) and
-    does not stop the others.  A NumericError raised from the baseline
-    step stops the whole stack.
+    does not stop the others.  A NumericError from the baseline step's
+    check, which the |beta'z| guard keeps valid input from reaching,
+    stops the whole call.
 
     Each CauseFit keeps, by reference, the arrays of the dataset it was
     fitted on and, if it converged, its last evaluation and the

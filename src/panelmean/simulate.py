@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .data import PanelArrays, PanelDataset
-from .errors import ConvergenceError, NumericError, StudyError
+from .errors import StudyError
 from .estimator import _stacks, fit
 
 BaselineFn = Callable[[np.ndarray], np.ndarray]
@@ -193,10 +193,10 @@ def run_study(cfg: SimConfig) -> StudyResult:
     fitted one stack at a time (see estimator._stacks), a stack of
     consecutive replicates in one call of `fit`, and only their betas are
     kept; a replicate's beta is that of fitting it alone, bit for bit.
-    Replicates where any cause fails to converge are dropped; a stack
-    whose fit raises ConvergenceError or NumericError is fitted again one
-    replicate at a time, so only a replicate that raises alone is dropped.
-    More than 10% of replicates dropped aborts the study.
+    Replicates where any cause fails to converge are dropped, and more
+    than 10% of replicates dropped aborts the study.  An exception from
+    `fit` (a NumericError from an internal check, which no valid input
+    reaches) stops the study.
     """
     truth = np.vstack([cfg.beta1, cfg.beta2])
     report = GenReport()
@@ -226,18 +226,8 @@ def run_study(cfg: SimConfig) -> StudyResult:
 
 def _converged_betas(stack: list[PanelDataset], k: int) -> list[np.ndarray]:
     """The betas (k x d) of each replicate of `stack` whose k causes all
-    converged, from one `fit` of the stack, or, if that raises
-    ConvergenceError or NumericError, from one of each replicate, which
-    drops only a replicate that raises alone."""
-    try:
-        fits = fit(stack)
-        per_replicate = [fits[i:i + k] for i in range(0, len(fits), k)]
-    except (ConvergenceError, NumericError):
-        per_replicate = []
-        for data in stack:
-            try:
-                per_replicate.append(fit(data))
-            except (ConvergenceError, NumericError):
-                continue
-    return [np.array([cf.beta for cf in fits]) for fits in per_replicate
-            if all(cf.converged for cf in fits)]
+    converged, from one `fit` of the stack.  Only the betas outlive the
+    call: the fits hold the stack's arrays and last evaluations."""
+    fits = fit(stack)
+    return [np.array([cf.beta for cf in fits[i:i + k]]) for i in range(0, len(fits), k)
+            if all(cf.converged for cf in fits[i:i + k])]

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panelmean import (SimConfig, bootstrap_se, fit, gen_dataset, parse_panel_csv,
-                       write_panel_csv)
+from panelmean import (NumericError, SimConfig, bootstrap_se, fit, gen_dataset,
+                       parse_panel_csv, write_panel_csv)
 from panelmean import estimator, inference
 from panelmean.cli import (_SIM_KEYS, _build_parser, _echo_config, _load_fitted_baselines,
                            _parse_sim_config, main)
@@ -368,22 +368,44 @@ class TestOptions:
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["fit", "simulate", "baseline"])
-    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
+    @staticmethod
+    def source(tmp_path, command):
+        """The input options of a small run of `command` (baseline: --input)."""
         (tmp_path / "tiny.csv").write_text("id,time,n1\na,1,0\na,3,2\nb,2,1\n")
         (tmp_path / "sim.cfg").write_text(
             "n = 20\nbeta1 = 0.5,1\nbeta2 = -1,0.5\nreplications = 2\n"
         )
-        source = {
+        return {
             "fit": ["--input", str(tmp_path / "tiny.csv")],
             "simulate": ["--config", str(tmp_path / "sim.cfg")],
             "baseline": ["--input", str(tmp_path / "tiny.csv")],
         }[command]
+
+    @pytest.mark.parametrize("command", ["fit", "simulate", "baseline"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
         taken = tmp_path / "taken"
         taken.write_text("keep me\n")
-        assert main([command, *source, "--out", str(taken)]) == 2
+        assert main([command, *self.source(tmp_path, command), "--out", str(taken)]) == 2
         assert f"cannot write to --out {taken}" in capsys.readouterr().err
         assert taken.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("command, code, message", [
+        ("fit", 3, "fit failed"),
+        ("baseline", 3, "fit failed"),
+        ("simulate", 4, "study aborted: fit failed"),
+    ], ids=["fit", "baseline", "simulate"])
+    def test_internal_fit_error_exits_with_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                          command, code, message):
+        # an internal check of the fit fails: no traceback and no artifact
+        def broken(y, w):
+            raise NumericError("isotonic output must be non-decreasing")
+
+        monkeypatch.setattr(estimator, "_pava", broken)
+        out = tmp_path / "o"
+        assert main([command, *self.source(tmp_path, command), "--out", str(out)]) == code
+        assert capsys.readouterr().err.splitlines() == \
+            [f"error: {message}: isotonic output must be non-decreasing"]
+        assert not any(out.glob("*"))
 
 
 @pytest.fixture(scope="module")

@@ -305,48 +305,33 @@ class TestRunStudy:
         with pytest.raises(StudyError, match="failed"):
             run_study(cfg)
 
-    @pytest.mark.parametrize("error", [ConvergenceError("no step"), NumericError("singular")])
-    def test_fit_errors_count_as_failed_replications(self, monkeypatch, error):
-        # fit raises on every tenth replicate, in a stack or alone
-        made = []
-        monkeypatch.setattr(simulate, "gen_dataset",
-                            lambda *args: made.append(gen_dataset(*args)) or made[-1])
-
-        def every_tenth_fails(data):
-            stack = [data] if isinstance(data, PanelDataset) else data
-            if any(made.index(d) % 10 == 9 for d in stack):
-                raise error
-            return fit(data)
-
-        monkeypatch.setattr(simulate, "fit", every_tenth_fails)
-        result = run_study(table1_config(n=40, replications=20, seed=6))  # 10%: no abort
-        assert (result.failures, result.replications_used) == (2, 18)
-
     @staticmethod
     def stack_sizes(monkeypatch):
         """Record the number of replicates of each call of simulate.fit."""
         sizes = []
 
         def recording(data):
-            sizes.append(1 if isinstance(data, PanelDataset) else len(data))
+            sizes.append(len(data))
             return fit(data)
 
         monkeypatch.setattr(simulate, "fit", recording)
         return sizes
+
+    @staticmethod
+    def stacks_of(size):
+        """Consecutive replicates in lists of `size`, in the place of _stacks."""
+        def stacks(datasets):
+            datasets = list(datasets)
+            return [datasets[i:i + size] for i in range(0, len(datasets), size)]
+        return stacks
 
     @pytest.mark.parametrize("size", [1, 2, "all"])
     def test_stack_size_leaves_the_study_as_it_is(self, monkeypatch, size):
         # n = 6 makes 3 of the 30 replicates fail, and clamps rho 3 times
         cfg = table1_config(n=6, replications=30, seed=0)
         reference = run_study(cfg)
-        epochs = [gen_dataset(cfg, np.random.default_rng([0, rep])).arrays.t.size
-                  for rep in range(30)]
-        # epochs x columns (2 causes per replicate) of each run of 2 and of 3
-        pairs = [(a + b) * 2 * 2 for a, b in zip(epochs, epochs[1:])]
-        triples = [(a + b + c) * 2 * 3 for a, b, c in zip(epochs, epochs[1:], epochs[2:])]
-        assert max(pairs) < min(triples)  # so one bound makes every stack a pair
-        bound = {1: 0, 2: max(pairs), "all": 2**30}[size]
-        monkeypatch.setattr(estimator, "_CHUNK_FLOATS", bound)
+        monkeypatch.setattr(simulate, "_stacks", self.stacks_of({1: 1, 2: 2, "all": 30}[size]))
+        monkeypatch.setattr(estimator, "_CHUNK_FLOATS", 2**30)  # fit keeps each stack whole
         sizes = self.stack_sizes(monkeypatch)
         result = run_study(cfg)
         assert sizes == {1: [1] * 30, 2: [2] * 15, "all": [30]}[size]
@@ -356,13 +341,38 @@ class TestRunStudy:
         assert result.bias.tobytes() == reference.bias.tobytes()
         assert result.mse.tobytes() == reference.mse.tobytes()
 
-    def test_raising_stack_loses_only_the_replicate_that_raises_alone(self, monkeypatch):
+    def test_replicate_value_error_propagates(self, monkeypatch):
+        def fail(data):
+            raise ValueError("bug in replicate")
+
+        monkeypatch.setattr(simulate, "fit", fail)
+        with pytest.raises(ValueError, match="bug in replicate"):
+            run_study(table1_config(n=20, replications=3, seed=10))
+
+    @pytest.mark.parametrize("error", [ConvergenceError, NumericError])
+    def test_fit_error_stops_the_study(self, monkeypatch, error):
+        # an error from fit stops the study at the stack that raised it,
+        # which is not fitted again, whole or one replicate at a time
+        monkeypatch.setattr(simulate, "_stacks", self.stacks_of(4))
+        sizes = []
+
+        def second_stack_fails(stack):
+            sizes.append(len(stack))
+            if len(sizes) == 2:
+                raise error("bug in replicate")
+            return fit(stack)
+
+        monkeypatch.setattr(simulate, "fit", second_stack_fails)
+        with pytest.raises(error, match="bug in replicate"):
+            run_study(table1_config(n=20, replications=12, seed=10))
+        assert sizes == [4, 4]
+
+    def test_raising_stack_stops_the_study(self, monkeypatch):
         # the baseline step raises NumericError in any workspace that holds
-        # replicate 7, stacked or alone: its stack is fitted again one
-        # replicate at a time
+        # replicate 7: the study stops there, and neither the stack nor any
+        # of its replicates is fitted again
         cfg = table1_config(n=40, replications=12, seed=6)
-        datasets = [gen_dataset(cfg, np.random.default_rng([6, rep])) for rep in range(12)]
-        poison = datasets[7].arrays.t
+        poison = gen_dataset(cfg, np.random.default_rng([6, 7])).arrays.t
         baseline_values = estimator._CauseWorkspace.baseline_values
 
         def raising(ws, exposure):
@@ -371,26 +381,12 @@ class TestRunStudy:
             return baseline_values(ws, exposure)
 
         monkeypatch.setattr(estimator._CauseWorkspace, "baseline_values", raising)
-        monkeypatch.setattr(estimator, "_CHUNK_FLOATS", 2**30)  # the 12 in one stack
+        monkeypatch.setattr(simulate, "_stacks", self.stacks_of(12))  # the 12 in one stack
+        monkeypatch.setattr(estimator, "_CHUNK_FLOATS", 2**30)
         sizes = self.stack_sizes(monkeypatch)
-        result = run_study(cfg)
-        assert sizes == [12] + [1] * 12
-        assert (result.failures, result.replications_used) == (1, 11)
-        kept = np.array([[cf.beta for cf in fit(data)]
-                         for rep, data in enumerate(datasets) if rep != 7])
-        truth = np.vstack([cfg.beta1, cfg.beta2])
-        np.testing.assert_allclose(result.bias, np.abs(kept.mean(axis=0) - truth),
-                                   rtol=1e-12, atol=0)
-        np.testing.assert_allclose(result.mse, ((kept - truth) ** 2).mean(axis=0),
-                                   rtol=1e-12, atol=0)
-
-    def test_replicate_value_error_propagates(self, monkeypatch):
-        def fail(data):
-            raise ValueError("bug in replicate")
-
-        monkeypatch.setattr(simulate, "fit", fail)
-        with pytest.raises(ValueError, match="bug in replicate"):
-            run_study(table1_config(n=20, replications=3, seed=10))
+        with pytest.raises(NumericError, match="strictly positive"):
+            run_study(cfg)
+        assert sizes == [12]
 
     def test_table_row_order(self):
         cfg = table1_config(n=50, replications=3, seed=9)
