@@ -104,9 +104,10 @@ class PanelArrays:
 
     @classmethod
     def build(cls, t, subj, counts, Z) -> "PanelArrays":
-        """Derive the grouped arrays from the epoch arrays and freeze them all."""
+        """Derive the grouped arrays from the epoch arrays and freeze them
+        all, Z in C order: a fit's last bits depend on Z's memory order."""
         times, inverse = np.unique(t, return_inverse=True)
-        arrays = cls(t, subj, times, inverse, counts, Z)
+        arrays = cls(t, subj, times, inverse, counts, np.ascontiguousarray(Z))
         for a in vars(arrays).values():
             a.flags.writeable = False
         return arrays

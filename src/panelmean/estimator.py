@@ -39,7 +39,7 @@ from .errors import ConvergenceError, NumericError
 from .isotonic import StepFunction, _pava
 
 _MAX_HALVINGS = 30
-_BETA_BOUND = 15.0  # on |beta_l| * z_range_l, see _newton
+_BETA_BOUND = 15.0  # on |beta_l| * z_range_l, see _STOPS
 _MAX_STEPS = 50  # Newton steps of fit and of beta_step
 _NEWTON_TOL = 1e-8  # norm of gradient / z_range at which Newton stops
 _MAX_CONDITION = 1e12  # of the range-scaled information; beyond it, singular
@@ -47,8 +47,28 @@ _MAX_LP = 600.0  # on |beta'z| at a trial point; e^600 ~ 1e261 leaves sums and r
 _CHUNK_FLOATS = 2**15  # per (subjects or times) x columns array of one lockstep call,
                        # and epochs x columns of a stack of several datasets
 
-_SINGULAR = ("singular information matrix: covariates are collinear, "
-             "or constant within the baseline's blocks")
+# How a Newton column stopped: its code in _Path.stop, and the error type
+# `beta_step` raises for it with its message, which a CauseFit's `error`
+# holds for every code but `gradient` (converged) and `step_cap` (_MAX_STEPS
+# steps taken).  `diverged`: a coefficient that moves exp(beta'z) by more
+# than e^15 across its covariate's range means the profile maximum is at
+# infinity.  On a covariate level with no events each Newton step moves
+# |beta_l| * z_range_l by about 1, so the check fires after the same steps
+# in any unit.  `descent`: an accepted objective below the one before,
+# which the halvings' floor rules out.
+_STOPS = {
+    "gradient": (None, None),
+    "step_cap": (ConvergenceError, f"beta step did not converge in {_MAX_STEPS} Newton iterations"),
+    "diverged": (ConvergenceError, "beta diverged (coefficient times covariate range beyond "
+                 f"{_BETA_BOUND:g}); the profile maximum is at infinity, e.g. a covariate "
+                 "level with no observed events"),
+    "singular": (NumericError, "singular information matrix: covariates are collinear, "
+                 "or constant within the baseline's blocks"),
+    "no_ascent": (ConvergenceError, "Newton step could not improve the objective (or "
+                  f"|beta'z| reached {_MAX_LP:g}: center covariates far from 0)"),
+    "not_finite": (NumericError, "objective not finite at the starting point"),
+    "descent": (NumericError, "log-likelihood trace decreased"),
+}
 
 
 @dataclass
@@ -356,8 +376,8 @@ class _CauseWorkspace:
                                   path.state[0][i, t][used]),
             loglik_trace=path.trace[c],
             iterations=max(len(path.trace[c]) - 1, 1),
-            converged=bool(path.converged[c]),
-            error=None if path.error[c] is None else str(path.error[c]),
+            converged=path.stop[c] == "gradient",
+            error=None if path.stop[c] == "step_cap" else _STOPS[path.stop[c]][1],
         )
 
 
@@ -427,15 +447,14 @@ def _inverse_information(hess: np.ndarray, z_range: np.ndarray) -> tuple[np.ndar
 @dataclass
 class _Path:
     """Each column's accepted Newton iterates (its objective values, its
-    last beta row and state), whether it converged and why it stopped, and
-    the output of the last `derivs` call, which saw every converged column
-    at its last state (None if no call was made)."""
+    last beta row and state), how it stopped (a code of _STOPS, "" while it
+    runs), and the output of the last `derivs` call, which saw every
+    converged column at its last state (None if no call was made)."""
 
     trace: list[list[float]]
     beta: np.ndarray
     state: tuple
-    converged: np.ndarray
-    error: list
+    stop: np.ndarray
     derivs: tuple | None = None
 
     def accept(self, ws: _CauseWorkspace, took: np.ndarray, beta: np.ndarray, obj: np.ndarray,
@@ -445,6 +464,10 @@ class _Path:
         ws.accept(self.state, state, took)
         for c, o in zip(np.flatnonzero(took), obj[took].tolist()):
             self.trace[c].append(o)
+
+    def stop_where(self, mask, code: str) -> None:
+        """Stop with `code` the running columns that the mask `mask` marks."""
+        self.stop[(self.stop == "") & mask] = code
 
 
 def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs) -> _Path:
@@ -459,41 +482,35 @@ def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs) -> _Path:
     column; a column that has stopped is evaluated at its last iterate and
     the result dropped.  A column's steps halve until its objective does
     not drop.  Accepted iterates, the start first, go to the returned
-    path.  A column converges once its gradient in beta * z_range units (a
-    stop that ignores the covariates' units) is within _NEWTON_TOL, stops
-    unconverged after _MAX_STEPS steps, and stops with an error on the
-    path when it diverges, its information is singular or no halving
-    improves it.
+    path, and each column's stop code (see _STOPS), set where the loop
+    decides it: `not_finite` at the start; then, before each step,
+    `diverged`, else `gradient` once its gradient in beta * z_range units
+    (a stop that ignores the covariates' units) is within _NEWTON_TOL, else
+    `step_cap` after _MAX_STEPS steps, else `singular`; `no_ascent` when no
+    halving improves it; and last `descent`, over any other code, for a
+    trace that falls.
     """
     m = beta.shape[0]
     obj, state = evaluate(beta)
-    path = _Path([[o] for o in obj.tolist()], beta.copy(), state, np.zeros(m, dtype=bool),
-                 [None] * m)
-    run = np.isfinite(obj)
-    for c in np.flatnonzero(~run):
-        path.error[c] = NumericError("objective not finite at the starting point")
+    path = _Path([[o] for o in obj.tolist()], beta.copy(), state, np.full(m, "", object))
+    path.stop_where(~np.isfinite(obj), "not_finite")
     if not beta.shape[1]:  # no coefficients: the start is the maximizer
-        path.converged[:], run[:] = run, False
+        path.stop_where(True, "gradient")
     steps = np.zeros(m, dtype=int)
-    while run.any():
+    while (path.stop == "").any():
         path.derivs = derivs(path.state)
         grad, hess = path.derivs[:2]
-        diverged = run & np.any(np.abs(path.beta) * ws.z_range > _BETA_BOUND, axis=1)
-        done = run & ~diverged & (np.linalg.norm(grad / ws.z_range, axis=1) <= _NEWTON_TOL)
-        path.converged |= done
-        for c in np.flatnonzero(diverged):
-            path.error[c] = _diverged(path.beta[c])
-        stepping = run & ~diverged & ~done & (steps < _MAX_STEPS)
-        if not stepping.any():
+        path.stop_where(np.any(np.abs(path.beta) * ws.z_range > _BETA_BOUND, axis=1), "diverged")
+        path.stop_where(np.linalg.norm(grad / ws.z_range, axis=1) <= _NEWTON_TOL, "gradient")
+        path.stop_where(steps >= _MAX_STEPS, "step_cap")
+        if not (path.stop == "").any():
             break
         inv, singular = _inverse_information(hess, ws.z_range)
-        singular &= stepping
-        for c in np.flatnonzero(singular):
-            path.error[c] = NumericError(_SINGULAR)
+        path.stop_where(singular, "singular")
+        pending = path.stop == ""
         step = (inv @ grad[:, :, None])[:, :, 0]
         last = np.array([trace[-1] for trace in path.trace])
         floor = last - 1e-12 * np.maximum(1.0, np.abs(last))
-        pending = stepping & ~singular
         for halving in range(_MAX_HALVINGS):
             if not pending.any():
                 break
@@ -502,32 +519,10 @@ def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs) -> _Path:
             took = pending & (obj >= floor)
             path.accept(ws, took, cand, obj, state)
             pending &= ~took
-        run = stepping & ~singular & ~pending
-        steps += run
-        for c in np.flatnonzero(pending):
-            path.error[c] = ConvergenceError(
-                "Newton step could not improve the objective (or |beta'z| "
-                f"reached {_MAX_LP:g}: center covariates far from 0)",
-                last_beta=path.beta[c].copy())
-    for c in range(m):
-        try:
-            _assert_ascending(path.trace[c])
-        except NumericError as exc:
-            path.converged[c], path.error[c] = False, exc
+        path.stop_where(pending, "no_ascent")
+        steps += path.stop == ""
+    path.stop[[_descends(trace) for trace in path.trace]] = "descent"
     return path
-
-
-def _diverged(beta: np.ndarray) -> ConvergenceError:
-    """A coefficient that moves exp(beta'z) by more than e^15 across its
-    covariate's range means the profile maximum is at infinity.  On a
-    covariate level with no events each Newton step moves |beta_l| * z_range_l
-    by about 1, so the check fires after the same steps in any unit."""
-    return ConvergenceError(
-        "beta diverged (coefficient times covariate range beyond "
-        f"{_BETA_BOUND:g}); the profile maximum is at infinity, e.g. a "
-        "covariate level with no observed events",
-        last_beta=beta.copy(),
-    )
 
 
 def _lockstep(data, causes: np.ndarray, start: np.ndarray, weights=None):
@@ -611,11 +606,11 @@ def beta_step(data: PanelDataset, cause: int, baseline: StepFunction, beta_start
     values = _values_at(ws, baseline)
     path = _newton(ws, _as_beta(beta_start, ws.d)[None],
                    lambda b: ws.evaluate(b, values), ws.fixed_derivs)
-    if path.error[0] is not None:
-        raise path.error[0]
-    if not path.converged[0]:
-        raise ConvergenceError(f"beta step did not converge in {_MAX_STEPS} Newton "
-                               "iterations", last_beta=path.beta[0])
+    kind, message = _STOPS[path.stop[0]]
+    if kind is ConvergenceError:
+        raise ConvergenceError(message, last_beta=path.beta[0])
+    if kind is not None:
+        raise kind(message)
     return path.beta[0]
 
 
@@ -635,10 +630,9 @@ def _as_beta(beta, d: int) -> np.ndarray:
     return beta
 
 
-def _assert_ascending(trace: list[float]) -> None:
-    for a, b in zip(trace, trace[1:]):
-        if b < a - 1e-9 * max(1.0, abs(a)):
-            raise NumericError("log-likelihood trace decreased")
+def _descends(trace: list[float]) -> bool:
+    """Whether some objective value of `trace` falls below the one before."""
+    return any(b < a - 1e-9 * max(1.0, abs(a)) for a, b in zip(trace, trace[1:]))
 
 
 def fit(data: PanelDataset | Sequence[PanelDataset]) -> list[CauseFit]:

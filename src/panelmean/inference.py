@@ -21,7 +21,7 @@ from scipy import special
 
 from .data import PanelDataset
 from .errors import InferenceError, NumericError
-from .estimator import (_SINGULAR, CauseFit, _CauseWorkspace, _FitState, _inverse_information,
+from .estimator import (_STOPS, CauseFit, _CauseWorkspace, _FitState, _inverse_information,
                         _lockstep, _subject_incidence, _with_counts, _z_range, fit)
 
 _DEFAULT_BOOT_REPS = 300
@@ -89,7 +89,7 @@ def bootstrap_se(data: PanelDataset, B: int = _DEFAULT_BOOT_REPS, seed: int = 0,
         causes = np.tile(np.arange(1, k + 1), B)
         start = np.tile([cf.beta for cf in base], (B, 1))
         for cols, _, path in _lockstep(data, causes, start, weights):
-            betas[cols], converged[cols] = path.beta, path.converged
+            betas[cols], converged[cols] = path.beta, path.stop == "gradient"
     ok = converged.reshape(B, k).all(axis=1)
     failures = B - int(ok.sum())
     if ok.sum() < 2:
@@ -137,6 +137,9 @@ def sandwich_se(data: PanelDataset, cause_fit: CauseFit) -> InferenceResult:
     """
     if data.d < 1:
         raise ValueError("sandwich covariance needs at least one covariate")
+    if np.size(cause_fit.beta) != data.d:
+        raise ValueError(f"cause {cause_fit.cause}: beta has length {np.size(cause_fit.beta)}, "
+                         f"expected {data.d}, one per covariate")
     if not cause_fit.converged:
         raise InferenceError(f"cause {cause_fit.cause} did not converge: "
                              f"{cause_fit.error or 'not converged'}")
@@ -168,7 +171,7 @@ def _sandwich(data: PanelDataset, cause_fit: CauseFit, state: _FitState) -> Infe
     a = data.arrays
     info_inv, singular = _inverse_information(state.hess[None], _z_range(a.Z, None, 1))
     if singular[0]:
-        raise NumericError(_SINGULAR)
+        raise NumericError(_STOPS["singular"][1])
 
     inc_t = _subject_incidence(a.subj, a.inverse, data.n, a.times.size)
     block_lengths = np.diff(state.block_start, append=a.times.size)

@@ -24,7 +24,7 @@ class StepFunction:
     """Right-continuous non-decreasing step function, 0 before the first knot.
 
     Evaluation: value of the largest knot <= t; 0 for t < knots[0]; the
-    last value for t >= knots[-1].
+    last value for t >= knots[-1]; nan for a nan t.
     """
 
     knots: np.ndarray
@@ -50,6 +50,7 @@ class StepFunction:
         t = np.asarray(t, dtype=float)
         idx = np.searchsorted(self.knots, t, side="right") - 1
         out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 0.0)
+        out = np.where(np.isnan(t), np.nan, out)
         return float(out) if out.ndim == 0 else out
 
 

@@ -136,8 +136,8 @@ def gen_bivpois(lambda1, lambda2, rho: float, rng: np.random.Generator):
     and then every cause-2 residual count.
     """
     lowest = np.minimum(lambda1, lambda2)
-    if (lowest < 0).any():
-        raise ValueError("rates must be non-negative")
+    if not ((lowest >= 0) & np.isfinite(np.maximum(lambda1, lambda2))).all():
+        raise ValueError("rates must be finite and non-negative")
     if rho < 0:
         raise ValueError("rho must be non-negative")
     shock_rate = np.minimum(rho, lowest)

@@ -12,6 +12,7 @@ from panelmean import estimator, inference
 from panelmean.cli import (_SIM_KEYS, _build_parser, _echo_config, _load_fitted_baselines,
                            _parse_sim_config, main)
 from conftest import table1_config
+from test_inference import one_hot_subject
 
 TRUTH1 = np.array([0.5, 1.0])
 
@@ -160,6 +161,19 @@ class TestCmdFit:
         report = json.loads((out / "fit_report.json").read_text())
         assert report["errors"][0] is not None
 
+    def test_inference_failure_exits_3_with_partial_report(self, tmp_path, capsys):
+        # the fit converges, but 2 of the 3 replicates of seed 2 diverge
+        csv_path = tmp_path / "hot.csv"
+        write_panel_csv(one_hot_subject(), csv_path)
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(csv_path), "--out", str(out),
+                     "--boot-reps", "3", "--seed", "2"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: inference failed: only 1 of 3 bootstrap replicates converged; cannot "
+            "estimate a covariance; partial report written"]
+        assert json.loads((out / "fit_report.json").read_text())["converged"] == [True]
+        assert not (out / "coefficients.csv").exists()
+
 
 class TestCmdSimulate:
     def write_config(self, tmp_path, text):
@@ -262,6 +276,18 @@ class TestCmdSimulate:
         usable.pop(line.partition("=")[0].strip(), None)
         text = "".join(f"{key} = {value}\n" for key, value in usable.items())
         cfg = self.write_config(tmp_path, f"{text}{line}\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("n = 20\nbeta1 0.5,1\nbeta2 = -1,0.5\n",
+         "line 2: expected 'key = value', got 'beta1 0.5,1'"),
+        ("n = 20\nbeta2 = -1,0.5\n", "missing required key 'beta1'"),
+    ], ids=["no-equals-sign", "missing-key"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
+        cfg = self.write_config(tmp_path, text)
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
@@ -542,6 +568,23 @@ class TestCmdBaseline:
         assert main([
             "baseline", "--fit-dir", str(tmp_path / "nope"), "--out", str(tmp_path / "o"),
         ]) == 2
+
+    def test_fit_dir_without_baselines_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "fitted"
+        src.mkdir()
+        (src / "fit_report.json").write_text("{}\n")
+        out = tmp_path / "curves"
+        assert main(["baseline", "--fit-dir", str(src), "--out", str(out)]) == 2
+        assert f"no baseline_cause*.csv files in {src}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_input_exits_2_naming_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,time,n1\na,1,0\na,x,2\n")
+        out = tmp_path / "curves"
+        assert main(["baseline", "--input", str(bad), "--out", str(out)]) == 2
+        assert "line 3: bad time value 'x'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_source_exits_2(self, tmp_path):
         assert main(["baseline", "--out", str(tmp_path / "o")]) == 2

@@ -41,6 +41,17 @@ class TestParse:
         with_bom = parse_panel_csv(write(tmp_path, "\ufeff" + text, name="bom.csv"))
         assert_same_arrays(with_bom, parse_panel_csv(write(tmp_path, text)))
 
+    @pytest.mark.parametrize("header, missing", [("time,n1", "id"), ("id,n1", "time")])
+    def test_missing_required_column_rejected(self, tmp_path, header, missing):
+        path = write(tmp_path, f"{header}\na,1\n")
+        with pytest.raises(ParseError, match=f"missing required column '{missing}' in header"):
+            parse_panel_csv(path)
+
+    def test_no_count_columns_rejected(self, tmp_path):
+        path = write(tmp_path, "id,time,z1\na,1,0\n")
+        with pytest.raises(ParseError, match=r"no count columns found \(expected n1,...,nk\)"):
+            parse_panel_csv(path)
+
     def test_decreasing_counts_rejected(self, tmp_path):
         path = write(tmp_path, "id,time,n1,z1\na,2,3,1\na,5,1,1\n")
         with pytest.raises(ValidationError, match="cause 1"):
@@ -200,6 +211,25 @@ class TestSubjectInvariants:
     def test_counts_not_integers_or_values_not_numbers_rejected(self, times, counts, z, message):
         with pytest.raises(ValidationError, match=message):
             Subject("a", times, counts, z)
+
+    def test_unsorted_times_rejected(self):
+        with pytest.raises(ValidationError, match="subject 'a': observation times must be "
+                                                  "strictly increasing"):
+            Subject("a", [2.0, 1.0], [[0, 1]], [1.0])
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValidationError, match="subject 'a': counts must be non-negative"):
+            Subject("a", [1.0, 2.0], [[-1, 0]], [1.0])
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValidationError, match="dataset needs at least one subject"):
+            PanelDataset([], k=1, d=1)
+
+    def test_covariate_count_mismatch_rejected(self):
+        a = Subject("a", [1.0], [[1]], [1.0, 2.0])
+        with pytest.raises(ValidationError, match="subject 'a': has 2 covariates, "
+                                                  "dataset declares 1"):
+            PanelDataset([a], k=1, d=1)
 
     def test_count_length_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="count entries"):

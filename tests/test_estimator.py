@@ -26,7 +26,7 @@ from panelmean import (
 )
 from panelmean import estimator, inference
 from panelmean.data import PanelArrays
-from panelmean.estimator import (_NEWTON_TOL, _assert_ascending, _CauseWorkspace, _lockstep,
+from panelmean.estimator import (_NEWTON_TOL, _CauseWorkspace, _descends, _lockstep,
                                   _profile_grad_hess)
 
 from _oracles import (
@@ -178,6 +178,16 @@ class TestBetaStep:
         with pytest.raises(ConvergenceError) as err:
             beta_step(data, 1, baseline, [0.0])
         assert err.value.last_beta is not None
+
+    def test_needs_a_covariate(self):
+        data = PanelDataset([Subject("a", [1.0], [[1]], [])], k=1, d=0)
+        with pytest.raises(ValueError, match="beta step needs at least one covariate"):
+            beta_step(data, 1, flat_baseline(data), [])
+
+    def test_wrong_length_start_rejected(self):
+        data = PanelDataset([Subject("a", [1.0], [[1]], [0.0, 1.0])], k=1, d=2)
+        with pytest.raises(ValueError, match="beta has length 3, expected 2"):
+            beta_step(data, 1, flat_baseline(data), [0.0, 0.0, 0.0])
 
     def test_collinear_covariates_rejected(self):
         rng = np.random.default_rng(25)
@@ -513,10 +523,14 @@ class TestFit:
         np.testing.assert_array_equal(cf.baseline.values, 0.0)
         assert cf.loglik_trace[-1] == 0.0
 
-    def test_decreasing_trace_raises_numeric_error(self):
-        _assert_ascending([1.0, 2.0, 2.0])
-        with pytest.raises(NumericError, match="decreased"):
-            _assert_ascending([2.0, 1.0])
+    def test_decreasing_trace_raises_numeric_error(self, monkeypatch):
+        assert not _descends([1.0, 2.0, 2.0])
+        assert _descends([2.0, 1.0])
+        # a trace that descends stops its column as `descent`, which beta_step raises
+        monkeypatch.setattr(estimator, "_descends", lambda trace: True)
+        subjects = [Subject("a", [1.0], [[1]], [0.0]), Subject("b", [1.0], [[2]], [1.0])]
+        with pytest.raises(NumericError, match="log-likelihood trace decreased"):
+            beta_step(PanelDataset(subjects, k=1, d=1), 1, StepFunction([1.0], [1.0]), [0.0])
 
     def test_max_iter_reached_flags_not_converged(self, monkeypatch):
         cfg_sim = table1_config(n=40, seed=53)
@@ -673,6 +687,20 @@ class TestInvariance:
             np.testing.assert_array_equal(alone.baseline.values, cf.baseline.values)
             assert alone.loglik_trace == cf.loglik_trace
 
+    def test_memory_order_of_covariates_does_not_matter(self):
+        # a fit's last bits depend on Z's memory order, so PanelArrays.build
+        # stores Z in C order, as every constructor makes it
+        for seed in range(10):
+            data = gen_dataset(table1_config(n=40), np.random.default_rng([seed, 0]))
+            a = data.arrays
+            f_order = PanelDataset._from_arrays(data.ids, PanelArrays.build(
+                a.t, a.subj, a.counts, np.asfortranarray(a.Z)))
+            for cf, ff in zip(fit(data), fit(f_order)):
+                assert (ff.converged, ff.error, ff.loglik_trace) == \
+                    (cf.converged, cf.error, cf.loglik_trace)
+                np.testing.assert_array_equal(ff.beta, cf.beta)
+                np.testing.assert_array_equal(ff.baseline.values, cf.baseline.values)
+
     TIME_MAPS = {"2t": lambda t: 2 * t, "exp(t/10)": lambda t: np.exp(t / 10),
                  "sqrt(t)+1000": lambda t: np.sqrt(t) + 1000}
 
@@ -707,8 +735,7 @@ class TestInvariance:
                 counts = counts[causes]
             else:
                 columns = [1, 0]
-                # in C order, as every constructor makes Z: a fit's last bits depend on it
-                Z = np.ascontiguousarray(Z[:, columns])
+                Z = Z[:, columns]
             other = PanelDataset._from_arrays(data.ids, PanelArrays.build(t, a.subj, counts, Z))
         assert other.arrays.times.size == a.times.size
         fits, other_fits = converged_fit(data), fit(other)
@@ -935,6 +962,9 @@ class TestPredictMean:
         [cf] = fit(random_small_dataset(np.random.default_rng(45), d=0))
         t = cf.baseline.knots[-1]
         assert predict_mean(cf, t, []) == cf.baseline(t)
+
+    def test_nan_time_gives_nan(self, fitted):
+        assert np.isnan(predict_mean(fitted, np.nan, [0.3, 0.1]))
 
     def test_wrong_covariate_length_rejected(self, fitted):
         with pytest.raises(ValueError, match="length"):

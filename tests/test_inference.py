@@ -50,6 +50,19 @@ def explicit_bootstrap(data, B, seed):
     return se, failures
 
 
+def one_hot_subject():
+    """A single z=1 subject carries all the z=1 events; bootstrap replicates
+    missing it see an event-free z=1 level and diverge."""
+    rng = np.random.default_rng(3)
+    subjects = [Subject("hot", [1.0, 2.0], [[2, 4]], [1.0])]
+    for i in range(4):
+        subjects.append(Subject(f"cold{i}", [1.2 + 0.05 * i, 2.2 + 0.05 * i], [[0, 0]], [1.0]))
+    for i in range(6):
+        subjects.append(Subject(str(i), [1.0 + 0.05 * i, 3.0 + 0.05 * i],
+                                [np.sort(rng.integers(1, 5, size=2))], [0.0]))
+    return PanelDataset(subjects, k=1, d=1)
+
+
 class TestBootstrap:
     def test_identical_subjects_have_zero_se(self):
         proto = Subject("a", [1.0, 3.0], [[1, 2]], [1.0])
@@ -149,24 +162,7 @@ class TestBootstrap:
             bootstrap_se(data, B=5, seed=0)
 
     def test_failed_replicates_dropped_and_counted(self):
-        # a single z=1 subject carries all the z=1 events; replicates
-        # missing it see an eventual-free z=1 level and diverge
-        rng = np.random.default_rng(3)
-        subjects = [Subject("hot", [1.0, 2.0], [[2, 4]], [1.0])]
-        for i in range(4):
-            subjects.append(
-                Subject(f"cold{i}", [1.2 + 0.05 * i, 2.2 + 0.05 * i], [[0, 0]], [1.0])
-            )
-        for i in range(6):
-            subjects.append(
-                Subject(
-                    str(i),
-                    [1.0 + 0.05 * i, 3.0 + 0.05 * i],
-                    [np.sort(rng.integers(1, 5, size=2))],
-                    [0.0],
-                )
-            )
-        data = PanelDataset(subjects, k=1, d=1)
+        data = one_hot_subject()
         res = bootstrap_se(data, B=30, seed=4)[0]
         assert res.failures > 0
         assert res.replicates == 30 - res.failures
@@ -174,6 +170,12 @@ class TestBootstrap:
         [se], failures = explicit_bootstrap(data, B=30, seed=4)
         assert res.failures == failures
         np.testing.assert_allclose(res.se, se, rtol=1e-8)
+
+    def test_fewer_than_two_converged_replicates_raise(self):
+        # seed 2: 2 of the 3 replicates diverge
+        with pytest.raises(InferenceError, match="only 1 of 3 bootstrap replicates converged; "
+                                                 "cannot estimate a covariance"):
+            bootstrap_se(one_hot_subject(), B=3, seed=2)
 
     def test_replicate_value_error_propagates(self, table1_dataset_n100, monkeypatch):
         # a ValueError is a programming error, not a failed replicate
@@ -329,6 +331,12 @@ class TestSandwich:
             cov = sandwich_se(data, cf).cov
             np.testing.assert_allclose(sandwich_se(shuffled, cf).cov, cov, rtol=1e-10)
             np.testing.assert_allclose(sandwich_se(doubled, cf).cov, cov / 2, rtol=1e-10)
+
+    @pytest.mark.parametrize("beta", [[0.5], [0.5, 1.0, 0.0]])
+    def test_wrong_length_beta_rejected(self, table1_dataset_n100, beta):
+        cf = replace(fit(table1_dataset_n100)[0], beta=np.array(beta))
+        with pytest.raises(ValueError, match=f"cause 1: beta has length {len(beta)}, expected 2"):
+            sandwich_se(table1_dataset_n100, cf)
 
     def test_needs_covariates(self):
         data = PanelDataset([Subject("a", [1.0], [[1]], [])], k=1, d=0)

@@ -112,6 +112,12 @@ class TestStepFunction:
         assert f(100.0) == 2.0
         np.testing.assert_allclose(f(np.array([0.0, 3.0])), [0.0, 0.5])
 
+    def test_nan_time_gives_nan(self):
+        f = StepFunction([1.0, 3.0, 5.0], [0.5, 0.5, 2.0])
+        assert np.isnan(f(np.nan))
+        np.testing.assert_array_equal(f(np.array([0.2, np.nan, 4.0, 6.0])),
+                                      [0.0, np.nan, 0.5, 2.0])
+
     def test_decreasing_values_rejected(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             StepFunction([1.0, 2.0], [1.0, 0.5])

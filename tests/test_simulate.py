@@ -134,6 +134,20 @@ class TestGenBivpois:
         assert abs(draws[:, 0].mean() - 1.5) <= 3 * se1
         assert abs(draws[:, 1].mean() - 4.0) <= 3 * se2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rate_rejected(self, bad):
+        rng = np.random.default_rng(0)
+        for rates in [(bad, 1.0), (1.0, bad), (np.array([1.0, bad]), np.ones(2))]:
+            with pytest.raises(ValueError, match="rates must be finite and non-negative"):
+                gen_bivpois(*rates, 0.5, rng)
+
+    def test_non_finite_baseline_rejected(self):
+        # a baseline callable is not checked until its rates are drawn
+        cfg = SimConfig(n=5, beta1=(0.5, 1.0), beta2=(-1.0, 0.5),
+                        baseline1=lambda t: np.where(t > 3, np.nan, t))
+        with pytest.raises(ValueError, match="rates must be finite and non-negative"):
+            gen_dataset(cfg, np.random.default_rng(0))
+
     def test_negative_rate_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="negative|non-negative"):
