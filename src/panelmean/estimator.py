@@ -484,11 +484,12 @@ def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs) -> _Path:
     not drop.  Accepted iterates, the start first, go to the returned
     path, and each column's stop code (see _STOPS), set where the loop
     decides it: `not_finite` at the start; then, before each step,
-    `diverged`, else `gradient` once its gradient in beta * z_range units
+    `diverged`, else `singular` (tested at every iterate, so a start whose
+    gradient is already small does not pass an unidentified beta off as
+    converged), else `gradient` once its gradient in beta * z_range units
     (a stop that ignores the covariates' units) is within _NEWTON_TOL, else
-    `step_cap` after _MAX_STEPS steps, else `singular`; `no_ascent` when no
-    halving improves it; and last `descent`, over any other code, for a
-    trace that falls.
+    `step_cap` after _MAX_STEPS steps; `no_ascent` when no halving improves
+    it; and last `descent`, over any other code, for a trace that falls.
     """
     m = beta.shape[0]
     obj, state = evaluate(beta)
@@ -500,14 +501,14 @@ def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs) -> _Path:
     while (path.stop == "").any():
         path.derivs = derivs(path.state)
         grad, hess = path.derivs[:2]
+        inv, singular = _inverse_information(hess, ws.z_range)
         path.stop_where(np.any(np.abs(path.beta) * ws.z_range > _BETA_BOUND, axis=1), "diverged")
+        path.stop_where(singular, "singular")
         path.stop_where(np.linalg.norm(grad / ws.z_range, axis=1) <= _NEWTON_TOL, "gradient")
         path.stop_where(steps >= _MAX_STEPS, "step_cap")
-        if not (path.stop == "").any():
-            break
-        inv, singular = _inverse_information(hess, ws.z_range)
-        path.stop_where(singular, "singular")
         pending = path.stop == ""
+        if not pending.any():
+            break
         step = (inv @ grad[:, :, None])[:, :, 0]
         last = np.array([trace[-1] for trace in path.trace])
         floor = last - 1e-12 * np.maximum(1.0, np.abs(last))

@@ -161,6 +161,22 @@ class TestCmdFit:
         report = json.loads((out / "fit_report.json").read_text())
         assert report["errors"][0] is not None
 
+    @pytest.mark.parametrize("route", [["--inference", "bootstrap", "--boot-reps", "20"],
+                                       ["--inference", "sandwich"]])
+    def test_collinear_covariates_exit_3_on_both_routes(self, tmp_path, capsys, route):
+        # z2 = 2 z1 and counts 1, 2 at times 1, 2 for every subject: the
+        # gradient is 0 at beta = 0, but beta is not identified there
+        rows = [f"s{i},{t},{t},{i},{2 * i}" for i in range(5) for t in (1, 2)]
+        csv_path = tmp_path / "collinear.csv"
+        csv_path.write_text("\n".join(["id,time,n1,z1,z2", *rows]) + "\n")
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(csv_path), "--out", str(out), *route]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: fit did not converge (cause 1: {estimator._STOPS['singular'][1]}); "
+            "partial report written"]
+        assert json.loads((out / "fit_report.json").read_text())["converged"] == [False]
+        assert not (out / "coefficients.csv").exists()
+
     def test_inference_failure_exits_3_with_partial_report(self, tmp_path, capsys):
         # the fit converges, but 2 of the 3 replicates of seed 2 diverge
         csv_path = tmp_path / "hot.csv"

@@ -1,8 +1,10 @@
+import csv
+import io
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import panelmean.data
 from panelmean import (
@@ -318,18 +320,31 @@ MALFORMED = st.sampled_from(["", " , ", "a,1", "b,1,1,1,1,1"])
 CSV_LINES = st.integers(0, 19).flatmap(lambda i: MALFORMED if i == 0 else ROW)
 
 
+# How a generated file orders its rows: shuffled; sorted by time across
+# subjects, so neighbouring rows mostly belong to different subjects; or
+# grouped by subject, but with the first subject's first row apart from its
+# other rows, its id padded there (" a ") and bare in the others ("a").
+ORDERS = st.sampled_from(["shuffled", "by time", "split"])
+
+
 class TestParseEquivalence:
     @settings(max_examples=150, deadline=None)
-    @given(data=small_datasets(), rnd=st.randoms(use_true_random=False))
-    def test_round_trip_with_interleaved_rows(self, tmp_path_factory, data, rnd):
+    @given(data=small_datasets(), rnd=st.randoms(use_true_random=False), order=ORDERS)
+    def test_round_trip_with_interleaved_rows(self, tmp_path_factory, data, rnd, order):
         path = tmp_path_factory.mktemp("rt") / "data.csv"
         write_panel_csv(data, path)
         header, *rows = path.read_text(encoding="utf-8").splitlines()
-        rnd.shuffle(rows)
+        first = [row for row in rows if row.startswith(f"{data.ids[0]},")]
+        if order == "shuffled":
+            rnd.shuffle(rows)
+        elif order == "by time":
+            rows.sort(key=lambda row: float(row.split(",")[1]))
+        elif len(first) > 1 and data.n > 1:  # split
+            rows = [f" {first[0].replace(',', ' ,', 1)}", *rows[len(first):], *first[1:]]
         path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
         back = parse_panel_csv(path)
         # subjects come back in order of their first row in the file
-        first_seen = list(dict.fromkeys(row.split(",")[0] for row in rows))
+        first_seen = list(dict.fromkeys(row.split(",")[0].strip() for row in rows))
         by_id = {s.id: s for s in data.subjects}
         expected = PanelDataset([by_id[i] for i in first_seen], k=data.k, d=data.d)
         assert_same_arrays(back, expected)
@@ -379,26 +394,36 @@ def number(cell):
 @st.composite
 def csv_files(draw):
     """The text of an id,time,n1,n2,z1 file (columns in any order, maybe
-    with ignored ones).  Its rows are a valid dataset in shuffled order,
+    with ignored ones).  Its rows are a valid dataset in one of the ORDERS,
     with up to two cells swapped for others, maybe an odd row, mixed line
     ends and maybe a byte-order mark."""
     header = draw(st.sampled_from(HEADERS))
     kinds = [col.strip().rstrip("12") for col in header]
+    at = {kind: kinds.index(kind) for kind in ("id", "time")}
 
     def good(kind, m):
         cells = st.lists(st.sampled_from(CELLS[kind][0]), min_size=m, max_size=m,
                          unique=kind == "time")
         return sorted(draw(cells), key=number)
 
-    rows = []
+    subjects = []
     for sid in draw(st.lists(st.sampled_from(CELLS["id"][0]), unique=True, max_size=4)):
         m = draw(st.integers(1, 3))
         subject = {"id": [sid] * m, "time": good("time", m), "n1": good("n", m),
                    "n2": good("n", m), "z1": good("z", 1) * m}
-        rows += [[subject[col.strip()][p] if col.strip() in subject
-                  else draw(st.sampled_from(CELLS["x"][0])) for col in header]
-                 for p in range(m)]
-    rows = draw(st.permutations(rows))
+        subjects.append([[subject[col.strip()][p] if col.strip() in subject
+                          else draw(st.sampled_from(CELLS["x"][0])) for col in header]
+                         for p in range(m)])
+    rows = [row for subject in subjects for row in subject]
+    order = draw(ORDERS)
+    if order == "shuffled":
+        rows = draw(st.permutations(rows))
+    elif order == "by time":
+        rows.sort(key=lambda cells: number(cells[at["time"]]))
+    elif len(subjects) > 1 and len(subjects[0]) > 1 and subjects[0][0][at["id"]].isalnum():
+        first, *rest = subjects[0]  # split: a plain id, padded in its first row only
+        first[at["id"]] = f" {first[at['id']]} "
+        rows = [first, *rows[len(rest) + 1:], *rest]
     checked = [j for j, kind in enumerate(kinds) if CELLS[kind][1]]
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         cells = rows[draw(st.integers(0, len(rows) - 1))]
@@ -419,20 +444,29 @@ def outcome(read, path):
         return exc
 
 
+def assert_same_bytes(got, expected, name):
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+    assert got.tobytes() == expected.tobytes(), name
+
+
 def assert_same_as_row_loop(path):
     """parse_panel_csv gives exactly what the row loop alone gives: the same
-    arrays (dtype, shape and bytes) and ids, or the same error."""
+    arrays (dtype, shape and bytes) and ids, or the same error.  The
+    distinct times and their inverse are np.unique's of the epoch times.
+    Returns what parse_panel_csv gives."""
     got = outcome(parse_panel_csv, path)
     expected = outcome(panelmean.data._read_rows, path)
     if isinstance(expected, PanelDataset):
         assert isinstance(got, PanelDataset), got
         assert got.ids == expected.ids
         for name, value in vars(expected.arrays).items():
-            other = getattr(got.arrays, name)
-            assert (other.dtype, other.shape) == (value.dtype, value.shape), name
-            assert other.tobytes() == value.tobytes(), name
+            assert_same_bytes(getattr(got.arrays, name), value, name)
+        times, inverse = np.unique(got.arrays.t, return_inverse=True)
+        assert_same_bytes(got.arrays.times, times, "times")
+        assert_same_bytes(got.arrays.inverse, inverse, "inverse")
     else:
         assert (type(got), str(got)) == (type(expected), str(expected))
+    return got
 
 
 class TestReaders:
@@ -448,10 +482,19 @@ class TestReaders:
 
     @settings(max_examples=400, deadline=None)
     @given(text=csv_files())
+    # one subject in two runs of rows, its id padded in the first; and
+    # rows sorted by time across subjects, no two neighbours of one subject
+    @example(text="id,time,n1,n2,z1\n a ,1,0,0,1\nb,1,0,0,1\na,2,1,1,1\n")
+    @example(text="id,time,n1,n2,z1\na,1,0,0,1\nb,2,0,0,1\na,3,1,1,1\nb,4,1,0,1\n")
     def test_same_as_the_row_loop_alone(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("readers") / "data.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        assert_same_as_row_loop(path)
+        got = assert_same_as_row_loop(path)
+        if isinstance(got, PanelDataset):  # one subject per id, at its first row
+            header, *rows = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+            at = [col.strip() for col in header].index("id")
+            ids = [row[at].strip() for row in rows if any(map(str.strip, row))]
+            assert got.ids == tuple(dict.fromkeys(ids))
 
 class TestAggregate:
     def test_duplicate_times_counted(self):

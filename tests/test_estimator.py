@@ -510,18 +510,30 @@ class TestFit:
         assert not cf.converged and cf.error is not None
         assert np.all(np.isfinite(np.exp(data.arrays.Z @ cf.beta)))
 
-    def test_all_zero_counts_converges_to_boundary(self):
-        # log-likelihood is exactly 0 at the zero baseline, and so is the
-        # gradient: the fit stops at beta = 0
+    def test_all_zero_counts_are_singular(self):
+        # log-likelihood is exactly 0 at the zero baseline for every beta,
+        # and so are the gradient and the information: beta is not
+        # identified, and the fit says so at its start
         subjects = [
             Subject(str(i), [1.0 + i, 2.0 + i], [[0, 0]], [float(i % 2)])
             for i in range(6)
         ]
         data = PanelDataset(subjects, k=1, d=1)
         cf = fit(data)[0]
-        assert cf.converged and cf.error is None
+        assert not cf.converged and cf.error == estimator._STOPS["singular"][1]
         np.testing.assert_array_equal(cf.baseline.values, 0.0)
-        assert cf.loglik_trace[-1] == 0.0
+        assert cf.loglik_trace == [0.0]
+
+    def test_collinear_covariates_at_a_flat_start_are_singular(self):
+        # z2 = 2 z1 and every subject alike in its counts: the gradient is
+        # already 0 at beta = 0, but the information is singular there, so
+        # the fit is not reported as converged
+        subjects = [Subject(f"s{i}", [1.0, 2.0], [[1, 2]], [float(i), 2.0 * i])
+                    for i in range(5)]
+        cf = fit(PanelDataset(subjects, k=1, d=2))[0]
+        assert not cf.converged and cf.iterations == 1
+        assert cf.error == estimator._STOPS["singular"][1]
+        np.testing.assert_array_equal(cf.beta, [0.0, 0.0])
 
     def test_decreasing_trace_raises_numeric_error(self, monkeypatch):
         assert not _descends([1.0, 2.0, 2.0])

@@ -64,17 +64,18 @@ def one_hot_subject():
 
 
 class TestBootstrap:
-    def test_identical_subjects_have_zero_se(self):
+    def test_identical_subjects_are_not_identified(self):
+        # one covariate value for all: the baseline absorbs exp(beta), so
+        # the fit is singular and there is no spread to bootstrap
         proto = Subject("a", [1.0, 3.0], [[1, 2]], [1.0])
         subjects = [
             Subject(str(i), proto.times, proto.counts, proto.covariates)
             for i in range(15)
         ]
         data = PanelDataset(subjects, k=1, d=1)
-        res = bootstrap_se(data, B=25, seed=1)[0]
-        np.testing.assert_array_equal(res.se, [0.0])
-        assert res.replicates == 25 and res.failures == 0
-        check_cov(res)
+        with pytest.raises(InferenceError, match="cause 1 failed on the original data: "
+                                                 "singular information matrix"):
+            bootstrap_se(data, B=25, seed=1)
 
     def test_seed_determinism(self, table1_dataset_n100):
         a = bootstrap_se(table1_dataset_n100, B=20, seed=6)
@@ -277,8 +278,12 @@ class TestSandwich:
         ]
         data = PanelDataset(subjects, k=1, d=1)
         cf = fit(data)[0]
-        with pytest.raises(NumericError, match="singular"):
+        assert not cf.converged and cf.error.startswith("singular information matrix")
+        with pytest.raises(InferenceError, match="did not converge: singular"):
             sandwich_se(data, cf)
+        # the sandwich's own test, on the same fit passed off as converged
+        with pytest.raises(NumericError, match="singular"):
+            sandwich_se(data, replace(cf, converged=True, error=None))
 
     def test_covariate_scaling_scales_se_inversely(self, table1_dataset_n100):
         data = table1_dataset_n100

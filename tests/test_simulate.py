@@ -341,16 +341,16 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("size", [1, 2, "all"])
     def test_stack_size_leaves_the_study_as_it_is(self, monkeypatch, size):
-        # n = 6 makes 3 of the 30 replicates fail, and clamps rho 3 times
-        cfg = table1_config(n=6, replications=30, seed=0)
+        # n = 7 makes 3 of the 40 replicates fail, and clamps rho 4 times
+        cfg = table1_config(n=7, replications=40, seed=0)
         reference = run_study(cfg)
-        monkeypatch.setattr(simulate, "_stacks", self.stacks_of({1: 1, 2: 2, "all": 30}[size]))
+        monkeypatch.setattr(simulate, "_stacks", self.stacks_of({1: 1, 2: 2, "all": 40}[size]))
         monkeypatch.setattr(estimator, "_CHUNK_FLOATS", 2**30)  # fit keeps each stack whole
         sizes = self.stack_sizes(monkeypatch)
         result = run_study(cfg)
-        assert sizes == {1: [1] * 30, 2: [2] * 15, "all": [30]}[size]
+        assert sizes == {1: [1] * 40, 2: [2] * 20, "all": [40]}[size]
         assert (result.replications_used, result.failures, result.rho_clamps) == \
-            (reference.replications_used, reference.failures, reference.rho_clamps) == (27, 3, 3)
+            (reference.replications_used, reference.failures, reference.rho_clamps) == (37, 3, 4)
         # a stacked fit is the fit alone, bit for bit
         assert result.bias.tobytes() == reference.bias.tobytes()
         assert result.mse.tobytes() == reference.mse.tobytes()
