@@ -44,8 +44,8 @@ _MAX_STEPS = 50  # Newton steps of fit and of beta_step
 _NEWTON_TOL = 1e-8  # norm of gradient / z_range at which Newton stops
 _MAX_CONDITION = 1e12  # of the range-scaled information; beyond it, singular
 _MAX_LP = 600.0  # on |beta'z| at a trial point; e^600 ~ 1e261 leaves sums and ratios room
-_CHUNK_FLOATS = 2**15  # per (subjects or times) x columns array of one lockstep call,
-                       # and epochs x columns of a stack of several datasets
+_CHUNK_FLOATS = 2**15  # a quarter of a lockstep call's footprint (see _chunk_columns),
+                       # and epochs x columns of a stack of several datasets (see _stacks)
 
 # How a Newton column stopped: its code in _Path.stop, and the error type
 # `beta_step` raises for it with its message, which a CauseFit's `error`
@@ -228,10 +228,9 @@ class _CauseWorkspace:
     def linear_predictor(self, beta: np.ndarray) -> np.ndarray:
         """Per subject and column i of each dataset (n x kk), beta'z at the
         row of `beta` (m x d) of its column; 0 off the column's subjects."""
-        lp = np.empty((self.kk, self.n))
+        lp = np.empty((self.n, self.kk))
         for (i, _, s, Z), b in zip(self._cols, beta):
-            lp[i, s] = Z @ b
-        lp = lp.T.copy()
+            lp[s, i] = Z @ b
         if self.active is not None:
             lp *= self.active
         return lp
@@ -304,24 +303,26 @@ class _CauseWorkspace:
         for full, part, cells in zip(state, new, (times, times, subjects.T)):
             np.copyto(full, part, where=cells)
 
-    def _fixed_grad_hess(self, wez: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _fixed_grad_hess(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient (rows) and Hessian of l in beta at a fixed baseline for
-        each column, from w exp(beta'z) `wez` and `lam`, per column i of
-        each dataset (rows) and subject the sum of the baseline's values
-        at its epochs."""
-        mu = lam * wez
-        rows = [(Z, mu[i, s]) for i, _, s, Z in self._cols]
-        m, d = len(rows), self.d
-        grad = self.zcs - np.array([Z.T @ row for Z, row in rows]).reshape(m, d)
-        hess = -np.array([(Z * row[:, None]).T @ Z for Z, row in rows]).reshape(m, d, d)
+        each column, from `mu` (n x kk): per subject and column i of each
+        dataset, w exp(beta'z) times the sum of the baseline's values at
+        its epochs."""
+        m, d = len(self._cols), self.d
+        grad, hess = self.zcs.copy(), np.empty((m, d, d))
+        for c, (i, _, s, Z) in enumerate(self._cols):
+            row = np.ascontiguousarray(mu[s, i])  # BLAS sums a strided vector in another order
+            grad[c] -= Z.T @ row
+            hess[c] = -((Z * row[:, None]).T @ Z)
         return grad, hess
 
     def fixed_derivs(self, state) -> tuple[np.ndarray, np.ndarray]:
         """Gradient (rows) and Hessian of l of each column at the fixed
         baseline values of `state`, as `evaluate` gives it."""
         values, _, wez = state
-        lam = np.ascontiguousarray((self.inc_t @ values.T).T)
-        return self._fixed_grad_hess(wez, lam)
+        mu = self.inc_t @ values.T
+        mu *= wez.T
+        return self._fixed_grad_hess(mu)
 
     def derivs(self, state):
         """Gradient (rows) and Hessian of l_p of each column at the state
@@ -408,15 +409,21 @@ def _with_counts(inc, counts: np.ndarray):
 def _z_range(Z: np.ndarray, active: np.ndarray | None, m: int) -> np.ndarray:
     """Each covariate's range over each column's subjects (m x d), |z_l|
     when they all share it, 1 when that is 0; computed once when every
-    column has every subject."""
+    column has every subject.  Else a column's extremes of z_l are at its
+    first and last active subjects in z_l's sort order (inf for a column
+    with none, as the max and min of no value would give)."""
     if active is None:
         zt = Z.T.copy()  # reductions along contiguous rows are much faster
         hi, lo = zt.max(axis=1, initial=-np.inf)[None], zt.min(axis=1, initial=np.inf)[None]
     else:
         hi, lo = np.empty((m, Z.shape[1])), np.empty((m, Z.shape[1]))
         for l, z in enumerate(Z.T):
-            hi[:, l] = np.where(active, z[:, None], -np.inf).max(axis=0)
-            lo[:, l] = np.where(active, z[:, None], np.inf).min(axis=0)
+            order = np.argsort(z)
+            ranked = active[order]
+            lo[:, l] = z[order[ranked.argmax(axis=0)]]
+            hi[:, l] = z[order[-1 - ranked[::-1].argmax(axis=0)]]
+        none = ~active.any(axis=0)
+        hi[none], lo[none] = -np.inf, np.inf
     spread = hi - lo
     shared = np.where(spread > 0, spread, np.abs(hi))
     return np.broadcast_to(np.where(shared > 0, shared, 1.0), (m, Z.shape[1]))
@@ -427,8 +434,9 @@ def _profile_grad_hess(ws: _CauseWorkspace, lam_sub: np.ndarray,
     """The workspace's fixed-baseline gradient and Hessian of l in beta for
     a one-column workspace, given `lam_sub`: per subject, the sum of the
     baseline's values at its epochs."""
-    wez = ws._weighted_exp(ws.linear_predictor(beta[None])).T
-    grad, hess = ws._fixed_grad_hess(wez, lam_sub[None])
+    mu = ws._weighted_exp(ws.linear_predictor(beta[None]))
+    mu *= lam_sub[:, None]
+    grad, hess = ws._fixed_grad_hess(mu)
     return grad[0], hess[0]
 
 
@@ -520,6 +528,7 @@ def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs) -> _Path:
             took = pending & (obj >= floor)
             path.accept(ws, took, cand, obj, state)
             pending &= ~took
+        state = None  # the last trial's arrays would otherwise live through the next derivs
         path.stop_where(pending, "no_ascent")
         steps += path.stop == ""
     path.stop[[_descends(trace) for trace in path.trace]] = "descent"
@@ -533,19 +542,32 @@ def _lockstep(data, causes: np.ndarray, start: np.ndarray, weights=None):
     dataset; default all 1), column c = j * len(causes) + i of dataset j
     from the row `start[c]`.
 
-    Columns run in chunks, the same columns of every dataset in one, so
-    that no array of a chunk holds more than _CHUNK_FLOATS floats per
-    subject or time row; a stack of several datasets from _stacks is
-    always one chunk.  Yields each chunk's column indices, workspace and
-    path."""
+    Columns run in chunks, the same columns of every dataset in one, of
+    _chunk_columns(n, r) columns of each dataset (n subjects and r time
+    rows of the stack); a stack of several datasets from _stacks is always
+    one chunk.  Yields each chunk's column indices, workspace and path."""
     parts = [data] if isinstance(data, PanelDataset) else data
-    n, r = sum(p.n for p in parts), sum(p.arrays.times.size for p in parts)
-    size = max(1, _CHUNK_FLOATS // max(n, r))
+    size = _chunk_columns(sum(p.n for p in parts), sum(p.arrays.times.size for p in parts))
     for lo in range(0, len(causes), size):
         own = np.arange(lo, min(lo + size, len(causes)))
         cols = (np.arange(len(parts))[:, None] * len(causes) + own).ravel()
         ws = _CauseWorkspace(data, causes[own], None if weights is None else weights(own))
         yield cols, ws, _newton(ws, start[cols], ws.evaluate, ws.derivs)
+
+
+def _chunk_columns(n: int, r: int) -> int:
+    """Columns per lockstep call on n subjects and r time rows, at least 1:
+    as many as keep the call's footprint, n + 3r floats a column, within
+    4 * _CHUNK_FLOATS.  At its peak a call holds about 3.6 n-float arrays
+    a column (the weights, the accepted and the trial w exp(beta'z), and
+    mu or a product for the derivatives) besides its per-time arrays.  On
+    the perfbench shapes: 62 bootstrap columns per call at 2,000 subjects
+    on 36 monthly times (a call's traced peak is 3.4 MiB), one cause per
+    call at 8,000 subjects on 32,051 times, and a stack of five Table-1
+    datasets at n = 200 in one call.  Table-1 bootstraps at n = 300, 1,000
+    and 3,000 (r = 939, 2,929 and 9,078) take 42, 13 and 4 columns per
+    call."""
+    return max(1, 4 * _CHUNK_FLOATS // (n + 3 * r))
 
 
 def _stacks(datasets):

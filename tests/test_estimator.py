@@ -27,7 +27,7 @@ from panelmean import (
 from panelmean import estimator, inference
 from panelmean.data import PanelArrays
 from panelmean.estimator import (_NEWTON_TOL, _CauseWorkspace, _descends, _lockstep,
-                                  _profile_grad_hess)
+                                  _profile_grad_hess, _z_range)
 
 from _oracles import (
     alternating_fit,
@@ -848,6 +848,26 @@ class TestSubjectWeights:
             np.testing.assert_array_equal(lf.beta, alone.beta)
             np.testing.assert_array_equal(lf.baseline.knots, alone.baseline.knots)
             np.testing.assert_array_equal(lf.baseline.values, alone.baseline.values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_z_range_equals_the_masked_max_and_min(self, seed, n):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so ties are common; z3 is 0 for all
+        Z = np.column_stack([rng.integers(-2, 3, size=(n, 2)) * 0.5, np.zeros(n)])
+        active = rng.random((n, 6)) < rng.random(6)
+        active[:, 0] = np.arange(n) == rng.integers(n)  # one subject
+        active[:, 1] = Z[:, 0] == Z[rng.integers(n), 0]  # z1 constant over its subjects
+        active[:, 2] = False  # no subject: inf, as the max and min of no value give
+        active[:, 3] = True
+        hi = np.stack([np.where(active, z[:, None], -np.inf).max(axis=0) for z in Z.T], axis=1)
+        lo = np.stack([np.where(active, z[:, None], np.inf).min(axis=0) for z in Z.T], axis=1)
+        spread = hi - lo
+        shared = np.where(spread > 0, spread, np.abs(hi))
+        want = np.where(shared > 0, shared, 1.0)
+        got = _z_range(Z, active, 6)
+        assert got.tobytes() == want.tobytes()
+        assert (got[2] == np.inf).all() and got[1, 0] == (abs(Z[active[:, 1], 0][0]) or 1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),

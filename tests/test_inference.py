@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,8 @@ from panelmean import (
     sandwich_se,
     write_panel_csv,
 )
+from panelmean.data import PanelArrays
+
 from _oracles import profile_sandwich_cov, take
 from conftest import random_small_dataset, table1_config
 from test_estimator import converged_fit, table1_datasets
@@ -191,13 +194,13 @@ class TestBootstrap:
             bootstrap_se(table1_dataset_n100, B=5, seed=0)
         assert calls == [1]
 
-    @pytest.mark.parametrize("columns", [1, 7])
+    @pytest.mark.parametrize("columns", [1, 7, "all"])
     def test_chunking_does_not_change_the_result(self, table1_dataset_n100, monkeypatch,
                                                  columns):
         data = table1_dataset_n100
         default = bootstrap_se(data, B=20, seed=8)
-        a = data.arrays
-        monkeypatch.setattr(estimator, "_CHUNK_FLOATS", columns * max(data.n, a.times.size))
+        columns = 20 * data.k if columns == "all" else columns
+        monkeypatch.setattr(estimator, "_chunk_columns", lambda n, r: columns)
         chunks = []
         monkeypatch.setattr(inference, "_lockstep", lambda *args: (
             chunks.append(cols.size) or (cols, ws, path)
@@ -206,6 +209,41 @@ class TestBootstrap:
             np.testing.assert_array_equal(c.cov, d.cov)
             assert (c.replicates, c.failures) == (d.replicates, d.failures)
         assert max(chunks) == columns and sum(chunks) == 20 * data.k
+
+    def test_a_lockstep_call_holds_few_arrays_per_column(self, monkeypatch):
+        # on a monthly-shaped dataset (2,000 subjects, 2-8 visits on months
+        # 1-36, k = 2, d = 2), one call of 62 bootstrap columns traces at
+        # most 4.5 n x m float arrays above the dataset.  It holds about
+        # 3.6; transposed copies of the per-subject arrays, or the last
+        # trial's state kept through the next derivatives, bring it to 5.5
+        rng = np.random.default_rng(24)
+        n, k, m = 2000, 2, 62
+        visits = rng.integers(2, 9, size=n)
+        months = np.concatenate([np.sort(rng.choice(36, v, replace=False)) + 1.0
+                                 for v in visits])
+        jumps = rng.poisson(0.3, size=(k, months.size))
+        total, first = jumps.cumsum(axis=1), np.cumsum(visits) - visits
+        counts = total - np.repeat(total[:, first] - jumps[:, first], visits, axis=1)
+        Z = np.column_stack([rng.random(n) < 0.5, rng.normal(0, 0.5, n)]).astype(float)
+        data = PanelDataset._from_arrays(tuple(map(str, range(n))), PanelArrays.build(
+            months, np.repeat(np.arange(n), visits), counts, Z))
+        start = np.tile([cf.beta for cf in fit(data)], (m // k, 1))
+
+        def weights(cols):
+            draws = [np.random.default_rng([0, b]).integers(0, n, size=n) for b in cols // k]
+            return np.array([np.bincount(draw, minlength=n) for draw in draws], float).T
+
+        monkeypatch.setattr(estimator, "_chunk_columns", lambda n, r: m)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            [(_, _, path)] = estimator._lockstep(data, np.tile(np.arange(1, k + 1), m // k),
+                                                 start, weights)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert (path.stop == "gradient").all()
+        assert peak <= 4.5 * n * m * 8
 
     def test_no_covariates_fits_no_replicate(self, monkeypatch):
         subjects = [Subject(str(i), [1.0 + 0.1 * i, 2.0], [[i % 3, i % 3 + 1], [1, 2]], [])
