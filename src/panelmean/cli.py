@@ -69,6 +69,7 @@ def _write_fit_report(cfg: argparse.Namespace, data_shape: tuple[int, int, int],
         "converged": [cf.converged for cf in fits],
         "iterations": [cf.iterations for cf in fits],
         "errors": [cf.error for cf in fits],
+        "stop": [cf.stop for cf in fits],
     }
     for cf in fits:
         report[f"beta_cause{cf.cause}"] = [float(b) for b in cf.beta]

@@ -92,7 +92,9 @@ class PanelArrays:
     its time, `subj` its subject and `inverse` its index in the distinct
     `times`.  Epochs are grouped by subject and sorted by time within it.
     Rows of `counts` (k x P) are indexed by cause - 1.  No per-cause
-    totals are stored: `estimator._CauseWorkspace` forms them.
+    totals are stored: `estimator._CauseWorkspace` forms them.  The
+    covariate products its Newton derivatives read are made once, on
+    first use, and kept (`_covariate_products`).
     """
 
     t: np.ndarray
@@ -113,6 +115,23 @@ class PanelArrays:
         for a in vars(arrays).values():
             a.flags.writeable = False
         return arrays
+
+    @cached_property
+    def _covariate_products(self) -> np.ndarray:
+        """Per subject (a column), z and then the products z_l z_m for
+        l <= m in the order of `np.triu_indices(d)`: a read-only
+        (d + d(d+1)/2) x n array, written row by row into one array, so
+        one matrix-vector product with it gives a weighted sum of z and of
+        z z' at once."""
+        n, d = self.Z.shape
+        products = np.empty((d + d * (d + 1) // 2, n))
+        products[:d] = self.Z.T
+        rows = iter(products[d:])
+        for l in range(d):
+            for m in range(l, d):
+                np.multiply(products[l], products[m], out=next(rows))
+        products.flags.writeable = False
+        return products
 
 
 class PanelDataset:

@@ -76,7 +76,10 @@ class CauseFit:
     """Fitted coefficients and baseline for one recurrence mode.
 
     `loglik_trace` is l_p at the start (beta = 0 for `fit`) and after
-    each Newton step, which `iterations` counts (1 when none is taken)."""
+    each Newton step, which `iterations` counts (1 when none is taken).
+    `stop` says how the Newton loop stopped, one code of _STOPS:
+    `gradient` (converged), `step_cap`, `diverged`, `singular`,
+    `no_ascent`, `not_finite` or `descent`; None for a fit built by hand."""
 
     cause: int
     beta: np.ndarray
@@ -85,6 +88,7 @@ class CauseFit:
     iterations: int = 0
     converged: bool = False
     error: str | None = None
+    stop: str | None = None
     # set by `fit` alone: the arrays fitted, and for a converged fit with
     # covariates the state of its last evaluation (see _FitState)
     _arrays: PanelArrays | None = field(default=None, init=False, repr=False, compare=False)
@@ -134,11 +138,14 @@ class _CauseWorkspace:
     the 1): per-time sums of per-subject values X (n x kk) are `inc @ X`,
     and per-subject sums of per-time values V (r x kk) are `inc_t @ V`.
     Sums over a column's times run over its own rows only, and the
-    products with Z (linear predictors, gradients, Hessians) are made
-    column by column with its own dataset's Z.  Each sum adds a column's
-    terms in a fixed order, so no column's numbers depend on the other
-    columns of the call or the other datasets of its stack: a stacked fit
-    is its dataset's fit alone, bit for bit.
+    products with Z are made column by column with its own dataset's
+    arrays: its linear predictor with Z, and its gradient and Hessian as
+    one matrix-vector product with the covariate products z, z_l z_m
+    that every workspace of the dataset shares (see PanelArrays and
+    `_fixed_grad_hess`).  Each sum adds a column's terms in a fixed
+    order, so no column's numbers depend on the other columns of the call
+    or the other datasets of its stack: a stacked fit is its dataset's
+    fit alone, bit for bit.
 
     Per column and time, `total` holds the weighted count total C_q and
     `obs` the weighted observation count; `n_obs` and `mean_count` (C_q /
@@ -204,6 +211,10 @@ class _CauseWorkspace:
         self.z_range = np.concatenate([
             _z_range(Z, None if self.active is None else self.active[s], kk)
             for _, s, Z in self._spans])
+        # per (l, m), the row of z_l z_m in a dataset's covariate products
+        upper = np.triu_indices(self.d)
+        self._pair = np.empty((self.d, self.d), dtype=np.intp)
+        self._pair[upper] = self._pair.T[upper] = self.d + np.arange(upper[0].size)
 
         used = obs > 0
         self._used = slice(None) if used.all() else np.flatnonzero(used)  # a view if all are
@@ -307,14 +318,17 @@ class _CauseWorkspace:
         """Gradient (rows) and Hessian of l in beta at a fixed baseline for
         each column, from `mu` (n x kk): per subject and column i of each
         dataset, w exp(beta'z) times the sum of the baseline's values at
-        its epochs."""
-        m, d = len(self._cols), self.d
-        grad, hess = self.zcs.copy(), np.empty((m, d, d))
-        for c, (i, _, s, Z) in enumerate(self._cols):
-            row = np.ascontiguousarray(mu[s, i])  # BLAS sums a strided vector in another order
-            grad[c] -= Z.T @ row
-            hess[c] = -((Z * row[:, None]).T @ Z)
-        return grad, hess
+        its epochs.  Each column's sums of mu z and mu z z' are one
+        matrix-vector product of its dataset's covariate products (see
+        PanelArrays) with its contiguous part of mu: the same BLAS call,
+        of the same shape, whichever columns and datasets share the call."""
+        d = self.d
+        products = [p.arrays._covariate_products for p in self.parts]
+        sums = np.empty((len(self._cols), products[0].shape[0]))
+        for c, (i, _, s, _) in enumerate(self._cols):
+            # BLAS sums a strided vector in another order
+            sums[c] = products[self.owner[c]] @ np.ascontiguousarray(mu[s, i])
+        return self.zcs - sums[:, :d], -sums[:, self._pair]
 
     def fixed_derivs(self, state) -> tuple[np.ndarray, np.ndarray]:
         """Gradient (rows) and Hessian of l of each column at the fixed
@@ -379,6 +393,7 @@ class _CauseWorkspace:
             iterations=max(len(path.trace[c]) - 1, 1),
             converged=path.stop[c] == "gradient",
             error=None if path.stop[c] == "step_cap" else _STOPS[path.stop[c]][1],
+            stop=path.stop[c],
         )
 
 

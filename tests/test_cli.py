@@ -161,6 +161,19 @@ class TestCmdFit:
         report = json.loads((out / "fit_report.json").read_text())
         assert report["errors"][0] is not None
 
+    def test_report_names_how_each_cause_stopped(self, fit_dir, tmp_path):
+        # one stop code per cause, as CauseFit.stop holds it; below, no
+        # cause-1 events where z1 = 1, while cause 2 fits
+        report = json.loads((fit_dir / "fit_report.json").read_text())
+        assert report["stop"] == ["gradient", "gradient"]
+        csv_path = tmp_path / "diverge.csv"
+        csv_path.write_text("id,time,n1,n2,z1\n" + "".join(
+            f"s{i},{1 + 0.01 * i},0,1,{i % 2}\ns{i},{2 + 0.01 * i},{3 * (1 - i % 2)},2,{i % 2}\n"
+            for i in range(6)))
+        assert main(["fit", "--input", str(csv_path), "--out", str(tmp_path / "o")]) == 3
+        report = json.loads((tmp_path / "o" / "fit_report.json").read_text())
+        assert report["stop"] == ["diverged", "gradient"]
+
     @pytest.mark.parametrize("route", [["--inference", "bootstrap", "--boot-reps", "20"],
                                        ["--inference", "sandwich"]])
     def test_collinear_covariates_exit_3_on_both_routes(self, tmp_path, capsys, route):

@@ -347,6 +347,84 @@ class TestHessians:
         assert checked >= 190
 
 
+def monthly_dataset(seed, n=2000, k=2):
+    """A bootstrap_monthly-shaped dataset: n subjects with 2-8 visits on
+    months 1-36, k causes, a Bernoulli and a normal covariate."""
+    rng = np.random.default_rng(seed)
+    visits = rng.integers(2, 9, size=n)
+    months = np.concatenate([np.sort(rng.choice(36, v, replace=False)) + 1.0 for v in visits])
+    jumps = rng.poisson(0.3, size=(k, months.size))
+    total, first = jumps.cumsum(axis=1), np.cumsum(visits) - visits
+    counts = total - np.repeat(total[:, first] - jumps[:, first], visits, axis=1)
+    Z = np.column_stack([rng.random(n) < 0.5, rng.normal(0, 0.5, n)]).astype(float)
+    return PanelDataset._from_arrays(tuple(map(str, range(n))), PanelArrays.build(
+        months, np.repeat(np.arange(n), visits), counts, Z))
+
+
+class TestFixedDerivatives:
+    # each column's gradient and Hessian at a fixed baseline are one
+    # matrix-vector product of its dataset's covariate products with its
+    # part of mu
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_covariate_products_are_z_and_its_pairwise_products(self, d):
+        data = random_small_dataset(np.random.default_rng(d), n=40, d=d)
+        Z = data.arrays.Z
+        products = data.arrays._covariate_products
+        expected = [Z[:, l] for l in range(d)]
+        expected += [Z[:, l] * Z[:, m] for l, m in zip(*np.triu_indices(d))]
+        assert products.shape == (len(expected), data.n)
+        for row, want in zip(products, expected):
+            assert row.tobytes() == want.tobytes()
+        assert not products.flags.writeable
+        assert data.arrays._covariate_products is products  # made once per dataset
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_the_per_column_formula(self, d):
+        # against Z'mu and Z' diag(mu) Z column by column, within 1e-13 of
+        # the sum of the terms' magnitudes: the sums add the same terms in
+        # another order, and entries that cancel have no finer scale
+        rng = np.random.default_rng(60 + d)
+        for _ in range(25):
+            data = random_small_dataset(rng, n=int(rng.integers(2, 300)), k=2, d=d)
+            causes = np.array([1, 2, 2])
+            ws = _CauseWorkspace(data, causes, rng.integers(0, 4, size=(data.n, 3)))
+            mu = rng.uniform(0.01, 5.0, size=(data.n, 3))
+            grad, hess = ws._fixed_grad_hess(mu)
+            Z, A = data.arrays.Z, np.abs(data.arrays.Z)
+            for c, row in enumerate(mu.T):
+                np.testing.assert_array_less(np.abs(grad[c] - (ws.zcs[c] - Z.T @ row)),
+                                             1e-13 * (np.abs(ws.zcs[c]) + A.T @ row))
+                np.testing.assert_array_less(np.abs(hess[c] + (Z * row[:, None]).T @ Z),
+                                             1e-13 * ((A * row[:, None]).T @ A))
+                assert hess[c].tobytes() == hess[c].T.tobytes()
+
+    def test_a_column_is_the_same_alone_in_a_chunk_and_in_a_stack(self):
+        # bit for bit: in a 62-column chunk of bootstrap weights on the
+        # monthly shape, alone, and beside datasets of other sizes
+        data = monthly_dataset(25)
+        rng = np.random.default_rng(25)
+        causes = np.tile([1, 2], 31)
+        weights = rng.integers(0, 4, size=(data.n, causes.size)).astype(float)
+        mu = rng.uniform(0.1, 3.0, size=(data.n, causes.size))
+        grad, hess = _CauseWorkspace(data, causes, weights)._fixed_grad_hess(mu)
+        for c in (0, 1, 30, 61):
+            alone = _CauseWorkspace(data, causes[[c]], weights[:, [c]])._fixed_grad_hess(
+                mu[:, [c]])
+            assert alone[0][0].tobytes() == grad[c].tobytes()
+            assert alone[1][0].tobytes() == hess[c].tobytes()
+
+        small, large = (gen_dataset(table1_config(n=n, seed=25), np.random.default_rng([25, n]))
+                        for n in (20, 333))
+        stack = _CauseWorkspace([small, data, large], np.arange(1, 3))
+        mu = rng.uniform(0.1, 3.0, size=(stack.n, 2))
+        grad, hess = stack._fixed_grad_hess(mu)
+        alone = _CauseWorkspace(data, np.arange(1, 3))._fixed_grad_hess(
+            mu[stack.first[1]:stack.first[2]])
+        assert grad[2:4].tobytes() == alone[0].tobytes()
+        assert hess[2:4].tobytes() == alone[1].tobytes()
+
+
 class TestFit:
     def test_no_covariates_single_iteration(self):
         rng = np.random.default_rng(28)
@@ -550,6 +628,33 @@ class TestFit:
         monkeypatch.setattr(estimator, "_MAX_STEPS", 2)
         cf = fit(data)[0]
         assert not cf.converged and cf.iterations == 2 and cf.error is None
+
+    @staticmethod
+    def one_level_without_events(z0):
+        """Six subjects on z = z0 + i % 2, with no events at z0 + 1."""
+        return PanelDataset([
+            Subject(f"s{i}", [1.0 + 0.01 * i, 2.0 + 0.01 * i], [[0, 3 * (1 - i % 2)]],
+                    [z0 + i % 2])
+            for i in range(6)], k=1, d=1)
+
+    @pytest.mark.parametrize("stop", ["gradient", "diverged", "singular", "no_ascent",
+                                      "step_cap"])
+    def test_fit_reports_how_it_stopped(self, monkeypatch, stop):
+        # one input per code, those of the tests above
+        if stop in ("diverged", "no_ascent"):
+            data = self.one_level_without_events(0.0 if stop == "diverged" else 46.0)
+        else:
+            cfg = table1_config(n=40, seed=53)
+            if stop == "singular":  # z1 = 1 for everyone
+                cfg = SimConfig(n=40, beta1=[0.5, -0.5], beta2=[-1.0, 0.5], bernoulli_p=1.0,
+                                seed=42)
+            data = gen_dataset(cfg, np.random.default_rng([cfg.seed, 0]))
+        if stop == "step_cap":
+            monkeypatch.setattr(estimator, "_MAX_STEPS", 2)
+        cf = fit(data)[0]
+        assert cf.stop == stop
+        assert cf.converged is (stop == "gradient")
+        assert cf.error == (None if stop == "step_cap" else estimator._STOPS[stop][1])
 
 
 class TestStackedFit:
