@@ -36,7 +36,7 @@ from scipy.sparse import csr_array
 
 from .data import PanelArrays, PanelDataset, _check_cause, _subject_bounds
 from .errors import ConvergenceError, NumericError
-from .isotonic import StepFunction, _pava
+from .isotonic import StepFunction, _pava_runs
 
 _MAX_HALVINGS = 30
 _BETA_BOUND = 15.0  # on |beta_l| * z_range_l, see _STOPS
@@ -149,10 +149,13 @@ class _CauseWorkspace:
 
     Per column and time, `total` holds the weighted count total C_q and
     `obs` the weighted observation count; `n_obs` and `mean_count` (C_q /
-    obs) hold them at the used cells only, in cell order, so a column's
-    `_pava` record is its run of them and, per time, the used time whose
-    baseline value the time takes (the last at or before it, else the
-    first; the whole run if the column uses every time).  Per column, `zcs`
+    obs) hold them at the used cells only, in cell order, so each column's
+    used times are one run of them.  `_firsts` holds each column's first
+    cell and `_edges` bounds the runs, both in cell order (row i of each
+    dataset in turn, row by row), and `_within` marks the runs for the
+    PAVA (see isotonic._drops).  If some cell is unused, `_gather` gives
+    each cell the used cell whose baseline value it takes: its column's
+    last used time at or before it, else its first.  Per column, `zcs`
     holds Z' times the weighted per-subject count totals (the beta-linear
     part of l) and `z_range` each covariate's range over the column's
     subjects (|z_l| if all share it, 1 if that is 0): the unit in which
@@ -220,12 +223,21 @@ class _CauseWorkspace:
         self._used = slice(None) if used.all() else np.flatnonzero(used)  # a view if all are
         self.n_obs = obs.ravel()[self._used]
         self.mean_count = self.total.ravel()[self._used] / self.n_obs
+        # each column's first cell, in cell order (column i of every
+        # dataset, then i + 1); the used cells before it are where its run
+        # starts
+        self._firsts = np.add.outer(np.arange(0, kk * r, r), self.tfirst[:-1]).ravel()
+        bounds = np.r_[self._firsts, kk * r]
         runs = np.r_[0, np.cumsum(used)]
-        self._pava = []
-        for i, t, _, _ in self._cols:
-            u = used[i, t]
-            fill = slice(None) if u.all() else np.maximum(np.cumsum(u) - 1, 0)
-            self._pava.append((slice(runs[i * r + t.start], runs[i * r + t.stop]), fill))
+        self._edges = runs[bounds]
+        start = np.zeros(self.n_obs.size + 1, dtype=bool)
+        start[self._edges] = True
+        self._within = ~start[1:-1]
+        self._scratch = np.empty(np.diff(self._edges).max() + 1, dtype=np.intp)
+        if not isinstance(self._used, slice):
+            # per cell, the last used cell at or before it, else its run's first
+            self._gather = np.maximum(runs[1:] - 1, np.repeat(self._edges[:-1], np.diff(bounds)))
+            self._gather = self._gather.reshape(kk, r)
 
         if np.ndim(cause) == 0:
             self.count_sum = count_sum[int(cause)]
@@ -265,15 +277,15 @@ class _CauseWorkspace:
         fixed beta, given `exposure` = `self.exposure(beta)`: with e the
         exposure per observation at the used cells, checked once, the PAVA
         of mean_count / e weighted by n_obs * e over each column's run,
-        whose values its other times repeat."""
+        solved in place for the runs that drop, whose values its other
+        times repeat.  If every cell is used the result is that array of
+        PAVA values itself, reshaped."""
         e = exposure.ravel()[self._used] / self.n_obs
         if not ((e > 0) & (e < np.inf)).all():
             raise NumericError("exposure must be finite and strictly positive")
         y, w = self.mean_count / e, self.n_obs * e
-        values = np.empty_like(exposure)
-        for (i, t, _, _), (run, fill) in zip(self._cols, self._pava):
-            values[i, t] = _pava(y[run], w[run])[fill]
-        return values
+        _pava_runs(y, w, self._edges, self._within, self._scratch)
+        return y.reshape(self.kk, self.r) if isinstance(self._used, slice) else y[self._gather]
 
     def loglik(self, beta: np.ndarray, values: np.ndarray, exposure: np.ndarray) -> np.ndarray:
         """Full objective of each column at (beta, baseline values), from
@@ -359,11 +371,9 @@ class _CauseWorkspace:
             mean[:, l] = np.add.reduceat((self.inc @ (wez.T * z[:, None])).T.ravel(), start)
         mean /= np.add.reduceat(exposure.ravel(), start)[:, None]
         count = np.add.reduceat(self.total.ravel(), start)
-        # each column's blocks summed, in cell order (column i of every
-        # dataset, then i + 1), then put in column order
-        firsts = np.add.outer(np.arange(0, kk * r, r), self.tfirst[:-1]).ravel()
+        # each column's blocks summed, in cell order, then put in column order
         blocks = np.add.reduceat(count[:, None, None] * mean[:, :, None] * mean[:, None, :],
-                                 np.searchsorted(start, firsts), axis=0)
+                                 np.searchsorted(start, self._firsts), axis=0)
         hess += blocks.reshape(kk, -1, d, d).swapaxes(0, 1).reshape(hess.shape)
         return grad, hess, mean, start
 

@@ -77,11 +77,12 @@ def bootstrap_se(data: PanelDataset, B: int = _DEFAULT_BOOT_REPS, seed: int = 0,
     n, k, d = data.n, data.k, data.d
 
     def weights(cols):
-        w = np.empty((n, cols.size))
-        for b in np.unique(cols // k):  # replicate b's causes share its draw
-            draw = np.random.default_rng([seed, b]).integers(0, n, size=n)
-            w[:, cols // k == b] = np.bincount(draw, minlength=n)[:, None]
-        return w
+        # each replicate of the call drawn once; its causes share its draw
+        reps, rep = np.unique(cols // k, return_inverse=True)
+        counts = np.stack([
+            np.bincount(np.random.default_rng([seed, b]).integers(0, n, size=n), minlength=n)
+            for b in reps.tolist()], axis=1, dtype=float)
+        return counts[:, rep]
 
     betas = np.zeros((B * k, d))
     converged = np.ones(B * k, dtype=bool)

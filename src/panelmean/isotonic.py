@@ -4,9 +4,10 @@ At fixed beta the baseline maximizes, over non-decreasing values v at
 the distinct observation times, sum_q n_obs_q * (mean_count_q * log v_q -
 exposure_q * v_q): the weighted least-squares isotonic regression of
 mean_count/exposure with weights n_obs*exposure, whose pooled block
-means scipy.optimize.isotonic_regression (pool adjacent violators)
-gives exactly.  `estimator._CauseWorkspace.baseline_values` forms those
-inputs for all its columns at once, and `_pava` solves each column's.
+means SciPy's compiled pool-adjacent-violators routine gives exactly.
+`estimator._CauseWorkspace.baseline_values` forms those inputs for all
+its columns at once, as one flat array in which each column's used
+times are a run, and `_pava_runs` solves every run that drops in place.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression
+# The compiled PAVA behind scipy.optimize.isotonic_regression, a private
+# binding: in SciPy since 1.12, the floor in pyproject.toml.  This is its
+# one import, with no fallback (CI checks).  It overwrites its arguments
+# x and w (x with the solution) and writes its index array before it
+# reads it.
+from scipy.optimize._pava_pybind import pava
 
 from .errors import NumericError
 
@@ -61,8 +67,8 @@ def weighted_isotonic(y, w) -> np.ndarray:
     x_1 <= ... <= x_r, by the pool-adjacent-violators algorithm.
     Weights must be strictly positive.
     """
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
+    y = np.array(y, dtype=float)  # copies: the solver overwrites both
+    w = np.array(w, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("y must be a non-empty 1-d vector")
     if y.shape != w.shape:
@@ -71,21 +77,33 @@ def weighted_isotonic(y, w) -> np.ndarray:
         raise ValueError("y and weights must be finite")
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
-    return _pava(y, w)
+    _pava_runs(y, w, np.array([0, y.size]), np.ones(y.size - 1, dtype=bool),
+               np.empty(y.size + 1, dtype=np.intp))
+    return y
 
 
-def _pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """`weighted_isotonic` of finite y with finite positive weights, unchecked."""
-    # SciPy may move already-monotone input by an ulp; a fixed point must
-    # come back exactly
-    if (y[1:] >= y[:-1]).all():
-        return y.copy()
-    x = isotonic_regression(y, weights=w).x
-    _check_non_decreasing(x)
-    return x
+def _pava_runs(y: np.ndarray, w: np.ndarray, edges: np.ndarray, within: np.ndarray,
+               scratch: np.ndarray) -> None:
+    """`weighted_isotonic` of each run y[edges[j]:edges[j + 1]] of finite y
+    with finite positive weights w, unchecked, in the place of y (w is
+    overwritten too).  `within` is `_drops`' mask of the runs and
+    `scratch` an intp array longer than any run.  A run that does not
+    drop keeps its y exactly: SciPy may move monotone input by an ulp,
+    and a fixed point must come back exactly."""
+    # a run holds a drop if fewer drops come before its start than before
+    # its end (a drop at cell q + 1 is counted at q, in the same run)
+    runs = np.flatnonzero(np.diff(np.searchsorted(np.flatnonzero(_drops(y, within)), edges)))
+    for lo, hi in zip(edges[runs].tolist(), edges[runs + 1].tolist()):
+        pava(y[lo:hi], w[lo:hi], scratch)  # contiguous views: solved in place
+    _check_runs(y, within)
 
 
-def _check_non_decreasing(x: np.ndarray) -> None:
-    if (x[1:] < x[:-1]).any():
+def _drops(x: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """Per cell of x but the first, whether x falls there from the cell
+    before within one run: `within` is False where a run starts."""
+    return (x[1:] < x[:-1]) & within
+
+
+def _check_runs(x: np.ndarray, within: np.ndarray) -> None:
+    if _drops(x, within).any():
         raise NumericError("isotonic output must be non-decreasing")
-

@@ -5,7 +5,8 @@ double loops, exhaustive enumeration, no reuse of the library's
 vectorized paths.  Three exceptions: `alternating_fit` is a different
 algorithm built from the library's exact coordinate steps, `take`
 gathers an explicit resample from a dataset's flat arrays, and
-`isotonic_baseline` calls the library's PAVA, so that the per-column
+`isotonic_baseline` calls SciPy's public `isotonic_regression`, whose
+compiled PAVA the package calls directly, so that the per-column
 baseline it gives must match the workspace's bit for bit.
 """
 
@@ -15,6 +16,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from panelmean import (
     NumericError,
@@ -27,7 +29,6 @@ from panelmean import (
     log_pseudo_likelihood,
 )
 from panelmean.data import PanelArrays
-from panelmean.isotonic import _pava
 
 
 def isotonic_maxmin(y, w):
@@ -53,10 +54,14 @@ def isotonic_baseline(mean_count, n_obs, exposure):
     """The isotonic baseline of one column at its used times, given the
     exposure per observation: the PAVA of mean_count / exposure with
     weights n_obs * exposure, clamped at 0, checked and solved column by
-    column."""
+    column; y itself if it does not drop (SciPy may move monotone input
+    by an ulp)."""
     if not (exposure > 0).all() or not np.isfinite(exposure).all():
         raise NumericError("exposure must be finite and strictly positive")
-    return np.maximum(_pava(mean_count / exposure, n_obs * exposure), 0.0)
+    y = mean_count / exposure
+    if (y[1:] < y[:-1]).any():
+        y = isotonic_regression(y, weights=n_obs * exposure).x
+    return np.maximum(y, 0.0)
 
 
 def baseline_values_by_column(ws, exposure):

@@ -452,10 +452,10 @@ class TestOptions:
     def test_internal_fit_error_exits_with_one_error_line(self, tmp_path, capsys, monkeypatch,
                                                           command, code, message):
         # an internal check of the fit fails: no traceback and no artifact
-        def broken(y, w):
+        def broken(y, w, edges, within, scratch):
             raise NumericError("isotonic output must be non-decreasing")
 
-        monkeypatch.setattr(estimator, "_pava", broken)
+        monkeypatch.setattr(estimator, "_pava_runs", broken)
         out = tmp_path / "o"
         assert main([command, *self.source(tmp_path, command), "--out", str(out)]) == code
         assert capsys.readouterr().err.splitlines() == \

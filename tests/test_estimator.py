@@ -272,6 +272,33 @@ class TestBaselineValues:
     def test_single_dataset(self, table1_dataset_n200):
         self.assert_by_column(_CauseWorkspace(table1_dataset_n200, np.arange(1, 3)), 2)
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+           k=st.integers(1, 3), reps=st.integers(1, 3))
+    def test_random_stacks_equal_the_public_isotonic_regression(self, seed, sizes, k, reps):
+        # the oracle calls SciPy's public isotonic_regression, so a change in
+        # the compiled PAVA the workspace calls directly shows here.  Zero
+        # weights leave times unused, and about half the columns get an
+        # exposure under which they are already monotone
+        rng = np.random.default_rng(seed)
+        datasets = []
+        for n in sizes:
+            # every count positive, so every used time's count total is, and
+            # any increasing values are a column's y at some exposure
+            data = random_small_dataset(rng, n=n, k=k)
+            datasets.append(PanelDataset([Subject(s.id, s.times, s.counts + 1, s.covariates)
+                                          for s in data.subjects], k=k, d=data.d))
+        W = rng.integers(0, 3, size=(sum(sizes), reps))
+        W[np.cumsum([0, *sizes[:-1]])] += 1  # each dataset's first subject weighs
+        ws = _CauseWorkspace(datasets, np.tile(np.arange(1, k + 1), reps), np.repeat(W, k, axis=1))
+        exposure = ws.exposure(rng.normal(0, 0.5, size=(len(ws._cols), ws.d)))
+        for i, t, _, _ in ws._cols:
+            if rng.random() < 0.5:
+                used = ws.obs[i, t] > 0  # y = total / exposure: increasing, well apart
+                exposure[i, t][used] = ws.total[i, t][used] / np.cumsum(1 + rng.random(used.sum()))
+        values = ws.baseline_values(exposure)
+        assert values.tobytes() == baseline_values_by_column(ws, exposure).tobytes()
+
     @pytest.mark.parametrize("bad", [0.0, np.inf, -np.inf, np.nan])
     def test_exposure_checked_at_used_times_only(self, table1_dataset_n100, bad):
         ws = self.weighted_chunk(table1_dataset_n100)

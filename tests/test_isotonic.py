@@ -9,7 +9,7 @@ from panelmean import (
     aggregate,
     weighted_isotonic,
 )
-from panelmean.isotonic import _check_non_decreasing
+from panelmean.isotonic import _check_runs
 
 from _oracles import (
     baseline_profile_objective,
@@ -99,7 +99,7 @@ class TestWeightedIsotonic:
 
     def test_decreasing_output_raises_numeric_error(self):
         with pytest.raises(NumericError, match="non-decreasing"):
-            _check_non_decreasing(np.array([2.0, 1.0]))
+            _check_runs(np.array([2.0, 1.0]), np.ones(1, dtype=bool))
 
 
 class TestStepFunction:
