@@ -8,21 +8,41 @@ means SciPy's compiled pool-adjacent-violators routine gives exactly.
 `estimator._CauseWorkspace.baseline_values` forms those inputs for all
 its columns at once, as one flat array in which each column's used
 times are a run, and `_pava_runs` solves every run that drops in place.
+That routine is loaded from its extension module alone: importing this
+package does not import `scipy.optimize`.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
 
 import numpy as np
-# The compiled PAVA behind scipy.optimize.isotonic_regression, a private
-# binding: in SciPy since 1.12, the floor in pyproject.toml.  This is its
-# one import, with no fallback (CI checks).  It overwrites its arguments
-# x and w (x with the solution) and writes its index array before it
-# reads it.
-from scipy.optimize._pava_pybind import pava
 
 from .errors import NumericError
+
+
+def _load_pava(search):
+    """SciPy's compiled `pava` from the `_pava_pybind` extension module in
+    the directories `search`, executed without its package's `__init__`
+    and kept out of `sys.modules`; ImportError if it is not there."""
+    spec = importlib.machinery.PathFinder.find_spec("scipy.optimize._pava_pybind", search)
+    if spec is None:
+        raise ImportError(f"no scipy.optimize._pava_pybind in {list(search)}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.pava
+
+
+# The compiled PAVA behind scipy.optimize.isotonic_regression, a private
+# binding: in SciPy since 1.12, the floor in pyproject.toml.  This is the
+# one place that names it, with no fallback (CI checks).  find_spec
+# imports only top-level scipy to locate scipy/optimize/, whose
+# __init__ (all of scipy.optimize) never runs.  pava overwrites its
+# arguments x and w (x with the solution) and writes its index array
+# before it reads it.
+pava = _load_pava(importlib.util.find_spec("scipy.optimize").submodule_search_locations)
 
 
 @dataclass

@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -404,6 +407,35 @@ class TestCmdSimulate:
     def test_every_sim_config_field_has_a_key(self):
         named = {"gap_range" if key.startswith("gap_") else key for key in _SIM_KEYS}
         assert named == {f.name for f in fields(SimConfig)}
+
+
+# Run in a fresh interpreter: the test helpers import scipy.optimize.
+_FOOTPRINT = """
+import json, sys
+from panelmean.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv} failed")
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "special"]))))
+"""
+
+
+def test_cli_imports_neither_scipy_optimize_nor_scipy_special(tmp_path):
+    write_panel_csv(gen_dataset(table1_config(n=40), np.random.default_rng([40, 0])),
+                    tmp_path / "panel.csv")
+    (tmp_path / "study.cfg").write_text("n = 20\nbeta1 = 0.5,1\nbeta2 = -1,0.5\n"
+                                        "replications = 2\n")
+    runs = [["fit", "--input", "panel.csv", "--out", "sandwich", "--inference", "sandwich"],
+            ["fit", "--input", "panel.csv", "--out", "bootstrap", "--inference", "bootstrap",
+             "--boot-reps", "3"],
+            ["simulate", "--config", "study.cfg", "--out", "study"]]
+    src = str(Path(inspect.getfile(main)).parents[1])
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(runs)], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "study" / "study.csv").is_file()
 
 
 class TestOptions:

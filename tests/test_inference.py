@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
 from panelmean import (
     CauseFit,
@@ -22,6 +23,7 @@ from panelmean import (
     write_panel_csv,
 )
 from panelmean.data import PanelArrays
+from panelmean.inference import _wald_p
 
 from _oracles import profile_sandwich_cov, take
 from conftest import random_small_dataset, table1_config
@@ -51,6 +53,21 @@ def explicit_bootstrap(data, B, seed):
     se = [np.sqrt(np.diag(np.atleast_2d(np.cov(betas[:, j], rowvar=False, ddof=1))))
           for j in range(data.k)]
     return se, failures
+
+
+def monthly_shaped(seed):
+    """A bootstrap_monthly-shaped dataset: 2,000 subjects, 2-8 visits on
+    months 1-36, k = 2, d = 2."""
+    rng = np.random.default_rng(seed)
+    n, k = 2000, 2
+    visits = rng.integers(2, 9, size=n)
+    months = np.concatenate([np.sort(rng.choice(36, v, replace=False)) + 1.0 for v in visits])
+    jumps = rng.poisson(0.3, size=(k, months.size))
+    total, first = jumps.cumsum(axis=1), np.cumsum(visits) - visits
+    counts = total - np.repeat(total[:, first] - jumps[:, first], visits, axis=1)
+    Z = np.column_stack([rng.random(n) < 0.5, rng.normal(0, 0.5, n)]).astype(float)
+    return PanelDataset._from_arrays(tuple(map(str, range(n))), PanelArrays.build(
+        months, np.repeat(np.arange(n), visits), counts, Z))
 
 
 def one_hot_subject():
@@ -211,22 +228,12 @@ class TestBootstrap:
         assert max(chunks) == columns and sum(chunks) == 20 * data.k
 
     def test_a_lockstep_call_holds_few_arrays_per_column(self, monkeypatch):
-        # on a monthly-shaped dataset (2,000 subjects, 2-8 visits on months
-        # 1-36, k = 2, d = 2), one call of 62 bootstrap columns traces at
-        # most 4.5 n x m float arrays above the dataset.  It holds about
-        # 3.6; transposed copies of the per-subject arrays, or the last
+        # on a monthly-shaped dataset, one call of 62 bootstrap columns
+        # traces at most 4.5 n x m float arrays above the dataset.  It holds
+        # about 3.6; transposed copies of the per-subject arrays, or the last
         # trial's state kept through the next derivatives, bring it to 5.5
-        rng = np.random.default_rng(24)
-        n, k, m = 2000, 2, 62
-        visits = rng.integers(2, 9, size=n)
-        months = np.concatenate([np.sort(rng.choice(36, v, replace=False)) + 1.0
-                                 for v in visits])
-        jumps = rng.poisson(0.3, size=(k, months.size))
-        total, first = jumps.cumsum(axis=1), np.cumsum(visits) - visits
-        counts = total - np.repeat(total[:, first] - jumps[:, first], visits, axis=1)
-        Z = np.column_stack([rng.random(n) < 0.5, rng.normal(0, 0.5, n)]).astype(float)
-        data = PanelDataset._from_arrays(tuple(map(str, range(n))), PanelArrays.build(
-            months, np.repeat(np.arange(n), visits), counts, Z))
+        data = monthly_shaped(24)
+        n, k, m = data.n, data.k, 62
         start = np.tile([cf.beta for cf in fit(data)], (m // k, 1))
 
         def weights(cols):
@@ -243,6 +250,25 @@ class TestBootstrap:
         finally:
             tracemalloc.stop()
         assert (path.stop == "gradient").all()
+        assert peak <= 4.5 * n * m * 8
+
+    def test_a_bootstrap_holds_one_lockstep_call_at_a_time(self, monkeypatch):
+        # three calls of 62 columns, each fitted without the last one's
+        # workspace and path: the whole bootstrap traces within the one-call
+        # bound above.  Holding them through the next call, as a loop's
+        # variables do, brings it to about 5.9
+        data = monthly_shaped(24)
+        n, k, m = data.n, data.k, 62
+        fits = fit(data)
+        monkeypatch.setattr(estimator, "_chunk_columns", lambda n, r: m)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            [result, _] = bootstrap_se(data, B=3 * m // k, seed=0, _fits=fits)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert result.failures == 0
         assert peak <= 4.5 * n * m * 8
 
     def test_no_covariates_fits_no_replicate(self, monkeypatch):
@@ -277,6 +303,29 @@ class TestBootstrap:
     def test_cov_properties_on_simulated_data(self, table1_dataset_n100):
         for res in bootstrap_se(table1_dataset_n100, B=60, seed=12):
             check_cov(res)
+
+
+class TestWaldP:
+    def test_matches_twice_the_normal_tail(self):
+        rng = np.random.default_rng(0)
+        z = np.concatenate([[1e-300, 0.5, 1.0, 5.0, 37.0], rng.uniform(0, 37, 20000),
+                            rng.exponential(2.0, 20000).clip(max=37.0)])
+        se = rng.uniform(0.01, 100.0, z.size)
+        beta = z * se * rng.choice([-1.0, 1.0], z.size)
+        p = _wald_p(beta, se)
+        np.testing.assert_allclose(p, 2.0 * ndtr(-np.abs(beta) / se), rtol=1e-12, atol=0)
+        assert np.all((p >= 0) & (p <= 1))
+
+    def test_zero_coefficient_and_degenerate_se_are_exact(self):
+        beta = np.array([0.0, 0.0, -2.0, 0.0, 3.0, 0.0])
+        se = np.array([0.7, 0.0, 0.0, np.nan, np.nan, 1e-300])
+        assert _wald_p(beta, se).tolist() == [1.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+
+    def test_far_tail_stays_a_probability(self):
+        z = np.array([37.5, 38.0, 38.6, 40.0, 1e10, np.inf])
+        p = _wald_p(z, np.ones(z.size))
+        assert np.all((p >= 0) & (p <= 1))
+        assert p[-3:].tolist() == [0.0, 0.0, 0.0]
 
 
 class TestSandwich:

@@ -9,7 +9,7 @@ from panelmean import (
     aggregate,
     weighted_isotonic,
 )
-from panelmean.isotonic import _check_runs
+from panelmean.isotonic import _check_runs, _load_pava
 
 from _oracles import (
     baseline_profile_objective,
@@ -100,6 +100,13 @@ class TestWeightedIsotonic:
     def test_decreasing_output_raises_numeric_error(self):
         with pytest.raises(NumericError, match="non-decreasing"):
             _check_runs(np.array([2.0, 1.0]), np.ones(1, dtype=bool))
+
+
+class TestPavaLoader:
+    def test_search_path_without_the_binding_raises_import_error_naming_it(self, tmp_path):
+        with pytest.raises(ImportError) as info:
+            _load_pava([str(tmp_path)])
+        assert str(tmp_path) in str(info.value)
 
 
 class TestStepFunction:
