@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import parse_panel_csv
+from .data import PanelDataset, parse_panel_csv
 from .errors import InferenceError, NumericError, ParseError, StudyError, ValidationError
 from .estimator import CauseFit, fit
 from .inference import _DEFAULT_BOOT_REPS, bootstrap_se, sandwich_se
@@ -102,16 +102,23 @@ def _unconverged(fits: list[CauseFit]) -> str:
                      for cf in fits if not cf.converged)
 
 
-def cmd_fit(cfg: argparse.Namespace) -> int:
+def _parse_and_fit(path: Path) -> tuple[PanelDataset, list[CauseFit]] | int:
+    """The dataset in the CSV at `path` and its fits, or the exit code of
+    the failure it reports: 2 for the input, 3 for the fit."""
     try:
-        data = parse_panel_csv(cfg.input)
+        data = parse_panel_csv(path)
     except (ParseError, ValidationError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-
     try:
-        fits = fit(data)
+        return data, fit(data)
     except NumericError as exc:
         return _fail(f"fit failed: {exc}", EXIT_CONVERGENCE)
+
+
+def cmd_fit(cfg: argparse.Namespace) -> int:
+    if isinstance(fitted := _parse_and_fit(cfg.input), int):
+        return fitted
+    data, fits = fitted
     cfg.out.mkdir(parents=True, exist_ok=True)
     _write_fit_report(cfg, (data.n, data.k, data.d), fits)
     for cf in fits:
@@ -289,14 +296,9 @@ def cmd_baseline(cfg: argparse.Namespace) -> int:
         if not baselines:
             return _fail(f"no baseline_cause*.csv files in {cfg.fit_dir}", EXIT_INPUT)
     elif cfg.input is not None:
-        try:
-            data = parse_panel_csv(cfg.input)
-        except (ParseError, ValidationError, OSError) as exc:
-            return _fail(str(exc), EXIT_INPUT)
-        try:
-            fits = fit(data)
-        except NumericError as exc:
-            return _fail(f"fit failed: {exc}", EXIT_CONVERGENCE)
+        if isinstance(fitted := _parse_and_fit(cfg.input), int):
+            return fitted
+        _, fits = fitted
         reasons = _unconverged(fits)
         if reasons:
             return _fail(f"fit did not converge ({reasons})", EXIT_CONVERGENCE)
@@ -371,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("--input", type=Path, default=None,
                         help="CSV to fit if no --fit-dir is given")
     p_base.add_argument("--grid", default=None,
-                        type=_option(_floats, lambda g: all(map(math.isfinite, g)),
+                        type=_option(_floats, lambda g: g and all(map(math.isfinite, g)),
                                      "a comma-separated list of numbers"),
                         help="comma-separated evaluation times "
                              "(default: the steps of the fitted baseline)")

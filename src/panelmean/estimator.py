@@ -23,7 +23,8 @@ incidence matrix taken for all columns at once, and every derivative of
 l, which reads the state of the evaluation it follows.  Several datasets
 fit as one stack: their subjects and their times one after another, each
 (dataset, cause) a column that sums and multiplies over its own dataset
-only.
+only.  This module is the one place epochs are summed, the sandwich's
+too (see _sandwich_cov): `inference` forms no sums of its own.
 """
 
 from __future__ import annotations
@@ -570,7 +571,8 @@ def _lockstep(data, causes: np.ndarray, start: np.ndarray, weights=None):
     Columns run in chunks, the same columns of every dataset in one, of
     _chunk_columns(n, r) columns of each dataset (n subjects and r time
     rows of the stack); a stack of several datasets from _stacks is always
-    one chunk.  Yields each chunk's column indices, workspace and path."""
+    one chunk.  Yields each chunk's column indices, workspace and path,
+    and holds none of them while it builds the next chunk."""
     parts = [data] if isinstance(data, PanelDataset) else data
     size = _chunk_columns(sum(p.n for p in parts), sum(p.arrays.times.size for p in parts))
     for lo in range(0, len(causes), size):
@@ -578,6 +580,7 @@ def _lockstep(data, causes: np.ndarray, start: np.ndarray, weights=None):
         cols = (np.arange(len(parts))[:, None] * len(causes) + own).ravel()
         ws = _CauseWorkspace(data, causes[own], None if weights is None else weights(own))
         yield cols, ws, _newton(ws, start[cols], ws.evaluate, ws.derivs)
+        del ws
 
 
 def _chunk_columns(n: int, r: int) -> int:
@@ -708,8 +711,8 @@ def fit(data: PanelDataset | Sequence[PanelDataset]) -> list[CauseFit]:
 
     Each CauseFit keeps, by reference, the arrays of the dataset it was
     fitted on and, if it converged, its last evaluation and the
-    derivatives of the stop test there (see _FitState), which
-    `sandwich_se` reads instead of forming them again.
+    derivatives of the stop test there (see _FitState), from which
+    _sandwich_cov forms the sandwich instead of evaluating again.
     """
     datasets = [data] if isinstance(data, PanelDataset) else list(data)
     if len({(d.k, d.d) for d in datasets}) > 1:
@@ -724,7 +727,45 @@ def fit(data: PanelDataset | Sequence[PanelDataset]) -> list[CauseFit]:
                 if cf.converged and path.derivs is not None:
                     cf._state = ws.fit_state(c, path.beta, path.state, path.derivs)
                 fits.append(cf)
+            del ws, path  # the next call is fitted without this one's arrays
     return fits
+
+
+def _sandwich_cov(data: PanelDataset, cause_fit: CauseFit) -> np.ndarray:
+    """sandwich_se's covariance (d x d), at the fit's kept _FitState or, if
+    that no longer describes the fit and `data`, at a new evaluation.  Per
+    subject i, R_i sums its residuals N_ip - v_p exp(beta'z_i) over its
+    epochs p, and M_i (n x d) the same residuals each times its block's
+    mean m_B: two products with the subject x time incidence."""
+    state, baseline = cause_fit._state, cause_fit.baseline
+    if not (cause_fit._arrays is data.arrays and state is not None
+            and _same(cause_fit.beta, state.beta) and _same(baseline.values, state.values)
+            and _same(baseline.knots, data.arrays.times)):
+        ws = _CauseWorkspace(data, cause_fit.cause)
+        beta = cause_fit.beta[None]
+        ll, evaluation = ws.evaluate(beta, baseline(ws.times)[None])
+        if not np.isfinite(ll[0]):
+            raise NumericError(f"cause {cause_fit.cause}: objective not finite at the fitted "
+                               "beta and baseline")
+        state = ws.fit_state(0, beta, evaluation, ws.derivs(evaluation))
+    a = data.arrays
+    info_inv, singular = _inverse_information(state.hess[None], _z_range(a.Z, None, 1))
+    if singular[0]:
+        raise NumericError(_STOPS["singular"][1])
+    inc_t = _subject_incidence(a.subj, a.inverse, data.n, a.times.size)
+    block_lengths = np.diff(state.block_start, append=a.times.size)
+    per_time = np.column_stack([np.ones(a.times.size),
+                                np.repeat(state.block_mean, block_lengths, axis=0)])
+    resid = _with_counts(inc_t, a.counts[cause_fit.cause - 1]) @ per_time
+    resid -= (inc_t @ (state.values[:, None] * per_time)) * state.wez[:, None]
+    score = a.Z * resid[:, :1] - resid[:, 1:]  # z_i R_i - M_i
+    # (I/n)^-1 (S'S/n) (I/n)^-1 / n with I the information, S the scores
+    return info_inv[0] @ (score.T @ score) @ info_inv[0].T
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether `a` is `b` bit for bit: dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def predict_mean(cause_fit: CauseFit, t, z) -> float | np.ndarray:

@@ -7,10 +7,9 @@ the full-data beta, all fitted in lockstep Newton loops; and a plug-in
 sandwich estimator built from empirical analogues of the asymptotic
 covariance pieces.  Both report per-coefficient standard errors and
 two-sided Wald p-values against the normal reference, erfc(|z| / sqrt 2)
-from the standard library's `math.erfc`.  The fit's
-workspace makes every sum over epochs and every derivative they use; the
-sandwich reads those of a fit's last evaluation when the fit still holds
-them.
+from the standard library's `math.erfc`.  This module forms no sums: the
+estimator is the one place epochs are summed, for the replicates' fits
+and for the sandwich's covariance alike.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PanelDataset
-from .errors import InferenceError, NumericError
-from .estimator import (_STOPS, CauseFit, _CauseWorkspace, _FitState, _inverse_information,
-                        _lockstep, _subject_incidence, _with_counts, _z_range, fit)
+from .errors import InferenceError
+from .estimator import CauseFit, _lockstep, _sandwich_cov, fit
 
 _DEFAULT_BOOT_REPS = 300
 
@@ -130,9 +128,10 @@ def sandwich_se(data: PanelDataset, cause_fit: CauseFit) -> InferenceResult:
     equal fitted baseline values, the PAVA blocks for a fit from `fit`.
     The meat replaces the within-subject count covariances by products of
     observed residuals, covariates centered by their block's mean m_B:
-    subject i's score is z_i R_i - M_i (see _sandwich).  A fit that did
-    not converge has none, nor one whose objective is not finite (some
-    |beta'z| beyond the fit's overflow guard).
+    subject i's score is z_i R_i - M_i, summed, like every sum over epochs,
+    in the estimator (see estimator._sandwich_cov).  A fit that did not
+    converge has none, nor one whose objective is not finite (some |beta'z|
+    beyond the fit's overflow guard).
 
     A fit that `fit` returned for this `data`, with its beta and baseline
     as they were made, holds its last evaluation and the derivatives
@@ -148,50 +147,7 @@ def sandwich_se(data: PanelDataset, cause_fit: CauseFit) -> InferenceResult:
     if not cause_fit.converged:
         raise InferenceError(f"cause {cause_fit.cause} did not converge: "
                              f"{cause_fit.error or 'not converged'}")
-    state = cause_fit._state
-    baseline = cause_fit.baseline
-    if not (cause_fit._arrays is data.arrays and state is not None
-            and _same(cause_fit.beta, state.beta) and _same(baseline.values, state.values)
-            and _same(baseline.knots, data.arrays.times)):
-        ws = _CauseWorkspace(data, cause_fit.cause)
-        beta = cause_fit.beta[None]
-        ll, evaluation = ws.evaluate(beta, baseline(ws.times)[None])
-        if not np.isfinite(ll[0]):
-            raise NumericError(f"cause {cause_fit.cause}: objective not finite at the fitted "
-                               "beta and baseline")
-        state = ws.fit_state(0, beta, evaluation, ws.derivs(evaluation))
-    return _sandwich(data, cause_fit, state)
-
-
-def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether `a` is `b` bit for bit: dtype, shape and bytes."""
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _sandwich(data: PanelDataset, cause_fit: CauseFit, state: _FitState) -> InferenceResult:
-    """The sandwich covariance of `cause_fit` at its evaluation `state`.
-    Per subject i, R_i sums its residuals N_ip - v_p exp(beta'z_i) over its
-    epochs p, and M_i (n x d) the same residuals each times its block's
-    mean m_B, from two products with the subject x time incidence."""
-    a = data.arrays
-    info_inv, singular = _inverse_information(state.hess[None], _z_range(a.Z, None, 1))
-    if singular[0]:
-        raise NumericError(_STOPS["singular"][1])
-
-    inc_t = _subject_incidence(a.subj, a.inverse, data.n, a.times.size)
-    block_lengths = np.diff(state.block_start, append=a.times.size)
-    per_time = np.column_stack([np.ones(a.times.size),
-                                np.repeat(state.block_mean, block_lengths, axis=0)])
-    resid = _with_counts(inc_t, a.counts[cause_fit.cause - 1]) @ per_time
-    resid -= (inc_t @ (state.values[:, None] * per_time)) * state.wez[:, None]
-    score = a.Z * resid[:, :1] - resid[:, 1:]  # z_i R_i - M_i
-    # (I/n)^-1 (S'S/n) (I/n)^-1 / n with I the information, S the scores
-    cov = info_inv[0] @ (score.T @ score) @ info_inv[0].T
+    cov = _sandwich_cov(data, cause_fit)
     se = np.sqrt(np.diag(cov))
-    return InferenceResult(
-        cause=cause_fit.cause,
-        se=se,
-        cov=cov,
-        method="sandwich",
-        wald_p=_wald_p(cause_fit.beta, se),
-    )
+    return InferenceResult(cause=cause_fit.cause, se=se, cov=cov, method="sandwich",
+                           wald_p=_wald_p(cause_fit.beta, se))

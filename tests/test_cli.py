@@ -140,7 +140,8 @@ class TestCmdFit:
         ["fit", "--input", "x.csv", "--boot-reps", "1"],
         ["fit", "--input", "x.csv", "--seed", "-1"],
         ["baseline", "--fit-dir", "d", "--grid", "1,two"],
-    ], ids=["boot-reps", "seed", "grid"])
+        ["baseline", "--fit-dir", "d", "--grid", ""],
+    ], ids=["boot-reps", "seed", "grid", "empty-grid"])
     def test_bad_option_exits_2_naming_it(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as caught:
             main(argv + ["--out", str(tmp_path / "o")])

@@ -24,7 +24,7 @@ from panelmean import (
     weighted_isotonic,
     write_panel_csv,
 )
-from panelmean import estimator, inference
+from panelmean import estimator
 from panelmean.data import PanelArrays
 from panelmean.estimator import (_NEWTON_TOL, _CauseWorkspace, _descends, _lockstep,
                                   _profile_grad_hess, _z_range)
@@ -710,7 +710,7 @@ class TestStackedFit:
                      for a, data in zip(alone, owners)]
         # the stacked fits' sandwich reads their own last evaluation, cut to
         # their dataset: it builds no workspace
-        monkeypatch.setattr(inference, "_CauseWorkspace", None)
+        monkeypatch.setattr(estimator, "_CauseWorkspace", None)
         for s, cov, data in zip(stacked, alone_cov, owners):
             if cov is not None:
                 assert sandwich_se(data, s).cov.tobytes() == cov.tobytes()

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -271,6 +272,28 @@ class TestBootstrap:
         assert result.failures == 0
         assert peak <= 4.5 * n * m * 8
 
+    def test_no_earlier_workspace_lives_when_a_new_one_is_built(self, table1_dataset_n100,
+                                                                 monkeypatch):
+        # one column per lockstep call: fit makes k calls and the bootstrap
+        # B * k, and each is built after the last one's workspace is freed,
+        # neither the generator nor the loops of fit and bootstrap_se holding it
+        data = table1_dataset_n100
+        refs, alive = [], []
+        workspace = estimator._CauseWorkspace
+
+        def tracked(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            ws = workspace(*args)
+            refs.append(weakref.ref(ws))
+            return ws
+
+        monkeypatch.setattr(estimator, "_CauseWorkspace", tracked)
+        monkeypatch.setattr(estimator, "_CHUNK_FLOATS", 1)
+        fits = fit(data)
+        assert len(alive) == data.k
+        bootstrap_se(data, B=3, seed=0, _fits=fits)
+        assert alive == [0] * (4 * data.k)
+
     def test_no_covariates_fits_no_replicate(self, monkeypatch):
         subjects = [Subject(str(i), [1.0 + 0.1 * i, 2.0], [[i % 3, i % 3 + 1], [1, 2]], [])
                     for i in range(6)]
@@ -449,14 +472,17 @@ class TestFitState:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The causes of the workspaces sandwich_se builds."""
+        """The causes of the one-cause workspaces built: sandwich_se's, as
+        `fit` builds its own for an array of causes."""
         causes = []
+        workspace = estimator._CauseWorkspace
 
-        def counting(data, cause):
-            causes.append(cause)
-            return estimator._CauseWorkspace(data, cause)
+        def counting(data, cause, weights=None):
+            if np.ndim(cause) == 0:
+                causes.append(cause)
+            return workspace(data, cause, weights)
 
-        monkeypatch.setattr(inference, "_CauseWorkspace", counting)
+        monkeypatch.setattr(estimator, "_CauseWorkspace", counting)
         return causes
 
     def test_kept_only_for_converged_fits_and_only_arrays(self, table1_dataset_n100):
