@@ -18,8 +18,9 @@ Fits run as columns.  A column is one cause, one vector of subject
 weights (integer multiplicities: a bootstrap replicate is the weights of
 its draw) and one starting beta, and one Newton loop steps all columns
 of a call in lockstep, every call covering every column.  _CauseWorkspace
-makes every sum over epochs, as sparse products with the time x subject
-incidence matrix taken for all columns at once, and every derivative of
+makes every sum over epochs, as products with the time x subject
+incidence matrix taken for all columns at once (an _Incidence: SciPy's
+compiled sparse kernels, without scipy.sparse), and every derivative of
 l, which reads the state of the evaluation it follows.  Several datasets
 fit as one stack: their subjects and their times one after another, each
 (dataset, cause) a column that sums and multiplies over its own dataset
@@ -33,11 +34,17 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .data import PanelArrays, PanelDataset, _check_cause, _subject_bounds
 from .errors import ConvergenceError, NumericError
-from .isotonic import StepFunction, _pava_runs
+from .isotonic import StepFunction, _load_compiled, _pava_runs
+
+# SciPy's compiled sparse matrix-vector kernels, the ones behind a
+# scipy.sparse product with a dense array: a private module, in SciPy
+# since before 1.12, the floor in pyproject.toml.  This is the one place
+# that names it, with no fallback (CI checks); it is loaded as
+# isotonic's PAVA is, so scipy.sparse's __init__ never runs.
+_sparsetools = _load_compiled("scipy.sparse._sparsetools")
 
 _MAX_HALVINGS = 30
 _BETA_BOUND = 15.0  # on |beta_l| * z_range_l, see _STOPS
@@ -419,17 +426,61 @@ def _joined(pieces: list[np.ndarray], starts=None, axis: int = 0) -> np.ndarray:
     return np.concatenate(pieces, axis=axis)
 
 
-def _subject_incidence(subj: np.ndarray, inverse: np.ndarray, n: int, r: int) -> csr_array:
+class _Incidence:
+    """A sparse matrix in SciPy's compressed layout, `fmt` "csr" (`indptr`
+    bounds each row's entries) or "csc" (each column's), and its products
+    with dense arrays.  `@` dispatches as scipy.sparse's does, to the same
+    compiled kernel with the same operand, so a product adds its terms in
+    SciPy's order and has its bits: an operand of shape (N,) or (N, 1)
+    goes to `<fmt>_matvec`, a wider one to `<fmt>_matvecs` in C order.
+    The kernels check nothing, so the construction makes SciPy's O(1)
+    format checks and `@` its shape check."""
+
+    __slots__ = ("fmt", "shape", "indptr", "indices", "data")
+
+    def __init__(self, fmt: str, shape: tuple[int, int], indptr: np.ndarray,
+                 indices: np.ndarray, data: np.ndarray):
+        major = shape[0] if fmt == "csr" else shape[1]
+        if not (indptr.size == major + 1 and indptr[0] == 0
+                and indptr[-1] == indices.size == data.size):
+            raise ValueError(f"malformed {fmt} index pointer for shape {shape} and "
+                             f"{indices.size} entries")
+        self.fmt, self.shape = fmt, shape
+        self.indptr, self.indices, self.data = indptr, indices, data
+
+    @property
+    def T(self) -> _Incidence:
+        """The transpose: the same arrays in the other layout."""
+        return _Incidence("csc" if self.fmt == "csr" else "csr", self.shape[::-1],
+                          self.indptr, self.indices, self.data)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        m, n = self.shape
+        if x.ndim not in (1, 2) or x.shape[0] != n:
+            raise ValueError(f"matmul: dimension mismatch, {self.shape} @ {x.shape}")
+        dtype = np.result_type(self.data, x)
+        if x.ndim == 1 or x.shape[1] == 1:
+            out = np.zeros(m, dtype=dtype)
+            getattr(_sparsetools, self.fmt + "_matvec")(m, n, self.indptr, self.indices,
+                                                        self.data, x.ravel(), out)
+            return out.reshape(m, *x.shape[1:])
+        out = np.zeros((m, x.shape[1]), dtype=dtype)
+        getattr(_sparsetools, self.fmt + "_matvecs")(m, n, x.shape[1], self.indptr, self.indices,
+                                                     self.data, x.ravel(), out.ravel())
+        return out
+
+
+def _subject_incidence(subj: np.ndarray, inverse: np.ndarray, n: int, r: int) -> _Incidence:
     """The n x r subject x time incidence of the epochs, which are grouped
     by subject `subj` and at time index `inverse`: a 1 at each epoch's
     subject and time."""
-    return csr_array((np.ones(subj.size), inverse, _subject_bounds(subj, n)), shape=(n, r))
+    return _Incidence("csr", (n, r), _subject_bounds(subj, n), inverse, np.ones(subj.size))
 
 
-def _with_counts(inc, counts: np.ndarray):
+def _with_counts(inc: _Incidence, counts: np.ndarray) -> _Incidence:
     """The incidence `inc` (either orientation) with each epoch's count
     `counts` in place of its 1."""
-    return type(inc)((counts, inc.indices, inc.indptr), shape=inc.shape)
+    return _Incidence(inc.fmt, inc.shape, inc.indptr, inc.indices, counts)
 
 
 def _z_range(Z: np.ndarray, active: np.ndarray | None, m: int) -> np.ndarray:

@@ -18,6 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# the bootstrap's draws: loaded with the module, as numpy < 2 loads it with
+# numpy, not at the first draw, so every route holds it alike
+import numpy.random
 
 from .data import PanelDataset
 from .errors import InferenceError

@@ -8,14 +8,16 @@ means SciPy's compiled pool-adjacent-violators routine gives exactly.
 `estimator._CauseWorkspace.baseline_values` forms those inputs for all
 its columns at once, as one flat array in which each column's used
 times are a run, and `_pava_runs` solves every run that drops in place.
-That routine is loaded from its extension module alone: importing this
-package does not import `scipy.optimize`.
+That routine is loaded from its extension module alone, by
+`_load_compiled`: importing this package does not import
+`scipy.optimize`.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,16 +25,28 @@ import numpy as np
 from .errors import NumericError
 
 
-def _load_pava(search):
-    """SciPy's compiled `pava` from the `_pava_pybind` extension module in
-    the directories `search`, executed without its package's `__init__`
-    and kept out of `sys.modules`; ImportError if it is not there."""
-    spec = importlib.machinery.PathFinder.find_spec("scipy.optimize._pava_pybind", search)
+def _load_compiled(name: str, search=None):
+    """The compiled SciPy extension module `name`, found in the directories
+    `search` (default: its package's) and executed without its package's
+    `__init__`; ImportError if it is not there.  `sys.modules` is left as
+    it was found: a single-phase extension module enters itself there as
+    it is created, and its package, imported later, would find that entry
+    and never bind the module as its attribute."""
+    if search is None:
+        search = importlib.util.find_spec(name.rpartition(".")[0]).submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(name, search)
     if spec is None:
-        raise ImportError(f"no scipy.optimize._pava_pybind in {list(search)}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.pava
+        raise ImportError(f"no {name} in {list(search)}")
+    found = sys.modules.get(name)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if found is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = found
+    return module
 
 
 # The compiled PAVA behind scipy.optimize.isotonic_regression, a private
@@ -42,7 +56,7 @@ def _load_pava(search):
 # __init__ (all of scipy.optimize) never runs.  pava overwrites its
 # arguments x and w (x with the solution) and writes its index array
 # before it reads it.
-pava = _load_pava(importlib.util.find_spec("scipy.optimize").submodule_search_locations)
+pava = _load_compiled("scipy.optimize._pava_pybind").pava
 
 
 @dataclass

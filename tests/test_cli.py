@@ -417,12 +417,12 @@ from panelmean.cli import main
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
         sys.exit(f"{argv} failed")
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "special"]))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] in
+                        (["scipy", "optimize"], ["scipy", "special"], ["scipy", "sparse"]))))
 """
 
 
-def test_cli_imports_neither_scipy_optimize_nor_scipy_special(tmp_path):
+def test_cli_imports_no_scipy_optimize_special_or_sparse(tmp_path):
     write_panel_csv(gen_dataset(table1_config(n=40), np.random.default_rng([40, 0])),
                     tmp_path / "panel.csv")
     (tmp_path / "study.cfg").write_text("n = 20\nbeta1 = 0.5,1\nbeta2 = -1,0.5\n"

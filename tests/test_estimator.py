@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse import csr_array
 
 from panelmean import (
     ConvergenceError,
@@ -373,6 +374,50 @@ class TestHessians:
             checked += 1
         assert checked >= 190
 
+
+
+class TestIncidence:
+    # _Incidence calls SciPy's compiled kernels as scipy.sparse dispatches
+    # them, so its products have a csr_array's bits, in either orientation
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), r=st.integers(1, 12),
+           data=st.sampled_from(["ones", "float", "int"]),
+           width=st.sampled_from([None, 1, 2, 5]), layout=st.sampled_from(["C", "F", "strided"]),
+           transpose=st.booleans())
+    def test_products_have_the_bits_of_scipy_sparse(self, seed, n, r, data, width, layout,
+                                                    transpose):
+        rng = np.random.default_rng(seed)
+        visits = rng.integers(0, r + 1, size=n)
+        inverse = np.concatenate([np.sort(rng.choice(r, v, replace=False)) for v in visits])
+        inc = estimator._subject_incidence(np.repeat(np.arange(n), visits), inverse, n, r)
+        if data == "float":
+            inc = estimator._with_counts(inc, rng.exponential(5.0, inverse.size))
+        elif data == "int":  # as PanelArrays holds counts
+            inc = estimator._with_counts(inc, rng.integers(0, 20, inverse.size))
+        ref = csr_array((inc.data, inc.indices, inc.indptr), shape=inc.shape)
+        if transpose:
+            inc, ref = inc.T, ref.T
+        size = inc.shape[1]
+        # terms of many magnitudes, so that a different order of additions shows
+        full = np.exp(rng.normal(0.0, 8.0, (2 * size, width or 1, 2)))
+        x = {"C": full[:size, :, 0].copy(), "F": np.asfortranarray(full[:size, :, 0]),
+             "strided": full[::2, :, 1]}[layout]
+        if width is None:
+            x = x[:, 0]
+        got, want = inc @ x, ref @ x
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    def test_wrong_length_operand_and_bad_index_pointer_raise(self):
+        inc = estimator._subject_incidence(np.array([0, 0, 1]), np.array([0, 2, 1]), 2, 3)
+        for bad in (np.ones(2), np.ones((2, 3)), np.ones((3, 1, 1))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                inc @ bad
+        assert (inc.T @ np.ones(2)).tolist() == [1.0, 1.0, 1.0]
+        for indptr in ([0, 2], [1, 2, 3], [0, 2, 2], [0, 2, 4]):
+            with pytest.raises(ValueError, match="index pointer"):
+                estimator._Incidence("csr", (2, 3), np.array(indptr), inc.indices, inc.data)
 
 def monthly_dataset(seed, n=2000, k=2):
     """A bootstrap_monthly-shaped dataset: n subjects with 2-8 visits on

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +14,7 @@ from panelmean import (
     aggregate,
     weighted_isotonic,
 )
-from panelmean.isotonic import _check_runs, _load_pava
+from panelmean.isotonic import _check_runs, _load_compiled
 
 from _oracles import (
     baseline_profile_objective,
@@ -103,10 +108,29 @@ class TestWeightedIsotonic:
 
 
 class TestPavaLoader:
-    def test_search_path_without_the_binding_raises_import_error_naming_it(self, tmp_path):
+    @pytest.mark.parametrize("name", ["scipy.optimize._pava_pybind", "scipy.sparse._sparsetools"])
+    def test_search_path_without_the_binding_raises_import_error_naming_it(self, tmp_path, name):
         with pytest.raises(ImportError) as info:
-            _load_pava([str(tmp_path)])
-        assert str(tmp_path) in str(info.value)
+            _load_compiled(name, [str(tmp_path)])
+        assert name in str(info.value) and str(tmp_path) in str(info.value)
+
+    def test_scipys_own_entry_in_sys_modules_is_kept(self):
+        import scipy.sparse._sparsetools as own
+
+        _load_compiled("scipy.sparse._sparsetools")
+        assert sys.modules["scipy.sparse._sparsetools"] is own
+
+    def test_scipy_sparse_still_imports_after_the_package(self):
+        # a fresh interpreter: here the test helpers have imported scipy.sparse
+        code = ("import numpy as np, panelmean.cli\n"
+                "import scipy.sparse, scipy.sparse._sparsetools as st\n"
+                "print(scipy.sparse._sparsetools is st,\n"
+                "      (scipy.sparse.csr_array(np.eye(2)) @ np.arange(2.0)).tolist())")
+        src = str(Path(__file__).parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["True", "[0.0,", "1.0]"]
 
 
 class TestStepFunction:
