@@ -92,9 +92,10 @@ class PanelArrays:
     its time, `subj` its subject and `inverse` its index in the distinct
     `times`.  Epochs are grouped by subject and sorted by time within it.
     Rows of `counts` (k x P) are indexed by cause - 1.  No per-cause
-    totals are stored: `estimator._CauseWorkspace` forms them.  The
-    covariate products its Newton derivatives read are made once, on
-    first use, and kept (`_covariate_products`).
+    totals are stored: `estimator._CauseWorkspace` forms them.  Two
+    arrays it reads are made once, on first use, and kept: the covariate
+    products of its Newton derivatives (`_covariate_products`) and each
+    covariate's sort order of the subjects (`_covariate_order`).
     """
 
     t: np.ndarray
@@ -132,6 +133,15 @@ class PanelArrays:
                 np.multiply(products[l], products[m], out=next(rows))
         products.flags.writeable = False
         return products
+
+    @cached_property
+    def _covariate_order(self) -> np.ndarray:
+        """Per covariate (a row), the subjects in the order of its values:
+        a read-only d x n array of argsorts, from which
+        `estimator._z_range` reads each column's extremes."""
+        order = np.argsort(self.Z.T, axis=1)
+        order.flags.writeable = False
+        return order
 
 
 class PanelDataset:
@@ -302,12 +312,16 @@ def _read_table(path: Path) -> PanelDataset | None:
     except (ValueError, Warning):
         return None
     column = {name: table[f"f{i}"] for i, name in enumerate(header)}
-    sids = np.array([sid.strip() for sid in column["id"]], dtype=object)
+    # each run of raw ids is within one subject's: strip its first id only
+    raw = column["id"]
+    runs = np.flatnonzero(np.r_[True, raw[1:] != raw[:-1]])
+    heads = np.array([sid.strip() for sid in raw[runs]], dtype=object)
+    sids = np.repeat(heads, np.diff(np.r_[runs, raw.size]))
     t = column["time"].copy()
     counts = np.array([column[col] for col in count_cols])
     Z = np.array([column[col] for col in cov_cols], dtype=float).reshape(len(cov_cols), t.size).T
-    del table, column  # the copies above are all _dataset needs
-    if not (all(sids) and np.isfinite(t).all() and np.isfinite(Z).all()) or (counts < 0).any():
+    del table, column, raw  # the copies above are all _dataset needs
+    if not (all(heads) and np.isfinite(t).all() and np.isfinite(Z).all()) or (counts < 0).any():
         return None
     try:
         # no line numbers here: a defect sends the file to the row loop

@@ -106,15 +106,19 @@ class CauseFit:
 @dataclass(frozen=True)
 class _FitState:
     """What the sandwich estimator reads of a fit's last evaluation, made
-    at `beta` with unit weights: the baseline `values` at every distinct
-    time, w exp(beta'z) per subject `wez`, and from the derivatives at that
-    evaluation the profile Hessian `hess`, the mean of z in each baseline
-    block `block_mean` and the time index each block starts at,
-    `block_start`.  The arrays are views of the fit's own, not copies."""
+    for `cause` at `beta` with unit weights: the baseline `values` at every
+    distinct time, w exp(beta'z) per subject `wez`, each covariate's range
+    over the subjects `z_range` (the unit of the condition test), and from
+    the derivatives at that evaluation the profile Hessian `hess`, the mean
+    of z in each baseline block `block_mean` and the time index each block
+    starts at, `block_start`.  The arrays are views of the fit's own, not
+    copies."""
 
+    cause: int
     beta: np.ndarray
     values: np.ndarray
     wez: np.ndarray
+    z_range: np.ndarray
     hess: np.ndarray
     block_mean: np.ndarray
     block_start: np.ndarray
@@ -161,13 +165,16 @@ class _CauseWorkspace:
     used times are one run of them.  `_firsts` holds each column's first
     cell and `_edges` bounds the runs, both in cell order (row i of each
     dataset in turn, row by row), and `_within` marks the runs for the
-    PAVA (see isotonic._drops).  If some cell is unused, `_gather` gives
-    each cell the used cell whose baseline value it takes: its column's
-    last used time at or before it, else its first.  Per column, `zcs`
-    holds Z' times the weighted per-subject count totals (the beta-linear
-    part of l) and `z_range` each covariate's range over the column's
-    subjects (|z_l| if all share it, 1 if that is 0): the unit in which
-    beta_l * z_l is judged.  Every method covers all m columns.  `evaluate`
+    PAVA (see isotonic._drops).  `_used` indexes the used cells, and
+    `_gather` gives each cell the used cell whose baseline value it takes:
+    itself if used, else its column's last used time before it, else its
+    first.  Per column, `zcs` holds Z' times the weighted per-subject count
+    totals (the beta-linear part of l) and `z_range` each covariate's range
+    over the column's subjects (|z_l| if all share it, 1 if that is 0):
+    the unit in which beta_l * z_l is judged.  `active` marks each
+    column's subjects (w > 0).  Unit weights are weights like any other:
+    every subject is active, and a column that uses every time gathers
+    each cell from itself.  Every method covers all m columns.  `evaluate`
     serves every Newton loop; its state (baseline values, exposure, w
     exp(beta'z)) is what `fixed_derivs` and `derivs` read, so neither forms
     exp(beta'z) again; `fit_state` keeps a column's share of it for the
@@ -208,7 +215,7 @@ class _CauseWorkspace:
 
         self.w = np.ones((n, kk)) if weights is None else \
             np.asarray(weights, dtype=float).reshape(n, kk)
-        self.active = None if self.w.min() > 0 else self.w > 0
+        self.active = self.w > 0
         self.obs = obs = np.ascontiguousarray((self.inc @ self.w).T)
         self.total = np.empty((kk, r))
         count_sum = {}
@@ -219,16 +226,15 @@ class _CauseWorkspace:
         self.zcs = np.array([Z.T @ (self.w[s, i] * count_sum[causes[i]][s])
                              for i, _, s, Z in self._cols]).reshape(len(self._cols), self.d)
         self.no_count = (self.total == 0).astype(float)
-        self.z_range = np.concatenate([
-            _z_range(Z, None if self.active is None else self.active[s], kk)
-            for _, s, Z in self._spans])
+        self.z_range = np.concatenate([_z_range(Z, a._covariate_order, self.active[s])
+                                       for (_, s, Z), a in zip(self._spans, arrays)])
         # per (l, m), the row of z_l z_m in a dataset's covariate products
         upper = np.triu_indices(self.d)
         self._pair = np.empty((self.d, self.d), dtype=np.intp)
         self._pair[upper] = self._pair.T[upper] = self.d + np.arange(upper[0].size)
 
         used = obs > 0
-        self._used = slice(None) if used.all() else np.flatnonzero(used)  # a view if all are
+        self._used = np.flatnonzero(used)
         self.n_obs = obs.ravel()[self._used]
         self.mean_count = self.total.ravel()[self._used] / self.n_obs
         # each column's first cell, in cell order (column i of every
@@ -242,10 +248,9 @@ class _CauseWorkspace:
         start[self._edges] = True
         self._within = ~start[1:-1]
         self._scratch = np.empty(np.diff(self._edges).max() + 1, dtype=np.intp)
-        if not isinstance(self._used, slice):
-            # per cell, the last used cell at or before it, else its run's first
-            self._gather = np.maximum(runs[1:] - 1, np.repeat(self._edges[:-1], np.diff(bounds)))
-            self._gather = self._gather.reshape(kk, r)
+        # per cell, the last used cell at or before it, else its run's first
+        self._gather = np.maximum(runs[1:] - 1, np.repeat(self._edges[:-1], np.diff(bounds)))
+        self._gather = self._gather.reshape(kk, r)
 
         if np.ndim(cause) == 0:
             self.count_sum = count_sum[int(cause)]
@@ -262,8 +267,7 @@ class _CauseWorkspace:
         lp = np.empty((self.n, self.kk))
         for (i, _, s, Z), b in zip(self._cols, beta):
             lp[s, i] = Z @ b
-        if self.active is not None:
-            lp *= self.active
+        lp *= self.active
         return lp
 
     def _weighted_exp(self, lp: np.ndarray) -> np.ndarray:
@@ -286,14 +290,13 @@ class _CauseWorkspace:
         exposure per observation at the used cells, checked once, the PAVA
         of mean_count / e weighted by n_obs * e over each column's run,
         solved in place for the runs that drop, whose values its other
-        times repeat.  If every cell is used the result is that array of
-        PAVA values itself, reshaped."""
+        times repeat (see `_gather`)."""
         e = exposure.ravel()[self._used] / self.n_obs
         if not ((e > 0) & (e < np.inf)).all():
             raise NumericError("exposure must be finite and strictly positive")
         y, w = self.mean_count / e, self.n_obs * e
         _pava_runs(y, w, self._edges, self._within, self._scratch)
-        return y.reshape(self.kk, self.r) if isinstance(self._used, slice) else y[self._gather]
+        return y[self._gather]
 
     def loglik(self, beta: np.ndarray, values: np.ndarray, exposure: np.ndarray) -> np.ndarray:
         """Full objective of each column at (beta, baseline values), from
@@ -394,8 +397,8 @@ class _CauseWorkspace:
         i, t, s, _ = self._cols[c]
         cell = i * self.r + t.start
         lo, hi = np.searchsorted(start, [cell, cell + t.stop - t.start])
-        return _FitState(beta[c], values[i, t], wez[i, s], hess[c], mean[lo:hi],
-                         start[lo:hi] - cell)
+        return _FitState(int(self.causes[i]), beta[c], values[i, t], wez[i, s], self.z_range[c],
+                         hess[c], mean[lo:hi], start[lo:hi] - cell)
 
     def cause_fit(self, path: "_Path", c: int) -> CauseFit:
         """Column c of `path` as a CauseFit, its knots at its own dataset's
@@ -483,27 +486,19 @@ def _with_counts(inc: _Incidence, counts: np.ndarray) -> _Incidence:
     return _Incidence(inc.fmt, inc.shape, inc.indptr, inc.indices, counts)
 
 
-def _z_range(Z: np.ndarray, active: np.ndarray | None, m: int) -> np.ndarray:
-    """Each covariate's range over each column's subjects (m x d), |z_l|
-    when they all share it, 1 when that is 0; computed once when every
-    column has every subject.  Else a column's extremes of z_l are at its
-    first and last active subjects in z_l's sort order (inf for a column
-    with none, as the max and min of no value would give)."""
-    if active is None:
-        zt = Z.T.copy()  # reductions along contiguous rows are much faster
-        hi, lo = zt.max(axis=1, initial=-np.inf)[None], zt.min(axis=1, initial=np.inf)[None]
-    else:
-        hi, lo = np.empty((m, Z.shape[1])), np.empty((m, Z.shape[1]))
-        for l, z in enumerate(Z.T):
-            order = np.argsort(z)
-            ranked = active[order]
-            lo[:, l] = z[order[ranked.argmax(axis=0)]]
-            hi[:, l] = z[order[-1 - ranked[::-1].argmax(axis=0)]]
-        none = ~active.any(axis=0)
-        hi[none], lo[none] = -np.inf, np.inf
+def _z_range(Z: np.ndarray, order: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Each covariate's range over the subjects of each column (m x d),
+    the n x m mask `active` marking them; |z_l| when they all share it, 1
+    when that is 0.  A column's extremes of z_l are at its first and last
+    active subjects in z_l's sort order, `order[l]` (inf for a column with
+    none, as the max and min of no value would give)."""
+    ranked = active[order]  # per covariate, the columns' masks in its sort order: d x n x m
+    rows = np.arange(order.shape[0])[:, None]
+    lo = Z[order[rows, ranked.argmax(axis=1)], rows]  # d x m
+    hi = Z[order[rows, active.shape[0] - 1 - ranked[:, ::-1].argmax(axis=1)], rows]
     spread = hi - lo
     shared = np.where(spread > 0, spread, np.abs(hi))
-    return np.broadcast_to(np.where(shared > 0, shared, 1.0), (m, Z.shape[1]))
+    return np.where(active.any(axis=0), np.where(shared > 0, shared, 1.0), np.inf).T
 
 
 def _profile_grad_hess(ws: _CauseWorkspace, lam_sub: np.ndarray,
@@ -784,14 +779,15 @@ def fit(data: PanelDataset | Sequence[PanelDataset]) -> list[CauseFit]:
 
 def _sandwich_cov(data: PanelDataset, cause_fit: CauseFit) -> np.ndarray:
     """sandwich_se's covariance (d x d), at the fit's kept _FitState or, if
-    that no longer describes the fit and `data`, at a new evaluation.  Per
-    subject i, R_i sums its residuals N_ip - v_p exp(beta'z_i) over its
-    epochs p, and M_i (n x d) the same residuals each times its block's
-    mean m_B: two products with the subject x time incidence."""
+    that no longer describes the fit (its cause, beta and baseline) and
+    `data`, at a new evaluation.  Per subject i, R_i sums its residuals
+    N_ip - v_p exp(beta'z_i) over its epochs p, and M_i (n x d) the same
+    residuals each times its block's mean m_B: two products with the
+    subject x time incidence."""
     state, baseline = cause_fit._state, cause_fit.baseline
     if not (cause_fit._arrays is data.arrays and state is not None
-            and _same(cause_fit.beta, state.beta) and _same(baseline.values, state.values)
-            and _same(baseline.knots, data.arrays.times)):
+            and cause_fit.cause == state.cause and _same(cause_fit.beta, state.beta)
+            and _same(baseline.values, state.values) and _same(baseline.knots, data.arrays.times)):
         ws = _CauseWorkspace(data, cause_fit.cause)
         beta = cause_fit.beta[None]
         ll, evaluation = ws.evaluate(beta, baseline(ws.times)[None])
@@ -800,7 +796,7 @@ def _sandwich_cov(data: PanelDataset, cause_fit: CauseFit) -> np.ndarray:
                                "beta and baseline")
         state = ws.fit_state(0, beta, evaluation, ws.derivs(evaluation))
     a = data.arrays
-    info_inv, singular = _inverse_information(state.hess[None], _z_range(a.Z, None, 1))
+    info_inv, singular = _inverse_information(state.hess[None], state.z_range[None])
     if singular[0]:
         raise NumericError(_STOPS["singular"][1])
     inc_t = _subject_incidence(a.subj, a.inverse, data.n, a.times.size)

@@ -486,6 +486,9 @@ class TestReaders:
     # rows sorted by time across subjects, no two neighbours of one subject
     @example(text="id,time,n1,n2,z1\n a ,1,0,0,1\nb,1,0,0,1\na,2,1,1,1\n")
     @example(text="id,time,n1,n2,z1\na,1,0,0,1\nb,2,0,0,1\na,3,1,1,1\nb,4,1,0,1\n")
+    # one subject's adjacent rows, its id padded in the second: two runs of
+    # raw ids, one of stripped ones
+    @example(text="id,time,n1,n2,z1\na,1,0,0,1\n a ,2,1,1,1\nb,1,0,0,1\n")
     def test_same_as_the_row_loop_alone(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("readers") / "data.csv"
         path.write_text(text, encoding="utf-8", newline="")

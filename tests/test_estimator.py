@@ -1042,9 +1042,44 @@ class TestSubjectWeights:
         spread = hi - lo
         shared = np.where(spread > 0, spread, np.abs(hi))
         want = np.where(shared > 0, shared, 1.0)
-        got = _z_range(Z, active, 6)
+        got = _z_range(Z, np.argsort(Z.T, axis=1), active)
         assert got.tobytes() == want.tobytes()
         assert (got[2] == np.inf).all() and got[1, 0] == (abs(Z[active[:, 1], 0][0]) or 1.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), stacked=st.integers(1, 3))
+    def test_unit_weight_z_range_is_the_plain_max_and_min(self, seed, k, stacked):
+        rng = np.random.default_rng(seed)
+        datasets = [random_small_dataset(rng, k=k, d=3) for _ in range(stacked)]
+        const = rng.normal()
+        datasets[::2] = [  # a constant covariate, and one that is 0 for all
+            PanelDataset([Subject(s.id, s.times, s.counts, [s.covariates[0], const, 0.0])
+                          for s in data.subjects], k=k, d=3) for data in datasets[::2]]
+        ws = _CauseWorkspace(datasets, np.arange(1, k + 1))
+        for j, data in enumerate(datasets):
+            zt = data.arrays.Z.T.copy()
+            hi, lo = zt.max(axis=1), zt.min(axis=1)
+            spread = hi - lo
+            shared = np.where(spread > 0, spread, np.abs(hi))
+            want = np.tile(np.where(shared > 0, shared, 1.0), (k, 1))
+            assert ws.z_range[j * k:(j + 1) * k].tobytes() == want.tobytes()
+
+    def test_workspaces_of_a_dataset_share_one_covariate_order(self, monkeypatch):
+        data = random_small_dataset(np.random.default_rng(5), n=6, k=2, d=3)
+        orders = []
+        z_range = estimator._z_range
+        monkeypatch.setattr(estimator, "_z_range",
+                            lambda Z, order, active: orders.append(order) or z_range(Z, order, active))
+        _CauseWorkspace(data, 1)
+        _CauseWorkspace(data, np.array([1, 2]), np.array([[0, 1], [2, 1]] * 3))
+        _CauseWorkspace([data, data], 2)
+        order = data.arrays._covariate_order
+        assert len(orders) == 4 and all(o is order for o in orders)
+        assert order.shape == (data.d, data.n) and not order.flags.writeable
+        with pytest.raises(ValueError):
+            order[0, 0] = 1
+        zt = data.arrays.Z.T
+        np.testing.assert_array_equal(np.take_along_axis(zt, order, axis=1), np.sort(zt, axis=1))
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),

@@ -12,6 +12,7 @@ from panelmean import (
     InferenceError,
     NumericError,
     PanelDataset,
+    SimConfig,
     StepFunction,
     Subject,
     bootstrap_se,
@@ -488,7 +489,9 @@ class TestFitState:
     def test_kept_only_for_converged_fits_and_only_arrays(self, table1_dataset_n100):
         for cf in fit(table1_dataset_n100):
             assert cf._arrays is table1_dataset_n100.arrays
-            assert all(type(v) is np.ndarray for v in vars(cf._state).values())
+            state = vars(cf._state).copy()
+            assert state.pop("cause") == cf.cause
+            assert all(type(v) is np.ndarray for v in state.values())
         no_events = [Subject(str(i), [1.0, 2.0, 3.0], [[0, 0, 0] if i % 2 else [1, 1, 2]],
                              [i % 2]) for i in range(8)]
         [diverged] = fit(PanelDataset(no_events, k=1, d=1))
@@ -532,6 +535,25 @@ class TestFitState:
         check(data, cf, kept=False)
         cf = fit(data)[0]
         check(take(data, np.arange(data.n)[::-1]), cf, kept=False)
+
+    @pytest.mark.parametrize("cause", [2, 0])
+    def test_fit_given_another_cause_is_evaluated_again(self, cause):
+        cfg = SimConfig(n=200, beta1=[.5, -.5], beta2=[1, .5], seed=3)
+        data = gen_dataset(cfg, np.random.default_rng([3, 0]))
+        cf = fit(data)[0]
+        cf.cause = cause  # 2: its state is not cause 2's; 0: no cause of the data
+
+        def outcome(cf):
+            try:
+                return sandwich_se(data, cf)
+            except Exception as exc:
+                return exc
+
+        got, want = outcome(cf), outcome(replace(cf))
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            assert same_results(got, want)
 
     def test_bootstrap_from_given_fits_fits_nothing_again(self, table1_dataset_n100,
                                                           monkeypatch):
