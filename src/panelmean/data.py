@@ -92,10 +92,11 @@ class PanelArrays:
     its time, `subj` its subject and `inverse` its index in the distinct
     `times`.  Epochs are grouped by subject and sorted by time within it.
     Rows of `counts` (k x P) are indexed by cause - 1.  No per-cause
-    totals are stored: `estimator._CauseWorkspace` forms them.  Two
+    totals are stored: `estimator._CauseWorkspace` forms them.  Three
     arrays it reads are made once, on first use, and kept: the covariate
-    products of its Newton derivatives (`_covariate_products`) and each
-    covariate's sort order of the subjects (`_covariate_order`).
+    products of its Newton derivatives (`_covariate_products`), each
+    covariate's sort order of the subjects (`_covariate_order`) and each
+    epoch's covariates (`_epoch_covariates`).
     """
 
     t: np.ndarray
@@ -108,11 +109,12 @@ class PanelArrays:
     @classmethod
     def build(cls, t, subj, counts, Z, _grid=None) -> "PanelArrays":
         """Derive the grouped arrays from the epoch arrays and freeze them
-        all, Z in C order: a fit's last bits depend on Z's memory order.
+        all, counts and Z in C order: a fit's last bits depend on Z's memory
+        order, and SciPy's sparse kernels copy a strided count row each call.
         `_grid` is `(times, inverse)` where the caller already holds
         `np.unique(t, return_inverse=True)`, as `_dataset` does."""
         times, inverse = np.unique(t, return_inverse=True) if _grid is None else _grid
-        arrays = cls(t, subj, times, inverse, counts, np.ascontiguousarray(Z))
+        arrays = cls(t, subj, times, inverse, np.ascontiguousarray(counts), np.ascontiguousarray(Z))
         for a in vars(arrays).values():
             a.flags.writeable = False
         return arrays
@@ -142,6 +144,14 @@ class PanelArrays:
         order = np.argsort(self.Z.T, axis=1)
         order.flags.writeable = False
         return order
+
+    @cached_property
+    def _epoch_covariates(self) -> np.ndarray:
+        """Per covariate (a row), its value at each epoch: a read-only d x P
+        array, the data of `estimator._CauseWorkspace`'s `z_inc`."""
+        z = self.Z.T.take(self.subj, axis=1)  # C order, which indexing would not give
+        z.flags.writeable = False
+        return z
 
 
 class PanelDataset:
@@ -408,7 +418,7 @@ def _dataset(sids, t, counts, Z, lines) -> PanelDataset:
     times, rank = np.unique(t, return_inverse=True)
     order = np.argsort(subj * times.size + rank, kind="stable")  # by subject, then by time
     t, subj = t[order], subj[order]
-    counts, Z = counts[:, order], Z[order]
+    counts, Z = counts.take(order, axis=1), Z[order]  # take keeps counts in C order
     first = np.flatnonzero(np.diff(subj, prepend=-1))  # each subject's earliest epoch
     same = np.r_[False, subj[1:] == subj[:-1]]  # epoch follows one of the same subject
     checks = [

@@ -145,19 +145,19 @@ class _CauseWorkspace:
     are n x kk and per-time arrays kk x r, so column c reads and writes
     only dataset j's part of column (or row) i.  Epochs are the pooled
     (subject, observation) pairs.  They are summed through the time x
-    subject incidence `inc` (one 1 per epoch), its transpose `inc_t` and,
-    for counts, each cause's `count_inc` (the epoch's count in place of
-    the 1): per-time sums of per-subject values X (n x kk) are `inc @ X`,
-    and per-subject sums of per-time values V (r x kk) are `inc_t @ V`.
-    Sums over a column's times run over its own rows only, and the
-    products with Z are made column by column with its own dataset's
-    arrays: its linear predictor with Z, and its gradient and Hessian as
-    one matrix-vector product with the covariate products z, z_l z_m
-    that every workspace of the dataset shares (see PanelArrays and
-    `_fixed_grad_hess`).  Each sum adds a column's terms in a fixed
-    order, so no column's numbers depend on the other columns of the call
-    or the other datasets of its stack: a stacked fit is its dataset's
-    fit alone, bit for bit.
+    subject incidence `inc` (one 1 per epoch), its transpose `inc_t`, each
+    cause's `count_inc` (the epoch's count in place of the 1) and each
+    covariate's `z_inc` (the epoch's z_l, see PanelArrays): per-time sums
+    of per-subject values X (n x kk) are `inc @ X`, and per-subject sums
+    of per-time values V (r x kk) are `inc_t @ V`.  Sums over a column's
+    times run over its own rows only, and the matrix-vector products with
+    Z are made column by column with its own dataset's arrays: its linear
+    predictor with Z, and its gradient and Hessian as one product with the
+    covariate products z, z_l z_m that every workspace of the dataset
+    shares (see PanelArrays and `_fixed_grad_hess`).  Each sum adds a
+    column's terms in a fixed order, so no column's numbers depend on the
+    other columns of the call or the other datasets of its stack: a
+    stacked fit is its dataset's fit alone, bit for bit.
 
     Per column and time, `total` holds the weighted count total C_q and
     `obs` the weighted observation count; `n_obs` and `mean_count` (C_q /
@@ -207,6 +207,8 @@ class _CauseWorkspace:
         self.inc_t = _subject_incidence(self.subj, self.inverse, n, r)
         self.inc = self.inc_t.T  # a CSC view: still adds a time's epochs in subject order
         self.count_inc = {j: _with_counts(self.inc, counts[j - 1]) for j in set(causes.tolist())}
+        self.z_inc = [_with_counts(self.inc, z)
+                      for z in _joined([a._epoch_covariates for a in arrays], axis=1)]
         # per dataset, its time rows, its subjects and its Z; per column, its
         # index i and its dataset's
         self._spans = [(slice(*self.tfirst[j:j + 2]), slice(*self.first[j:j + 2]), a.Z)
@@ -367,8 +369,9 @@ class _CauseWorkspace:
         N_B / E_B for the isotonic baseline at beta) within a column's
         times, the exp(beta'z)-weighted mean m_B of z over its epochs; and
         where each block starts, as a flat index into the kk x r cells.
-        By the envelope theorem the gradient is the fixed-baseline one;
-        the Hessian is the fixed-baseline one plus sum_B N_B m_B m_B'."""
+        `z_inc` sums w exp(beta'z) z_l with the bits of `inc` on the formed
+        products.  By the envelope theorem the gradient is the fixed-baseline
+        one; the Hessian is the fixed-baseline one plus sum_B N_B m_B m_B'."""
         values, exposure, wez = state
         kk, r, d = self.kk, self.r, self.d
         grad, hess = self.fixed_derivs(state)
@@ -378,8 +381,8 @@ class _CauseWorkspace:
         new[:, self.tfirst[:-1]] = True
         start = np.flatnonzero(new)
         mean = np.empty((start.size, d))
-        for l, z in enumerate(self.Z.T):  # per block, sum of w exp(beta'z) z_l over its epochs
-            mean[:, l] = np.add.reduceat((self.inc @ (wez.T * z[:, None])).T.ravel(), start)
+        for l, inc_l in enumerate(self.z_inc):  # per block, sum of w exp(beta'z) z_l
+            mean[:, l] = np.add.reduceat((inc_l @ wez.T).T.ravel(), start)
         mean /= np.add.reduceat(exposure.ravel(), start)[:, None]
         count = np.add.reduceat(self.total.ravel(), start)
         # each column's blocks summed, in cell order, then put in column order
@@ -436,8 +439,10 @@ class _Incidence:
     compiled kernel with the same operand, so a product adds its terms in
     SciPy's order and has its bits: an operand of shape (N,) or (N, 1)
     goes to `<fmt>_matvec`, a wider one to `<fmt>_matvecs` in C order.
-    The kernels check nothing, so the construction makes SciPy's O(1)
-    format checks and `@` its shape check."""
+    The kernels check neither format nor shape, so the construction makes
+    SciPy's O(1) format checks and `@` its shape check.  SciPy's wrapper
+    of the kernels copies an array that is not contiguous on every call,
+    so each incidence's `data` is a contiguous row (see PanelArrays)."""
 
     __slots__ = ("fmt", "shape", "indptr", "indices", "data")
 
@@ -537,11 +542,18 @@ class _Path:
     stop: np.ndarray
     derivs: tuple | None = None
 
-    def accept(self, ws: _CauseWorkspace, took: np.ndarray, beta: np.ndarray, obj: np.ndarray,
-               state) -> None:
-        """Accept the columns of beta, obj and state that the mask `took` marks."""
+    def accept(self, ws: _CauseWorkspace, took: np.ndarray, refused: np.ndarray,
+               beta: np.ndarray, obj: np.ndarray, state) -> None:
+        """Accept the columns of beta and obj that the mask `took` marks, if
+        any, and adopt `state`, its cells of the columns `refused` marks set
+        to the path's: every other column's are, as they were evaluated at
+        the path's row, and a column's numbers depend on its row alone."""
+        if not took.any():
+            return
         self.beta[took] = beta[took]
-        ws.accept(self.state, state, took)
+        if refused.any():
+            ws.accept(state, self.state, refused)
+        self.state = state
         for c, o in zip(np.flatnonzero(took), obj[took].tolist()):
             self.trace[c].append(o)
 
@@ -561,15 +573,18 @@ def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs) -> _Path:
     gives their gradients (rows) and Hessians.  Every call covers every
     column; a column that has stopped is evaluated at its last iterate and
     the result dropped.  A column's steps halve until its objective does
-    not drop.  Accepted iterates, the start first, go to the returned
-    path, and each column's stop code (see _STOPS), set where the loop
-    decides it: `not_finite` at the start; then, before each step,
-    `diverged`, else `singular` (tested at every iterate, so a start whose
-    gradient is already small does not pass an unidentified beta off as
-    converged), else `gradient` once its gradient in beta * z_range units
-    (a stop that ignores the covariates' units) is within _NEWTON_TOL, else
-    `step_cap` after _MAX_STEPS steps; `no_ascent` when no halving improves
-    it; and last `descent`, over any other code, for a trace that falls.
+    not drop: a trial that some column accepts becomes the path's state,
+    with the cells of the columns it refused, those still pending, set to
+    the path's (see _Path.accept).  Accepted iterates, the start first, go
+    to the returned path, and each column's stop code (see _STOPS), set
+    where the loop decides it: `not_finite` at the start; then, before
+    each step, `diverged`, else `singular` (tested at every iterate, so a
+    start whose gradient is already small does not pass an unidentified
+    beta off as converged), else `gradient` once its gradient in beta *
+    z_range units (a stop that ignores the covariates' units) is within
+    _NEWTON_TOL, else `step_cap` after _MAX_STEPS steps; `no_ascent` when
+    no halving improves it; and last `descent`, over any other code, for a
+    trace that falls.
     """
     m = beta.shape[0]
     obj, state = evaluate(beta)
@@ -598,9 +613,9 @@ def _newton(ws: _CauseWorkspace, beta: np.ndarray, evaluate, derivs) -> _Path:
             cand = np.where(pending[:, None], path.beta + 0.5 ** halving * step, path.beta)
             obj, state = evaluate(cand)
             took = pending & (obj >= floor)
-            path.accept(ws, took, cand, obj, state)
             pending &= ~took
-        state = None  # the last trial's arrays would otherwise live through the next derivs
+            path.accept(ws, took, pending, cand, obj, state)
+        state = None  # a refused last trial's arrays would otherwise live through the next derivs
         path.stop_where(pending, "no_ascent")
         steps += path.stop == ""
     path.stop[[_descends(trace) for trace in path.trace]] = "descent"
@@ -632,9 +647,9 @@ def _lockstep(data, causes: np.ndarray, start: np.ndarray, weights=None):
 def _chunk_columns(n: int, r: int) -> int:
     """Columns per lockstep call on n subjects and r time rows, at least 1:
     as many as keep the call's footprint, n + 3r floats a column, within
-    4 * _CHUNK_FLOATS.  At its peak a call holds about 3.6 n-float arrays
+    4 * _CHUNK_FLOATS.  At its peak a call holds about 3.5 n-float arrays
     a column (the weights, the accepted and the trial w exp(beta'z), and
-    mu or a product for the derivatives) besides its per-time arrays.  On
+    mu for the derivatives) besides its per-time arrays.  On
     the perfbench shapes: 62 bootstrap columns per call at 2,000 subjects
     on 36 monthly times (a call's traced peak is 3.4 MiB), one cause per
     call at 8,000 subjects on 32,051 times, and a stack of five Table-1

@@ -10,9 +10,11 @@ import panelmean.data
 from panelmean import (
     PanelDataset,
     ParseError,
+    SimConfig,
     Subject,
     ValidationError,
     aggregate,
+    gen_dataset,
     parse_panel_csv,
     write_panel_csv,
 )
@@ -561,6 +563,31 @@ class TestAggregate:
         assert aggregate(data, 1).times is aggregate(data, 2).times
         with pytest.raises(ValueError, match="read-only"):
             data.arrays.counts[0, 0] = 1.0
+
+    @pytest.mark.parametrize("source", ["subjects", "generated", "loadtxt", "row loop",
+                                        "one cause"])
+    def test_every_array_is_c_contiguous(self, tmp_path, source):
+        # SciPy's sparse kernels copy a strided operand on every product,
+        # and a parse reorders its epochs, which leaves a gathered counts
+        # array in Fortran order unless the build makes it C
+        data = random_small_dataset(np.random.default_rng(16), n=12, k=2, d=3)
+        if source == "generated":
+            data = gen_dataset(SimConfig(n=12, beta1=[0.5, 1.0], beta2=[-1.0, 0.5]),
+                               np.random.default_rng(16))
+        elif source in ("loadtxt", "row loop"):
+            write_panel_csv(data, tmp_path / "data.csv")
+            header, *rows = (tmp_path / "data.csv").read_text(encoding="utf-8").splitlines()
+            rows = rows[::-1] + ([" , "] if source == "row loop" else [])  # latest epochs first
+            path = write(tmp_path, "\n".join([header, *rows]) + "\n", "shuffled.csv")
+            assert (panelmean.data._read_table(path) is None) is (source == "row loop")
+            data = parse_panel_csv(path)
+        elif source == "one cause":
+            data = data.select_cause(2)
+        a = data.arrays
+        arrays = {**vars(a), "_covariate_products": a._covariate_products,
+                  "_covariate_order": a._covariate_order, "_epoch_covariates": a._epoch_covariates}
+        for name, value in arrays.items():
+            assert value.flags.c_contiguous, name
 
     def test_bad_cause_rejected(self):
         data = PanelDataset([Subject("a", [2.0], [[5]], [])], k=1, d=0)

@@ -497,7 +497,86 @@ class TestFixedDerivatives:
         assert hess[2:4].tobytes() == alone[1].tobytes()
 
 
+class TestBlockSums:
+    # derivs sums w exp(beta'z) z_l per time through the incidence whose
+    # entries are the epochs' z_l.  With the products formed first, the
+    # kernel multiplies 1.0 * (w exp(beta'z) z_l), which is exact even as a
+    # fused multiply-add; with z_l in the incidence it multiplies
+    # z_l * w exp(beta'z), which a fused multiply-add would add unrounded.
+    # The bits are equal only while the kernels round every product, which
+    # this test holds at the widths of csc_matvec (1) and csc_matvecs
+
+    @pytest.mark.parametrize("kk", [1, 2, 62])
+    def test_covariate_incidences_have_the_bits_of_the_formed_products(self, kk):
+        rng = np.random.default_rng(40 + kk)
+        if kk == 1:  # one column on many distinct times, as a continuous fit
+            data = gen_dataset(table1_config(n=400), np.random.default_rng([40, kk]))
+            ws = _CauseWorkspace(data, 1)
+        elif kk == 2:  # a stack of Table-1 datasets, one column per cause
+            ws = _CauseWorkspace([gen_dataset(table1_config(n=n), np.random.default_rng([40, n]))
+                                  for n in (50, 120, 80)], np.arange(1, 3))
+        else:  # a chunk of bootstrap columns on the monthly shape
+            data = monthly_dataset(40)
+            ws = _CauseWorkspace(data, np.tile([1, 2], kk // 2),
+                                 rng.integers(0, 4, size=(data.n, kk)).astype(float))
+        # terms of many magnitudes, so that a different rounding shows
+        wez = np.exp(rng.normal(0.0, 8.0, (ws.n, ws.kk))) * ws.w
+        assert len(ws.z_inc) == ws.d
+        for inc_l, z in zip(ws.z_inc, ws.Z.T):
+            got, want = inc_l @ wez, ws.inc @ (wez * z[:, None])
+            assert got.shape == (ws.r, ws.kk)
+            assert got.tobytes() == want.tobytes()
+
+    def test_epoch_covariates_are_each_epochs_z_made_once(self):
+        data = random_small_dataset(np.random.default_rng(41), n=30, k=2, d=3)
+        a = data.arrays
+        z = a._epoch_covariates
+        assert z.tobytes() == np.ascontiguousarray(a.Z[a.subj].T).tobytes()
+        assert z.shape == (data.d, a.t.size) and z.flags.c_contiguous and not z.flags.writeable
+        assert a._epoch_covariates is z
+
+
 class TestFit:
+    @pytest.mark.parametrize("one_trial", [False, True])
+    def test_path_state_is_a_fresh_evaluation_at_the_path_beta(self, table1_dataset_n100,
+                                                              monkeypatch, one_trial):
+        # an accepted trial becomes the path's state, the cells of the
+        # columns it refused set to the path's: on a call where a halving
+        # both accepts and refuses, and where columns stop at different
+        # steps (column 0 at its start), the state is every column's own
+        # evaluation at its last beta.  A later trial evaluates a refused
+        # column at its path's row again, so only the last trial's refused
+        # cells last: with one step of one halving, a column the trial
+        # refuses stops there (no_ascent) and keeps them
+        data, causes = table1_dataset_n100, np.tile([1, 2], 3)
+        fits = fit(data)
+        if one_trial:
+            monkeypatch.setattr(estimator, "_MAX_HALVINGS", 1)
+            monkeypatch.setattr(estimator, "_MAX_STEPS", 1)
+        rng = np.random.default_rng(4)
+        weights = rng.integers(0, 3, size=(data.n, causes.size)).astype(float)
+        weights[:, 0] = 1.0
+        start = np.array([fits[c - 1].beta for c in causes])
+        start[2:] += rng.normal(0.0, 4.0, size=(4, data.d))
+        mixed = []
+        accept = estimator._Path.accept
+
+        def recorded(path, ws, took, refused, *args):
+            mixed.append(took.any() and refused.any())
+            return accept(path, ws, took, refused, *args)
+
+        monkeypatch.setattr(estimator._Path, "accept", recorded)
+        ws = _CauseWorkspace(data, causes, weights)
+        path = estimator._newton(ws, start, ws.evaluate, ws.derivs)
+        assert any(mixed)
+        steps = [len(trace) for trace in path.trace]
+        assert steps[0] == 1 and len(set(steps)) > (1 if one_trial else 2)
+        assert ("no_ascent" in path.stop) is one_trial
+        ll, fresh = ws.evaluate(path.beta)
+        for kept, new in zip(path.state, fresh):
+            assert kept.tobytes() == new.tobytes()
+        assert ll.tolist() == [trace[-1] for trace in path.trace]
+
     def test_no_covariates_single_iteration(self):
         rng = np.random.default_rng(28)
         data = random_small_dataset(rng, k=1, d=0)
