@@ -171,14 +171,14 @@ class _CauseWorkspace:
     first.  Per column, `zcs` holds Z' times the weighted per-subject count
     totals (the beta-linear part of l) and `z_range` each covariate's range
     over the column's subjects (|z_l| if all share it, 1 if that is 0):
-    the unit in which beta_l * z_l is judged.  `active` marks each
-    column's subjects (w > 0).  Unit weights are weights like any other:
-    every subject is active, and a column that uses every time gathers
-    each cell from itself.  Every method covers all m columns.  `evaluate`
-    serves every Newton loop; its state (baseline values, exposure, w
-    exp(beta'z)) is what `fixed_derivs` and `derivs` read, so neither forms
-    exp(beta'z) again; `fit_state` keeps a column's share of it for the
-    sandwich estimator.
+    the unit in which beta_l * z_l is judged.  `active` marks each column's
+    subjects (w > 0), for `_z_range` and `evaluate`'s tripped guard only.
+    Unit weights are weights like any other: every subject is active, and a
+    column that uses every time gathers each cell from itself.  Every method
+    covers all m columns.  `evaluate` serves every Newton loop; its state
+    (baseline values, exposure, w exp(beta'z)) is what `fixed_derivs` and
+    `derivs` read, so neither forms exp(beta'z) again; `fit_state` keeps a
+    column's share of it for the sandwich estimator.
 
     `times` are a single dataset's distinct times (None for a stack of
     several).  A scalar `cause` (no weights) makes the one-column view of
@@ -265,11 +265,10 @@ class _CauseWorkspace:
 
     def linear_predictor(self, beta: np.ndarray) -> np.ndarray:
         """Per subject and column i of each dataset (n x kk), beta'z at the
-        row of `beta` (m x d) of its column; 0 off the column's subjects."""
+        row of `beta` (m x d) of its column, zero weight or not."""
         lp = np.empty((self.n, self.kk))
         for (i, _, s, Z), b in zip(self._cols, beta):
             lp[s, i] = Z @ b
-        lp *= self.active
         return lp
 
     def _weighted_exp(self, lp: np.ndarray) -> np.ndarray:
@@ -280,7 +279,7 @@ class _CauseWorkspace:
 
     def exposure(self, beta: np.ndarray) -> np.ndarray:
         """Per column i of each dataset and time, S_q: the weighted sum of
-        exp(beta'z) over its epochs."""
+        exp(beta'z) over its epochs (no guard: exp(beta'z) * 0 at zero weight)."""
         return self._exposure(self._weighted_exp(self.linear_predictor(beta)))
 
     def _exposure(self, wez: np.ndarray) -> np.ndarray:
@@ -314,15 +313,16 @@ class _CauseWorkspace:
 
     def evaluate(self, beta: np.ndarray, values: np.ndarray | None = None):
         """l_p of each column at its row of `beta`, or l at its row of
-        fixed baseline `values` if given (-inf where some |beta'z| >
-        _MAX_LP, see _newton), and the state its derivatives read: the
-        baseline values, the exposure and w exp(beta'z) (kk x r, kk x r
-        and kk x n; at beta'z = 0 where -inf, so it stays finite)."""
+        fixed baseline `values` if given (-inf where some |beta'z| > _MAX_LP
+        at a positive weight, see _newton; zero weights are masked only if
+        the guard trips, since exp(beta'z) * 0 = 0 otherwise), and the state
+        its derivatives read: the baseline values, the exposure and w
+        exp(beta'z) (kk x r, kk x r and kk x n; finite: at beta'z = 0 where -inf)."""
         lp = self.linear_predictor(beta)
         over = np.zeros(beta.shape[0], dtype=bool)
         if not (lp.max(initial=0.0) <= _MAX_LP and -lp.min(initial=0.0) <= _MAX_LP):  # rare
-            over = ~(np.maximum.reduceat(np.abs(lp), self.first[:-1]).ravel()  # or not a number
-                     <= _MAX_LP)
+            lp *= self.active  # zero weight flags no column; NaN fails the test
+            over = ~(np.maximum.reduceat(np.abs(lp), self.first[:-1]).ravel() <= _MAX_LP)
             lp[self._cells(over)[1]] = 0.0
         wez = self._weighted_exp(lp)
         exposure = self._exposure(wez)
@@ -510,7 +510,7 @@ def _profile_grad_hess(ws: _CauseWorkspace, lam_sub: np.ndarray,
                        beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The workspace's fixed-baseline gradient and Hessian of l in beta for
     a one-column workspace, given `lam_sub`: per subject, the sum of the
-    baseline's values at its epochs."""
+    baseline's values at its epochs (no guard, as in `exposure`)."""
     mu = ws._weighted_exp(ws.linear_predictor(beta[None]))
     mu *= lam_sub[:, None]
     grad, hess = ws._fixed_grad_hess(mu)

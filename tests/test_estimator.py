@@ -1227,6 +1227,33 @@ class TestOverflowGuard:
         assert good.baseline.values.tobytes() == solo.baseline.values.tobytes()
         assert (good.iterations, good.converged, good.error) == (solo.iterations, True, None)
 
+    def test_zero_weight_subject_beyond_the_guard_flags_no_column(self, data):
+        # subject 0's z_1 = 1e4 puts its beta'z beyond _MAX_LP on every
+        # evaluation from beta = 1, so the guard trips each time.  Where it
+        # weighs 0 the guard masks it before judging the columns, and the
+        # column is the fit with its z_1 ordinary, bit for bit: both add
+        # only zeros for it.  Where it weighs 1 its column stops at the start
+        def with_z1(value):
+            return PanelDataset([Subject(s.id, s.times, s.counts,
+                                         [value, s.covariates[1]] if i == 0 else s.covariates)
+                                 for i, s in enumerate(data.subjects)], k=data.k, d=data.d)
+
+        W = np.random.default_rng(8).integers(1, 3, size=(data.n, 3)).astype(float)
+        W[0] = [0.0, 0.0, 1.0]
+        causes, start = [1, 2, 1], np.ones((3, data.d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            far = lockstep_fits(with_z1(1e4), causes, W, start)
+            near = lockstep_fits(data, causes, W, start)
+        for a, b in zip(far[:2], near[:2]):
+            assert a.converged and abs(a.beta[0]) * 1e4 > 600  # tripped at the end too
+            assert a.beta.tobytes() == b.beta.tobytes()
+            assert a.loglik_trace == b.loglik_trace
+            assert a.baseline.knots.tobytes() == b.baseline.knots.tobytes()
+            assert a.baseline.values.tobytes() == b.baseline.values.tobytes()
+        assert far[2].error == "objective not finite at the starting point"
+        assert near[2].converged
+
     def test_public_wrappers_beyond_the_guard(self, data):
         baseline = fit(data)[0].baseline
         with np.errstate(over="ignore"):

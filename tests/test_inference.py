@@ -72,6 +72,28 @@ def monthly_shaped(seed):
         months, np.repeat(np.arange(n), visits), counts, Z))
 
 
+def monthly_model(seed):
+    """The bootstrap_monthly benchmark input of `seed`, drawn as
+    perfbench/inputs.py draws it (and not imported from there, so the test
+    does not depend on the benchmark): 2,000 subjects on 2-8 distinct
+    months of 36, k = 2, d = 2, counts from the proportional mean model."""
+    n, slopes, beta = 2000, np.array([0.15, 0.25]), np.array([[0.5, -0.5], [-0.3, 0.8]])
+    rng = np.random.default_rng([seed, n, *beta.shape])
+    Z = np.round(np.column_stack([rng.random(n) < 0.5, rng.normal(0.0, 0.5, n)]), 6)
+    rng.uniform(-1.0, 1.0, n), rng.random(n)  # the benchmark's unused covariates
+    visits = rng.integers(2, 9, size=n)
+    rank = np.argsort(np.argsort(rng.random((n, 36)), axis=1), axis=1)
+    subj, month = np.nonzero(rank < visits[:, None])
+    times = month + 1.0
+    first = np.r_[True, subj[1:] != subj[:-1]]
+    gaps = np.where(first, times, times - np.r_[0.0, times[:-1]])
+    jumps = rng.poisson(np.exp(Z @ beta.T)[subj] * slopes * gaps[:, None]).T
+    total, start = jumps.cumsum(axis=1), np.flatnonzero(first)
+    counts = total - np.repeat(total[:, start] - jumps[:, start], visits, axis=1)
+    return PanelDataset._from_arrays(tuple(map(str, range(n))), PanelArrays.build(
+        times, subj, counts.astype(float), Z))
+
+
 def one_hot_subject():
     """A single z=1 subject carries all the z=1 events; bootstrap replicates
     missing it see an event-free z=1 level and diverge."""
@@ -360,6 +382,24 @@ class TestSandwich:
             sw = sandwich_se(table1_dataset_n200, cf)
             assert np.all(np.abs(sw.se - br.se) / br.se <= 0.25)
             check_cov(sw)
+
+    def test_agrees_with_bootstrap_at_n_2000(self):
+        # at large n the two routes estimate one covariance, so each checks
+        # the other.  On these inputs (seeds 1-8) sandwich SE / bootstrap SE
+        # at B = 1,000 lay in 0.974-1.046, and in 0.974-1.033 with mean
+        # 0.999 on the three here; a bootstrap SE carries about 1 / sqrt(2B)
+        # = 2.2% Monte Carlo error.  So each ratio is held within 10% (4.5
+        # Monte Carlo SDs) and their mean within 3%
+        ratios = []
+        for seed in (1, 2, 3):
+            data = monthly_model(seed)
+            fits = fit(data)
+            boot = bootstrap_se(data, B=1000, seed=seed, _fits=fits)
+            assert boot[0].failures == 0
+            ratios += [sandwich_se(data, cf).se / br.se for cf, br in zip(fits, boot)]
+        ratios = np.concatenate(ratios)
+        assert np.all(np.abs(ratios - 1.0) <= 0.10), ratios
+        assert abs(ratios.mean() - 1.0) <= 0.03, ratios
 
     @pytest.mark.parametrize("design", ["continuous", "gridded"])
     def test_matches_profile_information_oracle(self, table1_dataset_n200, design):
